@@ -1,0 +1,15 @@
+"""Make the benchmark's modules and the checkout's ``repro`` importable.
+
+Run with ``python -m pytest benchmarks/e2e/tests`` from the repo root;
+tier-1's ``testpaths`` does not include this directory.
+"""
+
+import os
+import sys
+
+E2E = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(os.path.dirname(E2E))
+
+for path in (os.path.join(ROOT, "src"), E2E):
+    if path not in sys.path:
+        sys.path.insert(0, path)
