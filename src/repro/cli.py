@@ -35,9 +35,7 @@ The commands:
 - ``tenancy-soak`` — run the multi-tenant key service under a tenancy
   abuse plan (noisy-neighbor flash crowd, tenant-WAL corruption, mass
   re-home of ~1k tenants) and assert the isolation invariants (see
-  ``docs/tenancy.md``);
-- ``bench-perf`` — run the hot-path micro-benchmarks and write a
-  ``BENCH_perf.json`` document (see ``docs/performance.md``).
+  ``docs/tenancy.md``).
 
 ``serve --tenants N`` switches the daemon into multi-tenant mode: N
 heterogeneous groups on one deadline-aware scheduler with per-tenant
@@ -109,14 +107,6 @@ def _build_parser():
         "--transport",
         choices=["direct", "sim", "udp", "wire"],
         default="sim",
-    )
-    serve.add_argument(
-        "--engine",
-        choices=["python", "numpy", "numba"],
-        default="python",
-        help="hot-path implementation: the per-object oracle pipeline "
-        "(python) or the vectorised array plane (numpy; numba degrades "
-        "to numpy when unavailable) — output is bit-identical",
     )
     serve.add_argument(
         "--bind",
@@ -522,22 +512,6 @@ def _build_parser():
         action="store_true",
         help="list the tenancy plans and exit",
     )
-
-    bench = sub.add_parser(
-        "bench-perf", help="run the hot-path perf benchmarks"
-    )
-    bench.add_argument(
-        "--scale",
-        choices=["quick", "full"],
-        default="quick",
-        help="quick: CI-sized (N=512); full: paper defaults (N=4096)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the BENCH_perf.json document here",
-    )
     return parser
 
 
@@ -825,7 +799,7 @@ def _cmd_serve(args, out):
         make_driver,
     )
 
-    config = GroupConfig(block_size=5, seed=args.seed, engine=args.engine)
+    config = GroupConfig(block_size=5, seed=args.seed)
     service = DaemonConfig(
         state_dir=args.state_dir,
         interval_seconds=args.interval_seconds,
@@ -1339,25 +1313,6 @@ def _cmd_tenancy_soak(args, out):
     )
 
 
-def _cmd_bench_perf(args, out):
-    import json
-
-    from repro.perf import format_table, run_suite
-
-    document = run_suite(
-        args.scale,
-        progress=lambda name: print("running %s ..." % name, file=out),
-    )
-    for line in format_table(document):
-        print(line, file=out)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.output, file=out)
-    return 0
-
-
 def main(argv=None, out=None):
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
@@ -1373,7 +1328,6 @@ def main(argv=None, out=None):
         "fleet": _cmd_fleet,
         "wire-chaos-soak": _cmd_wire_chaos_soak,
         "tenancy-soak": _cmd_tenancy_soak,
-        "bench-perf": _cmd_bench_perf,
     }
     return handlers[args.command](args, out)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.fastpath import ENGINE_KINDS
 from repro.sim.topology import LossParameters
 from repro.util.validation import check_non_negative, check_positive
 
@@ -17,18 +18,12 @@ class GroupConfig:
     packets, FEC block size 10, proactivity factor 1, NACK target 20,
     100 ms sending interval, and the heterogeneous burst-loss topology.
 
-    Three hot-path knobs select implementations, not behaviour — every
-    combination produces bit-identical protocol output:
-
-    - ``incremental_marking``: re-mark only paths touched by the batch
-      (default) instead of scanning the whole tree each interval;
-    - ``fec_coder``: ``"matrix"`` (translation-table RSE, default) or
-      ``"reference"`` (the scalar oracle coder);
-    - ``engine``: ``"python"`` (per-object oracle pipeline, default),
-      ``"numpy"`` (array-plane marking, batched GF(256) parity, and the
-      vectorised delivery session — :mod:`repro.fastpath`), or
-      ``"numba"`` (reserved JIT tier; degrades to ``"numpy"`` when
-      numba is not installed).
+    ``engine`` selects an implementation, never behaviour — both values
+    produce bit-identical protocol output: ``"numpy"`` (default) is the
+    shipping array plane (:mod:`repro.fastpath`: path-local marking,
+    batched GF(256) parity, the vectorised delivery session and fleet
+    absorption); ``"python"`` is the per-object oracle the tests hold it
+    to (from-scratch marking, per-block parity, per-user session).
     """
 
     degree: int = 4
@@ -51,13 +46,9 @@ class GroupConfig:
     loss: LossParameters = field(default_factory=LossParameters)
     crypto_seed: int = 0
     seed: int = 20010827
-    incremental_marking: bool = True
-    fec_coder: str = "matrix"
-    engine: str = "python"
+    engine: str = "numpy"
 
     def __post_init__(self):
-        from repro.fec.rse import CODER_KINDS
-
         check_positive("degree", self.degree, integral=True)
         if self.degree < 2:
             raise ValueError("degree must be >= 2")
@@ -77,16 +68,11 @@ class GroupConfig:
         )
         check_positive("deadline_rounds", self.deadline_rounds, integral=True)
         check_positive("nack_window_seconds", self.nack_window_seconds)
-        if self.fec_coder not in CODER_KINDS:
-            raise ValueError(
-                "fec_coder must be one of %s, got %r"
-                % (", ".join(CODER_KINDS), self.fec_coder)
+        if self.engine not in ENGINE_KINDS:
+            raise ConfigurationError(
+                "engine must be one of %s, got %r"
+                % (", ".join(ENGINE_KINDS), self.engine)
             )
-        # Validates the name and degrades "numba" to "numpy" when the
-        # JIT tier is unavailable (never a behaviour change).
-        from repro.fastpath import resolve_engine
-
-        self.engine = resolve_engine(self.engine)
 
     # -- serialization -------------------------------------------------
     #
@@ -104,8 +90,7 @@ class GroupConfig:
                 "degree", "packet_size", "block_size", "rho", "rho_max",
                 "num_nack", "max_nack", "sending_interval_ms",
                 "max_multicast_rounds", "deadline_rounds",
-                "nack_window_seconds", "crypto_seed", "seed",
-                "incremental_marking", "fec_coder", "engine",
+                "nack_window_seconds", "crypto_seed", "seed", "engine",
             )
         }
         out["loss"] = {
@@ -126,6 +111,11 @@ class GroupConfig:
                 % type(data).__name__
             )
         kwargs = dict(data)
+        # Registries written before the implementation knobs collapsed
+        # into ``engine`` still carry these two; they selected code
+        # paths, never behaviour, so dropping them loses nothing.
+        for retired in ("incremental_marking", "fec_coder"):
+            kwargs.pop(retired, None)
         loss = kwargs.pop("loss", None)
         if loss is not None:
             if not isinstance(loss, dict):

@@ -9,6 +9,8 @@ records the crypto work for the processing-time analyses.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.crypto.cipher import XorStreamCipher
 from repro.crypto.cost import CostMeter
 from repro.crypto.keys import KeyFactory
@@ -20,6 +22,7 @@ from repro.errors import (
 )
 from repro.keytree.marking import make_marking
 from repro.keytree.tree import KeyTree
+from repro.obs.recorder import NULL
 from repro.rekey.message import RekeyMessageBuilder
 
 _MESSAGE_ID_SPACE = 64  # the 6-bit rekey-message ID field
@@ -31,40 +34,41 @@ class GroupKeyServer:
     def __init__(self, initial_users, config=None):
         from repro.core.config import GroupConfig
 
-        self.config = config or GroupConfig()
-        self.meter = CostMeter()
-        self._factory = KeyFactory(
-            seed=self.config.crypto_seed, meter=self.meter
-        )
-        self._cipher = XorStreamCipher(meter=self.meter)
-        self.signer = SignatureScheme(
-            secret_seed=self.config.crypto_seed, meter=self.meter
-        )
         initial_users = list(initial_users)
         if not initial_users:
             raise ConfigurationError(
                 "a group needs at least one initial member"
             )
+        self._wire_pipeline(config or GroupConfig())
         self.tree = KeyTree.full_balanced(
             initial_users, self.config.degree, key_factory=self._factory
         )
-        self._marking = make_marking(
-            self.config.incremental_marking, engine=self.config.engine
-        )
-        self._builder = RekeyMessageBuilder(
-            packet_size=self.config.packet_size,
-            block_size=self.config.block_size,
-            cipher=self._cipher,
-            signer=self.signer,
-            coder_kind=self.config.fec_coder,
-            engine=self.config.engine,
-        )
-        self._pending_joins = []
-        self._pending_leaves = []
         self._next_message_id = 0
         self.intervals_processed = 0
-        from repro.obs.recorder import NULL
 
+    def _wire_pipeline(self, config):
+        """Everything but the tree and the counters: crypto, the marker
+        and message builder ``config.engine`` names, empty request
+        queues.  Shared by ``__init__`` and :meth:`restore`."""
+        self.config = config
+        self.meter = CostMeter()
+        self._factory = KeyFactory(seed=config.crypto_seed, meter=self.meter)
+        self._cipher = XorStreamCipher(meter=self.meter)
+        self.signer = SignatureScheme(
+            secret_seed=config.crypto_seed, meter=self.meter
+        )
+        self._marking = make_marking(config.engine)
+        self._builder = RekeyMessageBuilder(
+            packet_size=config.packet_size,
+            block_size=config.block_size,
+            cipher=self._cipher,
+            signer=self.signer,
+            engine=config.engine,
+        )
+        # Insertion-ordered sets (dict keys): intake asks "is this user
+        # queued?" per request, marking wants arrival order.
+        self._pending_joins = {}
+        self._pending_leaves = {}
         self.obs = NULL
 
     def set_observer(self, obs):
@@ -110,20 +114,20 @@ class GroupKeyServer:
             raise DuplicateUserError("user %r already joined/queued" % (user,))
         if self.tree.has_user(user) and user not in self._pending_leaves:
             raise DuplicateUserError("user %r already joined/queued" % (user,))
-        self._pending_joins.append(user)
+        self._pending_joins[user] = None
 
     def request_leave(self, user):
         """Queue a leave for the next rekey interval."""
         if user in self._pending_joins:
             # Joined (or re-joined) and left within one interval: cancel
             # the join; a member's earlier queued leave, if any, stands.
-            self._pending_joins.remove(user)
+            del self._pending_joins[user]
             return
         if user in self._pending_leaves:
             raise ConfigurationError("leave already queued for %r" % (user,))
         if not self.tree.has_user(user):
             raise UnknownUserError("unknown user %r" % (user,))
-        self._pending_leaves.append(user)
+        self._pending_leaves[user] = None
 
     # -- interval processing ------------------------------------------------
 
@@ -133,8 +137,9 @@ class GroupKeyServer:
         Returns ``(batch_result, rekey_message)``.  The message is empty
         when no membership changed.
         """
-        joins, leaves = self._pending_joins, self._pending_leaves
-        self._pending_joins, self._pending_leaves = [], []
+        joins, leaves = self.pending_requests
+        self._pending_joins.clear()
+        self._pending_leaves.clear()
         batch = self._marking.apply(self.tree, joins=joins, leaves=leaves)
         message_id = self._next_message_id
         self._next_message_id = (message_id + 1) % _MESSAGE_ID_SPACE
@@ -189,22 +194,9 @@ class GroupKeyServer:
 
         config = config or GroupConfig()
         if config.crypto_seed != snapshot["crypto_seed"]:
-            config = GroupConfig(
-                **{
-                    **config.__dict__,
-                    "crypto_seed": snapshot["crypto_seed"],
-                }
-            )
+            config = replace(config, crypto_seed=snapshot["crypto_seed"])
         server = cls.__new__(cls)
-        server.config = config
-        server.meter = CostMeter()
-        server._factory = KeyFactory(
-            seed=config.crypto_seed, meter=server.meter
-        )
-        server._cipher = XorStreamCipher(meter=server.meter)
-        server.signer = SignatureScheme(
-            secret_seed=config.crypto_seed, meter=server.meter
-        )
+        server._wire_pipeline(config)
         server.tree = tree_from_dict(
             snapshot["tree"], key_factory=server._factory
         )
@@ -213,19 +205,6 @@ class GroupKeyServer:
                 "snapshot degree %d != config degree %d"
                 % (server.tree.degree, config.degree)
             )
-        server._marking = make_marking(
-            config.incremental_marking, engine=config.engine
-        )
-        server._builder = RekeyMessageBuilder(
-            packet_size=config.packet_size,
-            block_size=config.block_size,
-            cipher=server._cipher,
-            signer=server.signer,
-            coder_kind=config.fec_coder,
-            engine=config.engine,
-        )
-        server._pending_joins = []
-        server._pending_leaves = []
         server._next_message_id = int(snapshot["next_message_id"])
         server.intervals_processed = int(snapshot["intervals_processed"])
         return server

@@ -1,63 +1,29 @@
-"""Vectorized interval hot path (the ``engine`` knob).
+"""The shipping interval hot path: the array plane.
 
-The object-level pipeline — marking, message build, the packet-by-packet
+``GroupConfig.engine`` has two values.  ``"numpy"`` (the default, and
+the only path ``serve``, the soaks and the tenants run) is this package;
+``"python"`` is the object-level *oracle* — from-scratch marking, one
+``coder.parity`` call per block, the packet-by-packet
 :class:`~repro.transport.session.RekeySession`, per-member absorption —
-is the *oracle*: exact wire formats, one Python object per packet and
-user.  This package is the array plane behind the same interfaces:
+kept so tests can hold the array plane to it byte for byte.
 
-- :mod:`~repro.fastpath.arraytree` — the key tree as flat numpy node
-  arrays (IDs, kinds, versions, parent index maps), convertible to and
-  from :class:`~repro.keytree.tree.KeyTree` without loss;
-- :mod:`~repro.fastpath.marking` — marking whose label propagation and
-  per-user needs enumeration run as whole-array operations;
+- :mod:`~repro.fastpath.marking` — the shipping marker: re-marks only
+  the paths a batch touches, with the ancestor frontier and the
+  per-user needs enumeration as whole-array operations;
 - :mod:`~repro.fastpath.session` — a :class:`RekeySession` subclass
   whose per-round reception, block-ID estimation, FEC bookkeeping and
   NACK synthesis are masked array reductions instead of per-user loops;
 - :mod:`~repro.fastpath.absorb` — fleet-wide relocation and encryption
   absorption with a shared decryption memo.
 
-Every engine produces **byte-identical protocol output** (rekey message
+Both engines produce **byte-identical protocol output** (rekey message
 bytes, tree serialisations, delivery statistics, observability events);
-the differential suite in ``tests/fastpath`` enforces this.  ``numba``
-is an optional further tier: when the module is importable the numpy
-engine JIT-compiles nothing today but the knob is reserved (and
-validated) so configs written for numba-enabled hosts degrade to the
-numpy engine elsewhere instead of failing.
+the differential suites in ``tests/fastpath`` and ``tests/keytree``
+enforce this.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
-
-#: Engine names accepted by :class:`repro.core.config.GroupConfig`.
-ENGINE_KINDS = ("python", "numpy", "numba")
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-def resolve_engine(engine, strict=False):
-    """Map a configured engine name onto an available implementation.
-
-    ``"numba"`` silently degrades to ``"numpy"`` when numba is not
-    importable (the numba tier is an optimisation of the same array
-    plane, never a behaviour change); with ``strict=True`` the
-    degradation is an error instead — used by tests that must *know*
-    which tier ran.
-    """
-    if engine not in ENGINE_KINDS:
-        raise ConfigurationError(
-            "engine must be one of %s, got %r"
-            % (", ".join(ENGINE_KINDS), engine)
-        )
-    if engine == "numba" and not HAS_NUMBA:
-        if strict:
-            raise ConfigurationError(
-                "engine 'numba' requested but numba is not installed"
-            )
-        return "numpy"
-    return engine
+#: Engine names accepted by :class:`repro.core.config.GroupConfig`:
+#: the shipping array plane first, then the test oracle.
+ENGINE_KINDS = ("numpy", "python")

@@ -1,41 +1,41 @@
-"""Array-plane marking: vectorized propagation and needs enumeration.
+"""The shipping marker: path-local marking with array-plane scans.
 
-The object-level marking algorithms already keep the *tree mutation*
-cheap (O(batch × height)); what remains O(N) every interval is the
-downstream enumeration — walking every member's path to decide which
-encryptions it needs, and (for large batches) collecting the ancestor
-frontier to re-label.  :class:`ArrayMarkingAlgorithm` keeps the
-incremental algorithm's mutation byte-for-byte (it *is* the incremental
-algorithm) and replaces those scans with whole-array operations:
+The from-scratch :class:`~repro.keytree.marking.MarkingAlgorithm` walks
+every k-node of the tree each interval (pruning, labelling), diffs full
+user-position maps to detect split moves, and walks every member's path
+to decide which encryptions it needs — all O(N) work even when the
+batch is tiny.  :class:`ArrayMarkingAlgorithm` inherits its tree
+update, labelling rule, version bumps and edge order unchanged and
+replaces the scans:
 
-- ancestor propagation as an iterated ``(id - 1) // d`` parent map over
-  the whole frontier with per-level ``np.unique`` dedup;
-- needs enumeration as level-synchronous path ascent over the sorted
+- only the ancestors of the u-nodes the batch touches (joined, replaced
+  or vacated slots) are pruned and labelled — every node *not* visited
+  is implicitly ``Unchanged``, which is exactly the contract of
+  :meth:`RekeySubtree.label_of`;
+- split moves are recorded as they happen instead of diffed afterwards;
+- the ancestor frontier, once large enough to beat the object walk, is
+  an iterated ``(id - 1) // d`` parent map with per-level ``np.unique``
+  dedup;
+- needs enumeration is level-synchronous path ascent over the sorted
   u-node ID column with ``np.isin`` membership tests against the
   updated-k-node set.
 
 Key-version bumps and key material regeneration stay per-node: each new
 key is an independent BLAKE2b derivation, so there is nothing to fuse —
 the version *sequence* (and therefore every derived key byte) is
-identical across engines by construction.
-
-The labelling decision per candidate k-node remains a small dict loop
-(bounded by the batch's touched paths, not by N); only the candidate
-*generation* is vectorized, and only once the frontier is large enough
-to beat the object walk.
+identical across engines by construction.  The resulting tree, labels
+(through ``label_of``), updated-key set, edge order, needs map and key
+material are byte-identical to the from-scratch algorithm's, enforced
+by the differential property tests in ``tests/keytree`` and
+``tests/fastpath``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import MarkingError
-from repro.keytree.marking import (
-    BatchResult,
-    IncrementalMarkingAlgorithm,
-    _touched_ancestors,
-)
-from repro.keytree.nodes import NodeKind, NodeLabel
+from repro.keytree.marking import BatchResult, MarkingAlgorithm
+from repro.keytree.nodes import NodeKind
 
 
 class ArrayBatchResult(BatchResult):
@@ -75,12 +75,31 @@ class ArrayBatchResult(BatchResult):
 
 
 #: Below this many touched leaves the object-level frontier walk wins
-#: (numpy call overhead dominates); measured on the bench workloads.
+#: (numpy call overhead dominates); measured at N=4096, alpha=0.2.
 _VECTOR_FRONTIER_MIN = 64
 
 
+def _touched_ancestors(touched_ids, degree):
+    """All proper ancestors (root included) of ``touched_ids``."""
+    touched_ids = list(touched_ids)
+    if len(touched_ids) >= _VECTOR_FRONTIER_MIN:
+        return _touched_ancestors_vectorized(touched_ids, degree)
+    # Walk each leaf's path upward, stopping as soon as it meets an
+    # ancestor already collected: total work is bounded by the size of
+    # the union of the paths, not leaves x height.
+    ancestors = set()
+    for node_id in touched_ids:
+        parent = node_id
+        while parent > 0:
+            parent = (parent - 1) // degree
+            if parent in ancestors:
+                break
+            ancestors.add(parent)
+    return ancestors
+
+
 def _touched_ancestors_vectorized(touched_ids, degree):
-    """Array analogue of ``marking._touched_ancestors`` (same set)."""
+    """The same set, one whole-frontier parent map per tree level."""
     frontier = np.unique(np.fromiter(touched_ids, dtype=np.int64))
     collected = []
     while len(frontier):
@@ -91,65 +110,43 @@ def _touched_ancestors_vectorized(touched_ids, degree):
     return set(np.concatenate(collected).tolist())
 
 
-def _frontier(touched_ids, degree):
-    touched_ids = list(touched_ids)
-    if len(touched_ids) < _VECTOR_FRONTIER_MIN:
-        return _touched_ancestors(touched_ids, degree)
-    return _touched_ancestors_vectorized(touched_ids, degree)
-
-
-class ArrayMarkingAlgorithm(IncrementalMarkingAlgorithm):
-    """The ``engine="numpy"`` marking algorithm.
-
-    Tree mutation, labelling decisions, version bumps and edge order are
-    inherited from :class:`IncrementalMarkingAlgorithm` unchanged; the
-    ancestor-frontier collection and the needs enumeration run on
-    arrays.  Output is identical to both object algorithms (enforced by
-    ``tests/fastpath``).
-    """
+class ArrayMarkingAlgorithm(MarkingAlgorithm):
+    """The ``engine="numpy"`` marker (see module docstring)."""
 
     result_class = ArrayBatchResult
 
-    def _prune_empty_knodes(self, tree, vacated):
-        pruned = set()
-        for k_id in sorted(_frontier(vacated, tree.degree), reverse=True):
-            if (
-                tree.kind_of(k_id) is NodeKind.K_NODE
-                and not tree.children_of(k_id)
-            ):
-                tree.remove_node(k_id)
-                pruned.add(k_id)
-        return pruned
+    def __init__(self, renew_keys=True):
+        super().__init__(renew_keys=renew_keys)
+        self._fresh = frozenset()
+        self._moved_from = {}
 
-    def _label_k_nodes(self, tree, leaf_labels, vacated):
-        touched = set(leaf_labels) | set(vacated)
-        candidates = _frontier(touched, tree.degree)
-        labels = dict(leaf_labels)
-        k_labels = {}
-        for k_id in sorted(candidates, reverse=True):
-            if tree.kind_of(k_id) is not NodeKind.K_NODE:
-                continue
-            child_labels = []
-            for child in tree.children_of(k_id, present_only=False):
-                if tree.has_node(child):
-                    child_labels.append(
-                        labels.get(child, NodeLabel.UNCHANGED)
-                    )
-                elif child in vacated:
-                    child_labels.append(NodeLabel.LEAVE)
-            if not child_labels:
-                raise MarkingError(
-                    "k-node %d has no children to label from" % k_id
-                )
-            if all(c is NodeLabel.UNCHANGED for c in child_labels):
-                label = NodeLabel.UNCHANGED
-            elif all(
-                c in (NodeLabel.UNCHANGED, NodeLabel.JOIN)
-                for c in child_labels
-            ):
-                label = NodeLabel.JOIN
-            else:
-                label = NodeLabel.REPLACE
-            labels[k_id] = label
-            k_labels[k_id] = label
-        return k_labels
+    def _knodes_to_visit(self, tree, touched):
+        """Only the touched slots' ancestors can need pruning or a label.
+
+        Any k-node left childless by the batch is an ancestor of a
+        removed u-node (every k-node had a u-node descendant before the
+        batch), and a k-node with no touched descendant has
+        all-Unchanged children.  Ancestors of vacated slots that were
+        themselves pruned this batch are no longer k-nodes and drop out.
+        """
+        return [
+            k_id
+            for k_id in sorted(
+                _touched_ancestors(touched, tree.degree), reverse=True
+            )
+            if tree.kind_of(k_id) is NodeKind.K_NODE
+        ]
+
+    def _positions_before(self, tree, joins, leaves):
+        """Nobody yet: :meth:`_note_move` fills the map as splits run."""
+        self._fresh = frozenset(joins)
+        self._moved_from = {}
+        return self._moved_from
+
+    def _note_move(self, user, old_id):
+        # Users who joined this very batch are fresh placements, not
+        # relocations — the from-scratch diff never reports them.  Only
+        # the *first* position matters: a user split-moved twice in one
+        # batch is reported as original -> final, like the full diff.
+        if user not in self._fresh:
+            self._moved_from.setdefault(user, old_id)

@@ -12,8 +12,8 @@ packets recover the ``k`` originals.
 - :mod:`repro.fec.rse` — the coder, with support for generating extra
   parity packets incrementally (the protocol sends ``amax[i]`` *new*
   parity packets per block each round).  :class:`RSECoder` is the
-  matrix-form fast path; :class:`ReferenceRSECoder` is the original
-  scalar implementation kept as the differential-testing oracle.
+  coder; ``rse.ReferenceRSECoder``, the original scalar implementation,
+  is the differential-testing oracle and is not exported here.
 """
 
 from repro.fec.gf256 import (
@@ -25,23 +25,12 @@ from repro.fec.gf256 import (
     gf_mul_bytes,
     gf_pow,
 )
-from repro.fec.rse import (
-    CODER_KINDS,
-    MAX_CODEWORDS,
-    MatrixRSECoder,
-    ReferenceRSECoder,
-    RSECoder,
-    encoding_cost_units,
-    make_coder,
-)
+from repro.fec.rse import MAX_CODEWORDS, RSECoder, encoding_cost_units
 
 __all__ = [
-    "CODER_KINDS",
     "FIELD_SIZE",
     "MAX_CODEWORDS",
-    "MatrixRSECoder",
     "RSECoder",
-    "ReferenceRSECoder",
     "encoding_cost_units",
     "gf_add",
     "gf_div",
@@ -49,5 +38,4 @@ __all__ = [
     "gf_mul",
     "gf_mul_bytes",
     "gf_pow",
-    "make_coder",
 ]

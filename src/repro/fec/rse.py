@@ -19,14 +19,15 @@ stopped).
 
 Two interchangeable implementations share the generator matrix:
 
-- :class:`RSECoder` (alias :data:`MatrixRSECoder`) — the default fast
-  path.  Generator rows are compiled once into per-coefficient 256-byte
-  multiplication tables; applying a row to a packet is a single
-  :meth:`bytes.translate`, and the XOR accumulation across the block is
-  one vectorised reduction over all rows at once.
+- :class:`RSECoder` — the coder everything runs.  Generator rows are
+  compiled once into per-coefficient 256-byte multiplication tables;
+  applying a row to a packet is a single :meth:`bytes.translate`, and
+  the XOR accumulation across the block is one vectorised reduction
+  over all rows at once.
 - :class:`ReferenceRSECoder` — the original scalar path (per-coefficient
   ``gf_matmul`` loops and per-element Gauss-Jordan inversion), retained
-  as the differential-testing oracle and for golden-vector generation.
+  as the differential-testing oracle and for golden-vector generation;
+  only ``tests/fec`` and ``tests/transport`` construct it.
 
 Both produce bit-identical codewords; ``tests/fec`` enforces this with
 exact equality, never statistical tolerance.
@@ -313,7 +314,7 @@ class ReferenceRSECoder(_RSECoderBase):
 
 
 class RSECoder(_RSECoderBase):
-    """Matrix-form encoder/decoder for one block size ``k`` (default).
+    """Matrix-form encoder/decoder for one block size ``k``.
 
     All packets in a block must share one length (ENC packets are padded
     to a fixed size for exactly this reason).
@@ -459,29 +460,3 @@ class RSECoder(_RSECoderBase):
                 self._decode_cache.clear()
             self._decode_cache[pattern] = tables
         return self._translate_apply(tables, packets, self._k)
-
-
-#: Explicit name for the fast implementation; ``RSECoder`` remains the
-#: default everywhere.
-MatrixRSECoder = RSECoder
-
-#: Recognised coder kinds for :func:`make_coder` / ``GroupConfig``.
-CODER_KINDS = ("matrix", "reference")
-
-
-def make_coder(kind, k, obs=None):
-    """Instantiate an RSE coder by kind: ``"matrix"`` or ``"reference"``."""
-    if kind == "matrix":
-        coder = RSECoder(k)
-    elif kind == "reference":
-        coder = ReferenceRSECoder(k)
-    else:
-        coder = None
-    if coder is not None:
-        if obs is not None:
-            coder.obs = obs
-        return coder
-    raise FECError(
-        "unknown RSE coder kind %r (expected one of %s)"
-        % (kind, ", ".join(CODER_KINDS))
-    )

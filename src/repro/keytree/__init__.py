@@ -12,7 +12,9 @@ This package implements the paper's key-management component:
 - :mod:`repro.keytree.marking` — the marking algorithm of Appendix B:
   apply a batch of J joins and L leaves, update the tree, and produce the
   rekey subtree (the set of changed keys and the encryption edges of one
-  rekey message).
+  rekey message).  :class:`MarkingAlgorithm` is the from-scratch oracle;
+  the marker a key server runs is its path-local subclass in
+  :mod:`repro.fastpath.marking` (``make_marking`` picks by engine).
 """
 
 from repro.keytree.ids import (
@@ -29,7 +31,6 @@ from repro.keytree.tree import KeyTree
 from repro.keytree.marking import (
     BatchResult,
     EncryptionEdge,
-    IncrementalMarkingAlgorithm,
     MarkingAlgorithm,
     RekeySubtree,
     make_marking,
@@ -54,7 +55,6 @@ from repro.keytree.strategies import (
 __all__ = [
     "BatchResult",
     "EncryptionEdge",
-    "IncrementalMarkingAlgorithm",
     "KeyTree",
     "MarkingAlgorithm",
     "NodeKind",

@@ -148,10 +148,21 @@ class BatchResult:
 
 
 class MarkingAlgorithm:
-    """Applies batches of joins/leaves to a :class:`KeyTree`."""
+    """Applies batches of joins/leaves to a :class:`KeyTree`.
 
-    #: BatchResult (sub)class to instantiate; the array engine swaps in
-    #: a variant with vectorized needs enumeration.
+    This class is the from-scratch *oracle* (``engine="python"``): every
+    interval it visits every k-node of the tree and diffs full
+    user-position maps, O(N) however small the batch — slow, and
+    transparently the algorithm of Appendix B.  The shipping marker,
+    :class:`repro.fastpath.marking.ArrayMarkingAlgorithm`, overrides
+    only *which* nodes are visited (:meth:`_knodes_to_visit`) and *how*
+    split moves are found (:meth:`_positions_before`,
+    :meth:`_note_move`); tree update, labelling rule, rekeying and edge
+    order are this code for both.
+    """
+
+    #: BatchResult (sub)class to instantiate; the shipping marker swaps
+    #: in a variant with vectorized needs enumeration.
     result_class = BatchResult
 
     def __init__(self, renew_keys=True):
@@ -186,19 +197,14 @@ class MarkingAlgorithm:
         if tree.n_users == 0:
             return self._bootstrap(tree, joins)
 
-        pre_positions = {
-            user: tree.user_node_id(user)
-            for user in tree.users
-            if user not in leaves
-        }
-
+        before = self._positions_before(tree, joins, leaves)
         departed_ids = sorted(tree.user_node_id(user) for user in leaves)
         replaced_ids, joined_ids, vacated = self._update_tree(
             tree, joins, leaves, departed_ids
         )
         moved = {
             old_id: tree.user_node_id(user)
-            for user, old_id in pre_positions.items()
+            for user, old_id in before.items()
             if tree.user_node_id(user) != old_id
         }
         labels = self._label(tree, replaced_ids, joined_ids, vacated)
@@ -308,25 +314,15 @@ class MarkingAlgorithm:
     def _prune_empty_knodes(self, tree, vacated):
         """Remove k-nodes left with no present children; return their IDs.
 
-        ``vacated`` (the u-node IDs removed this batch) is unused here —
-        the from-scratch algorithm scans every k-node — but lets
-        :class:`IncrementalMarkingAlgorithm` restrict the scan to the
-        ancestors of the departures.
+        Deepest first, so cascaded pruning is safe: a pruned node's
+        parent is visited afterwards.
         """
         pruned = set()
-        for k_id in sorted(tree.k_node_ids(), reverse=True):
+        for k_id in self._knodes_to_visit(tree, vacated):
             if not tree.children_of(k_id):
                 tree.remove_node(k_id)
                 pruned.add(k_id)
         return pruned
-
-    def _note_move(self, user, old_id):
-        """Hook: a split relocated ``user`` from ``old_id``.
-
-        The from-scratch algorithm reconstructs moves by diffing full
-        position maps, so it ignores this; the incremental algorithm
-        records moves here to avoid the O(N) diff.
-        """
 
     def _place_extra_joins(self, tree, extra_joins):
         """Fill n-node slots in ``(nk, d*nk + d]``; split ``nk+1`` as needed."""
@@ -388,8 +384,7 @@ class MarkingAlgorithm:
         labels.update(self._label_k_nodes(tree, labels, vacated))
         return labels
 
-    @staticmethod
-    def _label_k_nodes(tree, leaf_labels, vacated):
+    def _label_k_nodes(self, tree, leaf_labels, vacated):
         """Bottom-up labelling of k-nodes from their children's labels.
 
         Absent children are counted as Leave only when they were vacated
@@ -398,7 +393,7 @@ class MarkingAlgorithm:
         """
         labels = dict(leaf_labels)
         k_labels = {}
-        for k_id in sorted(tree.k_node_ids(), reverse=True):
+        for k_id in self._knodes_to_visit(tree, set(leaf_labels) | vacated):
             child_labels = []
             for child in tree.children_of(k_id, present_only=False):
                 if tree.has_node(child):
@@ -453,171 +448,45 @@ class MarkingAlgorithm:
             edges=edges,
         )
 
+    # -- what the shipping marker overrides --------------------------------
 
-def _touched_ancestors(touched_ids, degree):
-    """All proper ancestors (root included) of ``touched_ids``.
+    def _knodes_to_visit(self, tree, touched):
+        """k-node IDs to prune or label, deepest first.
 
-    Walks each leaf's path upward, stopping as soon as it meets an
-    ancestor already collected, so the total work is bounded by the size
-    of the union of the paths, not leaves x height.
-    """
-    ancestors = set()
-    for node_id in touched_ids:
-        parent = node_id
-        while parent > 0:
-            parent = (parent - 1) // degree
-            if parent in ancestors:
-                break
-            ancestors.add(parent)
-    return ancestors
+        From scratch: every k-node, whatever slots the batch
+        ``touched``.
+        """
+        return sorted(tree.k_node_ids(), reverse=True)
 
+    def _positions_before(self, tree, joins, leaves):
+        """``{user: u-node ID}`` to diff after the tree update; a user
+        whose ID changed was relocated by a split.
 
-class IncrementalMarkingAlgorithm(MarkingAlgorithm):
-    """Marking that re-marks only the paths touched by this batch.
-
-    The from-scratch :class:`MarkingAlgorithm` walks every k-node of the
-    tree each interval (pruning, labelling) and diffs full user-position
-    maps to detect split moves — all O(N) work even when the batch is
-    tiny.  This variant visits only the ancestors of the u-nodes the
-    batch touches (joined, replaced, or vacated slots), records split
-    moves as they happen, and leaves every other node untouched.
-
-    Every node *not* visited is implicitly ``Unchanged``, which is
-    exactly the contract of :meth:`RekeySubtree.label_of`; the resulting
-    tree, labels, updated-key set, edge order, and key material are
-    byte-identical to the from-scratch algorithm's (enforced by the
-    differential property tests in ``tests/keytree``).
-    """
-
-    def __init__(self, renew_keys=True):
-        super().__init__(renew_keys=renew_keys)
-        self._moved_from = {}
-
-    def _apply_batch(self, tree, joins, leaves):
-        if not isinstance(tree, KeyTree):
-            raise MarkingError("tree must be a KeyTree")
-        joins = list(joins)
-        leaves = list(leaves)
-        self._check_batch(tree, joins, leaves)
-
-        if tree.n_users == 0:
-            return self._bootstrap(tree, joins)
-
-        self._moved_from = {}
-        departed_ids = sorted(tree.user_node_id(user) for user in leaves)
-        replaced_ids, joined_ids, vacated = self._update_tree(
-            tree, joins, leaves, departed_ids
-        )
-        new_users = set(joins)
-        moved = {}
-        for user, old_id in self._moved_from.items():
-            # Users who joined this very batch are fresh placements, not
-            # relocations — the from-scratch diff never reports them.
-            if user in new_users:
-                continue
-            new_id = tree.user_node_id(user)
-            if new_id != old_id:
-                moved[old_id] = new_id
-        self._moved_from = {}
-        labels = self._label(tree, replaced_ids, joined_ids, vacated)
-        subtree = self._build_subtree(tree, labels)
-        return self.result_class(
-            tree,
-            subtree,
-            joined_ids={
-                user: tree.user_node_id(user) for user in joins
-            },
-            departed_ids=departed_ids,
-            moved=moved,
-        )
+        From scratch: every member that stays.
+        """
+        return {
+            user: tree.user_node_id(user)
+            for user in tree.users
+            if user not in leaves
+        }
 
     def _note_move(self, user, old_id):
-        # Only the *first* position matters: a user split-moved twice in
-        # one batch is reported as original -> final, matching the
-        # position-map diff of the from-scratch algorithm.
-        self._moved_from.setdefault(user, old_id)
+        """Hook: a split is about to relocate ``user`` from ``old_id``.
 
-    def _prune_empty_knodes(self, tree, vacated):
-        """Prune only among ancestors of this batch's vacated slots.
-
-        Any k-node left childless by the batch must be an ancestor of a
-        removed u-node (every k-node had a u-node descendant before the
-        batch), so restricting the scan loses nothing.  Descending ID
-        order makes cascaded pruning safe: a pruned node's parent — also
-        an ancestor of the same vacated leaf — is visited afterwards.
+        Ignored here — the full position diff finds every move.
         """
-        pruned = set()
-        candidates = _touched_ancestors(vacated, tree.degree)
-        for k_id in sorted(candidates, reverse=True):
-            if (
-                tree.kind_of(k_id) is NodeKind.K_NODE
-                and not tree.children_of(k_id)
-            ):
-                tree.remove_node(k_id)
-                pruned.add(k_id)
-        return pruned
-
-    @staticmethod
-    def _label_k_nodes(tree, leaf_labels, vacated):
-        """Label only k-nodes with a labelled or vacated descendant.
-
-        A k-node with no touched descendant has all-Unchanged children
-        and would be labelled Unchanged by the full scan; leaving it out
-        is equivalent because ``RekeySubtree.label_of`` defaults to
-        Unchanged and only Join/Replace labels trigger rekeying.
-        """
-        touched = set(leaf_labels) | set(vacated)
-        candidates = _touched_ancestors(touched, tree.degree)
-        labels = dict(leaf_labels)
-        k_labels = {}
-        for k_id in sorted(candidates, reverse=True):
-            if tree.kind_of(k_id) is not NodeKind.K_NODE:
-                # Ancestors of vacated slots may themselves have been
-                # pruned this batch; they carry a Leave label already.
-                continue
-            child_labels = []
-            for child in tree.children_of(k_id, present_only=False):
-                if tree.has_node(child):
-                    child_labels.append(
-                        labels.get(child, NodeLabel.UNCHANGED)
-                    )
-                elif child in vacated:
-                    child_labels.append(NodeLabel.LEAVE)
-            if not child_labels:
-                raise MarkingError(
-                    "k-node %d has no children to label from" % k_id
-                )
-            if all(c is NodeLabel.UNCHANGED for c in child_labels):
-                label = NodeLabel.UNCHANGED
-            elif all(
-                c in (NodeLabel.UNCHANGED, NodeLabel.JOIN)
-                for c in child_labels
-            ):
-                label = NodeLabel.JOIN
-            else:
-                label = NodeLabel.REPLACE
-            labels[k_id] = label
-            k_labels[k_id] = label
-        return k_labels
 
 
-def make_marking(incremental=True, renew_keys=True, obs=None, engine="python"):
-    """Instantiate a marking algorithm; incremental is the default.
+def make_marking(engine="numpy"):
+    """The marker ``GroupConfig.engine`` names.
 
-    ``engine`` other than ``"python"`` selects the array-plane marking
-    (:class:`repro.fastpath.marking.ArrayMarkingAlgorithm`), which
-    subsumes the ``incremental`` knob: its tree mutation is the
-    incremental path and its propagation is vectorized, with output
-    guaranteed identical to both object-level algorithms.
+    ``"python"`` is the from-scratch :class:`MarkingAlgorithm` (the
+    oracle); anything else the shipping
+    :class:`repro.fastpath.marking.ArrayMarkingAlgorithm`.  Output is
+    identical either way (``tests/keytree``, ``tests/fastpath``).
     """
-    if engine != "python":
-        from repro.fastpath.marking import ArrayMarkingAlgorithm
+    if engine == "python":
+        return MarkingAlgorithm()
+    from repro.fastpath.marking import ArrayMarkingAlgorithm
 
-        algorithm = ArrayMarkingAlgorithm(renew_keys=renew_keys)
-    elif incremental:
-        algorithm = IncrementalMarkingAlgorithm(renew_keys=renew_keys)
-    else:
-        algorithm = MarkingAlgorithm(renew_keys=renew_keys)
-    if obs is not None:
-        algorithm.obs = obs
-    return algorithm
+    return ArrayMarkingAlgorithm()

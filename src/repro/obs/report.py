@@ -82,6 +82,7 @@ _NESTED_SPANS = {
     "marking.apply": "marking",
     "message.build": "build",
     "fec.encode": "fec",
+    "fec.encode_batch": "fec",
     "fec.decode": "fec",
 }
 

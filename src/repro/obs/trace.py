@@ -133,6 +133,7 @@ PHASE_OF_SPAN = {
     "message.sign": "keygen",
     "message.assign": "assignment",
     "fec.encode": "fec",
+    "fec.encode_batch": "fec",
     "fec.decode": "fec",
     "daemon.deliver": "delivery",
 }

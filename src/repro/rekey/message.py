@@ -20,7 +20,7 @@ import struct
 
 from repro.crypto.cipher import XorStreamCipher
 from repro.errors import ConfigurationError, TransportError
-from repro.fec.rse import make_coder
+from repro.fec.rse import RSECoder
 from repro.obs.recorder import NULL
 from repro.rekey.assignment import UserOrientedKeyAssignment
 from repro.rekey.blocks import BlockPartition
@@ -48,7 +48,6 @@ class RekeyMessage:
         packet_size,
         encryption_map=None,
         signature=None,
-        coder_kind="matrix",
         obs=None,
     ):
         self.message_id = message_id
@@ -63,17 +62,16 @@ class RekeyMessage:
         #: encryption ID -> EncryptedKey (wire mode only)
         self.encryption_map = encryption_map
         self.signature = signature
-        self.coder_kind = coder_kind
         #: When True, parity rows are generated for *all* blocks in one
         #: stacked GF(256) kernel call and served from a cache, instead
         #: of one ``coder.parity`` call per block per round.  Rows are
         #: byte-identical either way (``tests/fec`` pins the stacked
-        #: kernel to the per-block loop); the non-array engine keeps the
-        #: per-block path so the oracle exercises the reference shape.
-        self.batch_parity = False
+        #: kernel to the per-block loop); the builder clears it for the
+        #: ``python`` engine so the oracle exercises the per-block shape.
+        self.batch_parity = True
         self._enc_packets = None
         self._slot_wires = None
-        self._coders = {}
+        self._coder_cache = None
         #: per-block list of generated parity rows; all blocks always
         #: hold the *same* number of rows (every fill raises every block
         #: to one common target), which is what lets one fused call
@@ -168,11 +166,10 @@ class RekeyMessage:
         return self._slot_wires
 
     def _coder(self):
-        coder = self._coders.get(self.k)
-        if coder is None:
-            coder = make_coder(self.coder_kind, self.k, obs=self.obs)
-            self._coders[self.k] = coder
-        return coder
+        if self._coder_cache is None:
+            self._coder_cache = RSECoder(self.k)
+            self._coder_cache.obs = self.obs
+        return self._coder_cache
 
     def block_payloads(self, block_id):
         """The ``k`` FEC data payloads of ``block_id`` (bytes beyond the
@@ -289,9 +286,8 @@ class RekeyMessageBuilder:
         block_size=10,
         cipher=None,
         signer=None,
-        coder_kind="matrix",
         obs=None,
-        engine="python",
+        engine="numpy",
     ):
         check_positive("packet_size", packet_size, integral=True)
         check_positive("block_size", block_size, integral=True)
@@ -299,10 +295,10 @@ class RekeyMessageBuilder:
         self.block_size = block_size
         self.cipher = cipher or XorStreamCipher()
         self.signer = signer
-        self.coder_kind = coder_kind
         self.obs = obs if obs is not None else NULL
-        #: non-python engines get messages whose parity generation is
-        #: batched across blocks (RekeyMessage.batch_parity)
+        #: ``"python"`` (the oracle) gets messages whose parity is one
+        #: coder call per block per round; the shipping engine batches
+        #: it across blocks (RekeyMessage.batch_parity)
         self.engine = engine
         self._assigner = UserOrientedKeyAssignment(packet_size=packet_size)
 
@@ -333,7 +329,6 @@ class RekeyMessageBuilder:
                 max_kid=max_kid,
                 k=self.block_size,
                 packet_size=self.packet_size,
-                coder_kind=self.coder_kind,
                 obs=self.obs,
             )
         with self.obs.span("message.assign"):
@@ -371,6 +366,5 @@ class RekeyMessageBuilder:
             packet_size=self.packet_size,
             encryption_map=encryption_map,
             signature=signature,
-            coder_kind=self.coder_kind,
             obs=self.obs,
         )

@@ -977,15 +977,6 @@ class RekeyDaemon:
 
     def health(self):
         report = self.metrics.health(n_members=self.server.n_users)
-        # Surface which hot-path implementations this daemon runs with,
-        # so an operator can tell a reference-mode deployment apart from
-        # the (default) fast configuration at a glance.
-        report["marking"] = (
-            "incremental"
-            if self.server.config.incremental_marking
-            else "from-scratch"
-        )
-        report["fec_coder"] = self.server.config.fec_coder
         report["engine"] = self.server.config.engine
         report["circuit"] = self.circuit.snapshot()
         report["slo"] = (

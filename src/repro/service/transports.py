@@ -118,9 +118,9 @@ class SessionDelivery(DeliveryBackend):
         self.adapt_rho = bool(adapt_rho)
         self.chaos = chaos
         #: "python" runs the per-object oracle session and per-member
-        #: absorption; anything else the array plane (repro.fastpath) —
+        #: absorption; otherwise the array plane (repro.fastpath) —
         #: identical output either way, held together by tests/fastpath
-        self.engine = getattr(config, "engine", "python")
+        self.engine = config.engine
         self.controller = ProactivityController(
             k=config.block_size,
             rho=config.rho,

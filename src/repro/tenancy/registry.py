@@ -4,8 +4,8 @@ A :class:`TenantSpec` is everything the multi-group daemon needs to run
 one group as a tenant: its name (which doubles as its state-directory
 namespace), initial size, a complete per-tenant
 :class:`~repro.core.config.GroupConfig` (degree, block size, rho
-bounds, engine, coder — the scheme/parameter choice the key-management
-surveys frame as the per-group knob), its scheduler cadence in ticks,
+bounds — the scheme/parameter choice the key-management surveys frame
+as the per-group knob), its scheduler cadence in ticks,
 and its admission quota.
 
 The :class:`TenantRegistry` is the ordered collection of specs, and it
@@ -209,9 +209,9 @@ def make_fleet(count, seed=7, prefix="tenant", n_members=None,
                interval_ticks=None, quota=None):
     """A deterministic heterogeneous fleet of ``count`` tenant specs.
 
-    Sizes, tree degrees, cadences, block sizes and engines vary per
-    tenant (cycled deterministically from the index and ``seed``), so a
-    fleet exercises the scheduler's heterogeneity for free.  Explicit
+    Sizes, tree degrees, cadences and block sizes vary per tenant
+    (cycled deterministically from the index and ``seed``), so a fleet
+    exercises the scheduler's heterogeneity for free.  Explicit
     ``n_members`` / ``interval_ticks`` / ``quota`` pin that knob for
     every tenant instead (the mass-rehome plan pins tiny groups).
     """
@@ -222,7 +222,6 @@ def make_fleet(count, seed=7, prefix="tenant", n_members=None,
     degrees = (4, 2, 3, 4)
     cadences = (1, 1, 2, 1, 4)
     blocks = (10, 5, 10, 8)
-    engines = ("python", "numpy")
     specs = []
     for index in range(count):
         specs.append(
@@ -235,7 +234,6 @@ def make_fleet(count, seed=7, prefix="tenant", n_members=None,
                 config=GroupConfig(
                     degree=degrees[index % len(degrees)],
                     block_size=blocks[index % len(blocks)],
-                    engine=engines[index % len(engines)],
                     seed=int(seed) * 1000003 + index,
                 ),
                 interval_ticks=(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TransportError
+from repro.fec.rse import RSECoder
 from repro.obs.recorder import NULL
 from repro.rekey.packets import PacketType
 from repro.transport.metrics import MessageStats, RoundStats, UnicastStats
@@ -103,11 +104,7 @@ class RekeySession:
             unicast_policy=self.config.make_policy(),
         )
         if coder is None:
-            from repro.fec.rse import make_coder
-
-            coder = make_coder(
-                getattr(message, "coder_kind", "matrix"), message.k
-            )
+            coder = RSECoder(message.k)
         if self.obs.enabled:
             coder.obs = self.obs
         self.coder = coder

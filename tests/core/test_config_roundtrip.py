@@ -46,8 +46,6 @@ valid_configs = st.builds(
     loss=loss_params,
     crypto_seed=st.integers(min_value=0, max_value=2**31),
     seed=st.integers(min_value=0, max_value=2**31),
-    incremental_marking=st.booleans(),
-    fec_coder=st.sampled_from(["matrix", "reference"]),
     engine=st.sampled_from(["python", "numpy"]),
 )
 
@@ -85,7 +83,7 @@ def test_to_dict_is_plain_json_data(config):
         {"nack_window_seconds": -0.5},
         {"max_multicast_rounds": 0},
         {"deadline_rounds": 0},
-        {"fec_coder": "wavelet"},
+        {"engine": ""},
         {"engine": "fortran"},
     ],
 )
@@ -109,6 +107,58 @@ def test_from_dict_rejects_unknown_field():
     data["flux_capacitor"] = 1.21
     with pytest.raises(ConfigurationError):
         GroupConfig.from_dict(data)
+
+
+#: ``GroupConfig().to_dict()`` as the commit before the implementation
+#: knobs collapsed wrote it into every ``registry.json``
+PRE_COLLAPSE_DICT = {
+    "degree": 4,
+    "packet_size": 1027,
+    "block_size": 10,
+    "rho": 1.0,
+    "rho_max": 8.0,
+    "num_nack": 20,
+    "max_nack": 100,
+    "sending_interval_ms": 100.0,
+    "max_multicast_rounds": 2,
+    "deadline_rounds": 2,
+    "nack_window_seconds": 0.3,
+    "crypto_seed": 0,
+    "seed": 20010827,
+    "incremental_marking": True,
+    "fec_coder": "matrix",
+    "engine": "python",
+    "loss": {
+        "alpha": 0.2,
+        "p_high": 0.2,
+        "p_low": 0.02,
+        "p_source": 0.01,
+        "burst_scale_ms": 100.0,
+        "bursty": True,
+    },
+}
+
+
+def test_from_dict_loads_a_pre_collapse_registry_entry():
+    config = GroupConfig.from_dict(PRE_COLLAPSE_DICT)
+    assert config == GroupConfig(engine="python")
+    saved = config.to_dict()
+    assert "incremental_marking" not in saved and "fec_coder" not in saved
+    # whatever the retired knobs said: they never changed behaviour
+    assert GroupConfig.from_dict(
+        {
+            **PRE_COLLAPSE_DICT,
+            "incremental_marking": False,
+            "fec_coder": "reference",
+        }
+    ) == config
+
+
+def test_from_dict_drops_only_the_two_retired_keys():
+    # (a retired *engine name* in an old registry is refused too:
+    # tests/fastpath/test_engines.py)
+    with pytest.raises(ConfigurationError):
+        GroupConfig.from_dict({**PRE_COLLAPSE_DICT, "batch_parity": True})
 
 
 def test_from_dict_revalidates_values():

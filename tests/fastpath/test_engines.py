@@ -1,88 +1,71 @@
-"""The engine knob itself: names, degradation, and the numba tier.
+"""The engine knob itself: two names, one default, nothing else.
 
 The contract: ``engine`` selects an implementation, never behaviour.
-``resolve_engine`` validates the name and degrades ``"numba"`` to
-``"numpy"`` when the JIT tier is not installed — so a config written on
-a numba-equipped host still runs (vectorised) on a bare one.  The numba
-differential below is **skipped, not failed**, on hosts without numba;
-the CI minimal-deps leg relies on exactly that.
+``"numpy"`` (the array plane, :mod:`repro.fastpath`) is what ships and
+what every config defaults to; ``"python"`` is the per-object oracle the
+differential suites compare it with.  There is no third tier and no
+degradation: any other name — ``"numba"`` included — is a
+``ConfigurationError``.
 """
 
 import pytest
 
+from repro.core.config import GroupConfig
 from repro.errors import ConfigurationError
-from repro.fastpath import ENGINE_KINDS, HAS_NUMBA, resolve_engine
+from repro.fastpath import ENGINE_KINDS
 
 
 class TestResolveEngine:
+    """Name resolution is ``GroupConfig``'s own validation now."""
+
     def test_known_engines(self):
-        assert resolve_engine("python") == "python"
-        assert resolve_engine("numpy") == "numpy"
+        for engine in ("python", "numpy"):
+            assert GroupConfig(engine=engine).engine == engine
+
+    def test_numpy_is_the_default(self):
+        assert GroupConfig().engine == "numpy"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_engine("cython")
-
-    def test_numba_degrades_when_absent(self):
-        expected = "numba" if HAS_NUMBA else "numpy"
-        assert resolve_engine("numba") == expected
-
-    def test_strict_numba_requires_numba(self):
-        if HAS_NUMBA:
-            assert resolve_engine("numba", strict=True) == "numba"
-        else:
+        for engine in ("cython", "numba", "", None):
             with pytest.raises(ConfigurationError):
-                resolve_engine("numba", strict=True)
+                GroupConfig(engine=engine)
+        # ... and a persisted config naming the retired tier fails at
+        # load time, not deep inside a tenant's first interval
+        persisted = {**GroupConfig().to_dict(), "engine": "numba"}
+        with pytest.raises(ConfigurationError):
+            GroupConfig.from_dict(persisted)
 
     def test_engine_kinds_is_the_full_menu(self):
-        assert ENGINE_KINDS == ("python", "numpy", "numba")
+        assert ENGINE_KINDS == ("numpy", "python")
 
 
 class TestConfigIntegration:
     def test_config_validates_engine(self):
-        from repro.core.config import GroupConfig
-
         with pytest.raises(ConfigurationError):
             GroupConfig(engine="fortran")
 
-    def test_config_degrades_numba(self):
-        from repro.core.config import GroupConfig
-
-        expected = "numba" if HAS_NUMBA else "numpy"
-        assert GroupConfig(engine="numba").engine == expected
-
     def test_make_marking_dispatch(self):
         from repro.fastpath.marking import ArrayMarkingAlgorithm
-        from repro.keytree.marking import (
-            IncrementalMarkingAlgorithm,
-            make_marking,
-        )
+        from repro.keytree.marking import MarkingAlgorithm, make_marking
 
-        assert not isinstance(
-            make_marking(True, engine="python"), ArrayMarkingAlgorithm
-        )
-        fast = make_marking(True, engine="numpy")
-        assert isinstance(fast, ArrayMarkingAlgorithm)
-        assert isinstance(fast, IncrementalMarkingAlgorithm)
+        # the oracle engine runs the from-scratch class itself, not a
+        # subclass of it
+        assert type(make_marking("python")) is MarkingAlgorithm
+        assert type(make_marking("numpy")) is ArrayMarkingAlgorithm
+        assert type(make_marking()) is ArrayMarkingAlgorithm
 
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba is not installed")
-class TestNumbaTier:
-    """Runs only where numba exists; elsewhere it must *skip*."""
-
-    def test_numba_engine_matches_python(self):
-        from repro.core.config import GroupConfig
+    def test_server_wires_the_engine_through(self):
         from repro.core.server import GroupKeyServer
-        from repro.keytree.persistence import tree_to_dict
+        from repro.fastpath.marking import ArrayMarkingAlgorithm
+        from repro.keytree.marking import MarkingAlgorithm
 
-        trees = []
-        for engine in ("python", "numba"):
-            server = GroupKeyServer(
-                ["u%02d" % i for i in range(16)],
-                config=GroupConfig(block_size=4, engine=engine),
-            )
-            server.request_leave("u03")
-            server.request_join("fresh")
-            server.rekey()
-            trees.append(tree_to_dict(server.tree))
-        assert trees[0] == trees[1]
+        users = ["u%d" % i for i in range(4)]
+        shipping = GroupKeyServer(users)
+        oracle = GroupKeyServer(users, config=GroupConfig(engine="python"))
+        assert type(shipping._marking) is ArrayMarkingAlgorithm
+        assert type(oracle._marking) is MarkingAlgorithm
+        restored = GroupKeyServer.restore(
+            oracle.snapshot(), config=GroupConfig(engine="python")
+        )
+        assert type(restored._marking) is MarkingAlgorithm
+        assert restored._builder.engine == "python"

@@ -2,7 +2,7 @@
 
 The vectorised :class:`FleetSimulator` consumes plan-mode workloads
 built from marking output.  Here twin keyless trees — one marked by the
-python incremental algorithm, one by the array engine — feed identical
+from-scratch oracle, one by the shipping array marker — feed identical
 churn into :meth:`FleetWorkload.from_batch`, and identically-seeded
 simulators run the resulting message sequence.  The
 :meth:`SequenceStats.digest` (SHA-256 over every per-round counter,
@@ -36,7 +36,7 @@ def build_workloads(engine, seed=23):
     tree = KeyTree.full_balanced(
         ["f%04d" % i for i in range(N_USERS)], degree=3
     )
-    marking = make_marking(True, engine=engine)
+    marking = make_marking(engine)
     rng = np.random.default_rng(seed)
     next_name = N_USERS
     workloads = []

@@ -1,10 +1,11 @@
-"""Differential tests: incremental marking vs the from-scratch oracle.
+"""Differential tests: the shipping marker vs the from-scratch oracle.
 
-:class:`IncrementalMarkingAlgorithm` re-marks only the paths touched by
-one interval's joins and leaves; :class:`MarkingAlgorithm` rebuilds the
-labelling from scratch.  These tests drive both over the *same* churn —
-two trees built from identically-seeded key factories — and require
-**exact** equality, never statistical tolerance:
+:class:`ArrayMarkingAlgorithm` (``engine="numpy"``) re-marks only the
+paths touched by one interval's joins and leaves;
+:class:`MarkingAlgorithm` (``engine="python"``) rebuilds the labelling
+from scratch.  These tests drive both over the *same* churn — two trees
+built from identically-seeded key factories — and require **exact**
+equality, never statistical tolerance:
 
 - the trees themselves must stay byte-identical (the canonical
   ``tree_to_dict`` JSON, which covers structure, user placement, and
@@ -15,10 +16,10 @@ two trees built from identically-seeded key factories — and require
 One deliberate representation difference exists and is pinned by
 ``test_labels_agree_semantically``: the from-scratch pass records an
 explicit ``UNCHANGED`` label for every untouched k-node, while the
-incremental pass never visits them.  ``RekeySubtree.label_of`` defaults
-missing entries to ``UNCHANGED``, so the *semantics* coincide even
-though the raw ``labels`` dicts differ — comparisons must go through
-``label_of``, not the dict.
+shipping (incremental) pass never visits them.
+``RekeySubtree.label_of`` defaults missing entries to ``UNCHANGED``, so
+the *semantics* coincide even though the raw ``labels`` dicts differ —
+comparisons must go through ``label_of``, not the dict.
 """
 
 import json
@@ -27,11 +28,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keys import KeyFactory
-from repro.keytree import KeyTree
-from repro.keytree.marking import (
-    IncrementalMarkingAlgorithm,
-    MarkingAlgorithm,
+from repro.fastpath.marking import (
+    _VECTOR_FRONTIER_MIN,
+    ArrayMarkingAlgorithm,
+    _touched_ancestors,
+    _touched_ancestors_vectorized,
 )
+from repro.keytree import KeyTree
+from repro.keytree.marking import MarkingAlgorithm
 from repro.keytree.persistence import tree_to_dict
 
 
@@ -82,7 +86,7 @@ def run_intervals(schedule, n_users=48, degree=3, key_seed=7):
         n_users, degree, key_seed
     )
     oracle = MarkingAlgorithm()
-    incremental = IncrementalMarkingAlgorithm()
+    incremental = ArrayMarkingAlgorithm()
     rng = np.random.default_rng(key_seed)
     next_name = n_users
     for n_join, n_leave in schedule:
@@ -137,6 +141,31 @@ class TestRandomChurnDifferential:
         run_intervals(schedule, n_users=64, degree=4, key_seed=seed)
 
 
+class TestAncestorFrontier:
+    """The marker's one helper has two bodies (object walk below
+    ``_VECTOR_FRONTIER_MIN`` touched slots, array map above)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        touched=st.sets(
+            st.integers(0, 5000), max_size=_VECTOR_FRONTIER_MIN - 1
+        ),
+        degree=st.sampled_from([2, 3, 4]),
+    )
+    def test_walk_and_array_map_collect_the_same_set(self, touched, degree):
+        assert _touched_ancestors(touched, degree) == (
+            _touched_ancestors_vectorized(touched, degree)
+        )
+
+    def test_large_batches_take_the_array_map(self):
+        """Batches touching >= the threshold drive the vectorised
+        frontier inside the marker, splits and prunes included."""
+        big = 2 * _VECTOR_FRONTIER_MIN
+        run_intervals(
+            [(big, 10), (10, big), (big, big)], n_users=4 * big, degree=4
+        )
+
+
 class TestEdgeCases:
     def test_empty_batch(self):
         run_intervals([(0, 0)])
@@ -154,7 +183,7 @@ class TestEdgeCases:
         oracle_batch = MarkingAlgorithm().apply(
             baseline_tree, joins=list(joins), leaves=list(leaves)
         )
-        incremental_batch = IncrementalMarkingAlgorithm().apply(
+        incremental_batch = ArrayMarkingAlgorithm().apply(
             incremental_tree, joins=list(joins), leaves=list(leaves)
         )
         assert canonical(baseline_tree) == canonical(incremental_tree)
@@ -168,7 +197,7 @@ class TestEdgeCases:
         baseline_tree, incremental_tree = make_tree_pair(16, 4)
         leaves = sorted(baseline_tree.users)
         oracle = MarkingAlgorithm()
-        incremental = IncrementalMarkingAlgorithm()
+        incremental = ArrayMarkingAlgorithm()
         assert_batches_equal(
             oracle.apply(baseline_tree, joins=[], leaves=list(leaves)),
             incremental.apply(
@@ -193,7 +222,7 @@ class TestEdgeCases:
         oracle_batch = MarkingAlgorithm().apply(
             baseline_tree, joins=[], leaves=["u0003"]
         )
-        incremental_batch = IncrementalMarkingAlgorithm().apply(
+        incremental_batch = ArrayMarkingAlgorithm().apply(
             incremental_tree, joins=[], leaves=["u0003"]
         )
         # From-scratch records every k-node; incremental only the

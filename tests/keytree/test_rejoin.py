@@ -9,8 +9,8 @@ slot, the slot is relabelled **Replace**, and its individual key is
 renewed in place — so the key it held before the interval dies exactly
 as it would for any other departure.
 
-The differential half of these tests pins the incremental algorithm to
-the from-scratch oracle over rejoin-carrying batches, which were
+The differential half of these tests pins the shipping marker to the
+from-scratch oracle over rejoin-carrying batches, which were
 previously unreachable by either (and therefore untested).
 """
 
@@ -24,11 +24,9 @@ from repro.core.config import GroupConfig
 from repro.core.server import GroupKeyServer
 from repro.crypto.keys import KeyFactory
 from repro.errors import ConfigurationError, DuplicateUserError
+from repro.fastpath.marking import ArrayMarkingAlgorithm
 from repro.keytree import KeyTree
-from repro.keytree.marking import (
-    IncrementalMarkingAlgorithm,
-    MarkingAlgorithm,
-)
+from repro.keytree.marking import MarkingAlgorithm
 from repro.keytree.nodes import NodeLabel
 from repro.keytree.persistence import tree_to_dict
 
@@ -65,7 +63,7 @@ class TestRejoinSemantics:
         ("before any reuse"), exactly like any other replacement."""
         tree = KeyTree.full_balanced(["a", "b", "c", "d"], 2)
         slot = tree.user_node_id("b")
-        batch = IncrementalMarkingAlgorithm().apply(
+        batch = ArrayMarkingAlgorithm().apply(
             tree, joins=["b"], leaves=["b"]
         )
         assert batch.departed_ids == [slot]
@@ -103,7 +101,7 @@ class TestRejoinSemantics:
 
 
 class TestRejoinDifferential:
-    """Incremental vs from-scratch equality on rejoin-carrying batches."""
+    """Shipping vs from-scratch equality on rejoin-carrying batches."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -136,7 +134,7 @@ class TestRejoinDifferential:
         oracle_batch = MarkingAlgorithm().apply(
             baseline_tree, joins=list(joins), leaves=list(leaves)
         )
-        incremental_batch = IncrementalMarkingAlgorithm().apply(
+        incremental_batch = ArrayMarkingAlgorithm().apply(
             incremental_tree, joins=list(joins), leaves=list(leaves)
         )
         assert canonical(baseline_tree) == canonical(incremental_tree)
@@ -150,7 +148,7 @@ class TestRejoinDifferential:
             MarkingAlgorithm().apply(
                 baseline_tree, joins=list(names), leaves=list(names)
             ),
-            IncrementalMarkingAlgorithm().apply(
+            ArrayMarkingAlgorithm().apply(
                 incremental_tree, joins=list(names), leaves=list(names)
             ),
         )

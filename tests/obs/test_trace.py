@@ -146,3 +146,49 @@ class TestPhaseProfiler:
 
     def test_every_mapped_phase_is_declared(self):
         assert set(PHASE_OF_SPAN.values()) <= set(PHASES)
+
+
+#: Spans a default-engine daemon interval over the ``sim`` backend
+#: emits that are deliberately *not* priced into a phase: the interval
+#: root and its stage wrappers (their children are the phases — pricing
+#: both would count the time twice), ``message.build`` (the parent of
+#: the keygen/assignment spans) and the delivery session's per-round
+#: spans (inside ``daemon.deliver``).  A new span name must land either
+#: in ``PHASE_OF_SPAN`` or here — silently unpriced is how ``fec`` read
+#: 0.00 on the array plane.
+UNPRICED_SPANS = (
+    "daemon.interval",
+    "daemon.carry",
+    "daemon.intake",
+    "daemon.rekey",
+    "daemon.snapshot",
+    "message.build",
+    "session.round",
+    "session.unicast",
+)
+
+
+class TestSpanCoverage:
+    def test_every_span_of_a_default_interval_is_accounted_for(self):
+        from repro.core import GroupConfig
+        from repro.service import PoissonChurn, RekeyDaemon, SessionDelivery
+
+        # rho > 1: proactive parity, so the FEC encoder runs at all
+        config = GroupConfig(block_size=5, rho=1.6, crypto_seed=11, seed=42)
+        assert config.engine == "numpy"
+        bus = EventBus()
+        daemon = RekeyDaemon.start_new(
+            ["m%02d" % i for i in range(24)],
+            config=config,
+            backend=SessionDelivery(config),
+            churn=PoissonChurn(alpha=0.3),
+            obs=Recorder(bus=bus),
+        )
+        daemon.run(2)
+        seen = {event["detail"]["name"] for event in bus.of_kind("span")}
+        unaccounted = seen - set(PHASE_OF_SPAN) - set(UNPRICED_SPANS)
+        assert not unaccounted, sorted(unaccounted)
+        # the array plane's parity span is what the fec phase is made of
+        assert "fec.encode_batch" in seen
+        profiles = bus.of_kind("phase_profile")
+        assert any(p["detail"]["phases"].get("fec", 0) > 0 for p in profiles)

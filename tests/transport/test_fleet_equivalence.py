@@ -145,11 +145,11 @@ class TestEquivalence:
         assert message.n_blocks == workload.n_blocks
         assert len(message.needs_by_user) == workload.n_users
 
-    @pytest.mark.parametrize("coder_kind", sorted(CODERS))
+    @pytest.mark.parametrize("coder_name", sorted(CODERS))
     @pytest.mark.parametrize("rho", [1.0, 1.6])
-    def test_distributional_agreement(self, shared, rho, coder_kind):
+    def test_distributional_agreement(self, shared, rho, coder_name):
         message, workload = shared
-        coder = CODERS[coder_kind]()
+        coder = CODERS[coder_name]()
         session_runs = np.array(
             [
                 session_metrics(message, 100 + s, rho, coder)
