@@ -110,7 +110,8 @@ class GroupMember:
         session's FEC-decoded output)."""
         if max_kid is not None:
             self._relocate(max_kid)
-        self._absorb(encryptions)
+        if encryptions:
+            self._absorb(encryptions)
 
     def _absorb(self, encryptions):
         on_path = set(self.path_ids)

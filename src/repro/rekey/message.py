@@ -30,6 +30,7 @@ from repro.rekey.packets import (
     FEC_PAYLOAD_OFFSET,
     ParityPacket,
     UsrPacket,
+    decode_enc_header,
 )
 from repro.util.validation import check_non_negative, check_positive
 
@@ -257,15 +258,35 @@ class RekeyMessage:
         )
 
     @staticmethod
-    def rebuild_enc_packet(message_id, block_id, seq_in_block, payload):
-        """Reconstruct an ENC packet from an FEC-recovered payload."""
-        header = struct.pack(
+    def _recovered_wire(message_id, block_id, seq_in_block, payload):
+        """The ENC packet bytes behind an FEC-recovered payload: its
+        identification prefix (outside the FEC code) put back."""
+        prefix = struct.pack(
             ">BBB",
             (0 << 6) | message_id,  # PacketType.ENC == 0
             block_id,
             seq_in_block,
         )
-        return EncPacket.decode(header + payload)
+        return prefix + payload
+
+    @staticmethod
+    def rebuild_enc_packet(message_id, block_id, seq_in_block, payload):
+        """Reconstruct an ENC packet from an FEC-recovered payload."""
+        return EncPacket.decode(
+            RekeyMessage._recovered_wire(
+                message_id, block_id, seq_in_block, payload
+            )
+        )
+
+    @staticmethod
+    def rebuild_enc_header(message_id, block_id, seq_in_block, payload):
+        """:meth:`rebuild_enc_packet` without the encryptions: the
+        validated :class:`~repro.rekey.packets.EncHeader`."""
+        return decode_enc_header(
+            RekeyMessage._recovered_wire(
+                message_id, block_id, seq_in_block, payload
+            )
+        )
 
     def __repr__(self):
         return "RekeyMessage(id=%d, enc=%d, blocks=%d, k=%d, %s)" % (

@@ -21,6 +21,16 @@ FEC protects ENC-packet bytes from :data:`FEC_PAYLOAD_OFFSET` onward
 (the paper's "fields 5 to 8"): the identification prefix
 (type / message / block / sequence) stays in the clear on PARITY
 packets so receivers can index them without decoding.
+
+UKA puts every user's encryptions in exactly one ENC packet, so a
+receiver needs the body of that one packet and only the header of the
+rest.  :func:`decode_enc_header` validates a whole ENC packet but
+returns just its :class:`EncHeader`; :meth:`EncPacket.decode` is that
+parser plus the materialised encryptions.
+
+Every ``decode`` raises :class:`~repro.errors.PacketDecodeError` for
+bytes it rejects, including bytes that parse but are invalid (an
+``frm_id`` above ``to_id``, a zero encryption ID, an empty NACK).
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ FEC_PAYLOAD_OFFSET = 3
 
 _MAX_U16 = 0xFFFF
 _CIPHERTEXT_SIZE = 20
+_ENC_HEADER = struct.Struct(">BBBBHHHH")
+#: one <encryption ID, ciphertext> entry with the ciphertext skipped
+_ID_COLUMN = "H%dx" % _CIPHERTEXT_SIZE
 
 
 class PacketType(enum.IntEnum):
@@ -89,6 +102,87 @@ def _pack_type_byte(packet_type, rekey_message_id):
 
 def _unpack_type_byte(byte):
     return PacketType(byte >> 6), byte & 0x3F
+
+
+def packet_type_of(data):
+    """The :class:`PacketType` named by the first byte of ``data``."""
+    if not data:
+        raise PacketDecodeError("empty packet")
+    return _unpack_type_byte(data[0])[0]
+
+
+@dataclass(frozen=True)
+class EncHeader:
+    """The header of an ENC packet, without its encryptions.
+
+    What a receiver reads of every ENC packet that does not cover it:
+    the FEC coordinates, the ``<frmID, toID>`` interval and ``maxKID``
+    for block-ID estimation.  ``n_encryptions`` is the packet's count
+    field.
+    """
+
+    rekey_message_id: int
+    block_id: int
+    seq_in_block: int
+    max_kid: int
+    frm_id: int
+    to_id: int
+    n_encryptions: int
+    is_duplicate: bool = False
+
+    @property
+    def packet_type(self):
+        return PacketType.ENC
+
+    def covers_user(self, user_id):
+        """True iff the packet carries the encryptions of ``user_id``."""
+        return self.frm_id <= user_id <= self.to_id
+
+
+def decode_enc_header(data):
+    """Validate ENC packet bytes and return their :class:`EncHeader`.
+
+    Rejects exactly what :meth:`EncPacket.decode` rejects — a short or
+    truncated packet, another type, ``frm_id > to_id``, a zero
+    encryption ID — but reads the encryption IDs in one
+    ``unpack_from`` and builds no :class:`EncryptedKey`.
+    """
+    if len(data) < ENC_HEADER_SIZE:
+        raise PacketDecodeError("ENC packet shorter than its header")
+    (
+        type_byte,
+        block_id,
+        seq_in_block,
+        flags,
+        max_kid,
+        frm_id,
+        to_id,
+        count,
+    ) = _ENC_HEADER.unpack_from(data)
+    packet_type, message_id = _unpack_type_byte(type_byte)
+    if packet_type is not PacketType.ENC:
+        raise PacketDecodeError("not an ENC packet")
+    needed = ENC_HEADER_SIZE + count * ENCRYPTION_ENTRY_SIZE
+    if len(data) < needed:
+        raise PacketDecodeError(
+            "ENC packet truncated: need %d bytes, have %d"
+            % (needed, len(data))
+        )
+    if frm_id > to_id:
+        raise PacketDecodeError("frm_id %d > to_id %d" % (frm_id, to_id))
+    ids = struct.unpack_from(">" + _ID_COLUMN * count, data, ENC_HEADER_SIZE)
+    if 0 in ids:
+        raise PacketDecodeError("encryption ID 0 is reserved for padding")
+    return EncHeader(
+        rekey_message_id=message_id,
+        block_id=block_id,
+        seq_in_block=seq_in_block,
+        max_kid=max_kid,
+        frm_id=frm_id,
+        to_id=to_id,
+        n_encryptions=count,
+        is_duplicate=bool(flags & 1),
+    )
 
 
 @dataclass(frozen=True)
@@ -171,31 +265,12 @@ class EncPacket:
 
     @classmethod
     def decode(cls, data):
-        """Parse an ENC packet from its wire bytes."""
-        if len(data) < ENC_HEADER_SIZE:
-            raise PacketDecodeError("ENC packet shorter than its header")
-        (
-            type_byte,
-            block_id,
-            seq_in_block,
-            flags,
-            max_kid,
-            frm_id,
-            to_id,
-            count,
-        ) = struct.unpack(">BBBBHHHH", data[:ENC_HEADER_SIZE])
-        packet_type, message_id = _unpack_type_byte(type_byte)
-        if packet_type is not PacketType.ENC:
-            raise PacketDecodeError("not an ENC packet")
-        needed = ENC_HEADER_SIZE + count * ENCRYPTION_ENTRY_SIZE
-        if len(data) < needed:
-            raise PacketDecodeError(
-                "ENC packet truncated: need %d bytes, have %d"
-                % (needed, len(data))
-            )
+        """Parse an ENC packet from its wire bytes: the header parser
+        (which does all the validation) plus the encryptions."""
+        header = decode_enc_header(data)
         encryptions = []
         offset = ENC_HEADER_SIZE
-        for _ in range(count):
+        for _ in range(header.n_encryptions):
             (encryption_id,) = struct.unpack(
                 ">H", data[offset : offset + 2]
             )
@@ -203,14 +278,14 @@ class EncPacket:
             encryptions.append(EncryptedKey(encryption_id, ciphertext))
             offset += ENCRYPTION_ENTRY_SIZE
         return cls(
-            rekey_message_id=message_id,
-            block_id=block_id,
-            seq_in_block=seq_in_block,
-            max_kid=max_kid,
-            frm_id=frm_id,
-            to_id=to_id,
+            rekey_message_id=header.rekey_message_id,
+            block_id=header.block_id,
+            seq_in_block=header.seq_in_block,
+            max_kid=header.max_kid,
+            frm_id=header.frm_id,
+            to_id=header.to_id,
             encryptions=tuple(encryptions),
-            is_duplicate=bool(flags & 1),
+            is_duplicate=header.is_duplicate,
         )
 
 
@@ -393,13 +468,20 @@ class NackPacket:
         (user_id, count) = struct.unpack(">HB", data[1:4])
         if len(data) < 4 + 2 * count:
             raise PacketDecodeError("NACK packet truncated")
-        requests = tuple(
-            NackRequest(block_id=data[4 + 2 * i + 1], n_parity=data[4 + 2 * i])
-            for i in range(count)
-        )
-        return cls(
-            rekey_message_id=message_id, user_id=user_id, requests=requests
-        )
+        try:
+            requests = tuple(
+                NackRequest(
+                    block_id=data[4 + 2 * i + 1], n_parity=data[4 + 2 * i]
+                )
+                for i in range(count)
+            )
+            return cls(
+                rekey_message_id=message_id, user_id=user_id, requests=requests
+            )
+        except PacketError as exc:
+            # Well-formed bytes with no request or a zero-parity entry
+            # are still bytes this decoder rejects.
+            raise PacketDecodeError(str(exc)) from exc
 
 
 _DECODERS = {
@@ -412,7 +494,4 @@ _DECODERS = {
 
 def decode_packet(data):
     """Dispatch on the 2-bit type and decode any protocol packet."""
-    if not data:
-        raise PacketDecodeError("empty packet")
-    packet_type, _ = _unpack_type_byte(data[0])
-    return _DECODERS[packet_type](data)
+    return _DECODERS[packet_type_of(data)](data)

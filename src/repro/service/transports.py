@@ -3,8 +3,8 @@
 Three interchangeable paths behind one ``deliver()`` interface:
 
 - :class:`DirectDelivery` — idealised loss-free channel (each member
-  processes its ENC packet directly); the fast path for recovery tests
-  and very long soaks;
+  processes the one ENC packet that covers it); the fast path for
+  recovery tests and very long soaks;
 - :class:`SessionDelivery` — the paper's transport: a full
   :class:`~repro.transport.session.RekeySession` over the burst-loss
   topology, with the ``AdjustRho`` controller carried *across*
@@ -36,6 +36,7 @@ size is conservative.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from repro.errors import ServiceError
@@ -85,14 +86,26 @@ class DeliveryBackend:
 
 
 class DirectDelivery(DeliveryBackend):
-    """Loss-free delivery: every member sees every distinct ENC packet."""
+    """Loss-free delivery: every member receives the ENC packet that
+    covers it.
+
+    UKA gives the distinct ENC packets disjoint ``<frmID, toID>``
+    intervals, so each member relocates once at the message's
+    ``maxKID`` and finds its packet by bisecting on ``frm_id`` instead
+    of being offered every packet in turn.
+    """
 
     def deliver(self, message, fleet, deadline_rounds=2, policy="unicast"):
-        packets = [p for p in message.enc_packets() if not p.is_duplicate]
+        packets = sorted(
+            (p for p in message.enc_packets() if not p.is_duplicate),
+            key=lambda p: p.frm_id,
+        )
+        starts = [p.frm_id for p in packets]
+        fleet.relocate_all(message.max_kid)
         for member in fleet.members.values():
-            for packet in packets:
-                if member.process_enc_packet(packet):
-                    break
+            index = bisect.bisect_right(starts, member.user_id) - 1
+            if index >= 0 and packets[index].covers_user(member.user_id):
+                member.absorb_encryptions(packets[index].encryptions)
         n_users = len(message.needs_by_user)
         return DeliveryReport(
             mode="direct",

@@ -169,6 +169,10 @@ class _MarkovStepper:
         self._model = model
         self._rng = rng
         self._last_time = None
+        #: exact float gap -> (P(loss | good), P(loss | loss)).  Walks
+        #: on a fixed slot grid see a handful of distinct gaps; each is
+        #: computed once, by the same call the uncached walk makes.
+        self._transitions = {}
         if model.p == 0.0:
             self._lost = False
         elif model.p == 1.0:
@@ -185,10 +189,13 @@ class _MarkovStepper:
             if time < self._last_time:
                 raise SimulationError("loss queries must be non-decreasing")
             gap = time - self._last_time
-            p_good, p_loss = model._skeleton_probabilities(
-                np.asarray([gap])
-            )
-            threshold = p_loss[0] if self._lost else p_good[0]
+            transition = self._transitions.get(gap)
+            if transition is None:
+                p_good, p_loss = model._skeleton_probabilities(
+                    np.asarray([gap])
+                )
+                transition = self._transitions[gap] = (p_good[0], p_loss[0])
+            threshold = transition[1] if self._lost else transition[0]
             self._lost = bool(self._rng.random() < threshold)
         self._last_time = time
         return self._lost

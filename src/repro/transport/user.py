@@ -21,7 +21,7 @@ from repro.errors import NotEnoughPacketsError, TransportError
 from repro.fec.rse import RSECoder
 from repro.rekey.estimate import BlockIdEstimator
 from repro.rekey.message import RekeyMessage
-from repro.rekey.packets import NackPacket, NackRequest
+from repro.rekey.packets import EncPacket, NackPacket, NackRequest
 from repro.util.validation import check_non_negative, check_positive
 
 
@@ -71,16 +71,32 @@ class UserTransport:
             )
 
     def on_enc(self, packet, payload):
-        """Receive one ENC packet (``payload`` = its FEC-covered bytes)."""
+        """Receive one ENC packet (``payload`` = its FEC-covered bytes).
+
+        ``packet`` is an :class:`~repro.rekey.packets.EncPacket` or just
+        its :class:`~repro.rekey.packets.EncHeader`; a header that
+        covers this user is materialised from ``payload``.
+        """
         self._check_message(packet)
         if self.done:
             return
         block = self._payloads.setdefault(packet.block_id, {})
         block[packet.seq_in_block] = payload
+        self._observe(packet, payload)
+
+    def _observe(self, packet, payload):
+        """Estimator and coverage bookkeeping for one ENC packet or
+        header: the packet covering this user is the only one whose
+        encryptions are ever parsed (UKA puts them all in it)."""
         self._estimator.observe(packet)
-        if packet.covers_user(self.user_id):
-            self.specific_packet = packet
-            self.recovery_round = self._current_round
+        if self.done or not packet.covers_user(self.user_id):
+            return
+        if not isinstance(packet, EncPacket):
+            packet = RekeyMessage.rebuild_enc_packet(
+                self.message_id, packet.block_id, packet.seq_in_block, payload
+            )
+        self.specific_packet = packet
+        self.recovery_round = self._current_round
 
     def on_parity(self, packet):
         """Receive one PARITY packet."""
@@ -118,14 +134,13 @@ class UserTransport:
             return
         self._decoded_blocks.add(block_id)
         for seq, payload in enumerate(payloads):
-            packet = RekeyMessage.rebuild_enc_packet(
-                self.message_id, block_id, seq, payload
-            )
             # Recovered packets tighten the estimator and may be ours.
-            self._estimator.observe(packet)
-            if packet.covers_user(self.user_id) and not self.done:
-                self.specific_packet = packet
-                self.recovery_round = self._current_round
+            self._observe(
+                RekeyMessage.rebuild_enc_header(
+                    self.message_id, block_id, seq, payload
+                ),
+                payload,
+            )
 
     def end_of_round(self):
         """Round timeout: attempt recovery, emit a NACK if still short.

@@ -47,7 +47,9 @@ from repro.obs.trace import format_trace
 from repro.rekey.packets import (
     FEC_PAYLOAD_OFFSET,
     PacketType,
+    decode_enc_header,
     decode_packet,
+    packet_type_of,
 )
 from repro.transport.user import UserTransport
 from repro.util.retry import RetryPolicy
@@ -498,17 +500,20 @@ class WireClient:
         if not session.saw_data:
             session.saw_data = True
             self._trace_event("trace_first_data", session, slot=frame.slot)
-        packet = decode_packet(frame.payload)
-        if packet.packet_type is PacketType.ENC:
+        payload = frame.payload
+        if packet_type_of(payload) is PacketType.ENC:
+            # Header only: the transport parses the body of the one ENC
+            # packet that covers this member.
             session.transport.on_enc(
-                packet, frame.payload[FEC_PAYLOAD_OFFSET:]
+                decode_enc_header(payload), payload[FEC_PAYLOAD_OFFSET:]
             )
-        elif packet.packet_type is PacketType.PARITY:
-            session.transport.on_parity(packet)
         else:
-            raise WireError(
-                "multicast DATA frame carried %s" % packet.packet_type
-            )
+            packet = decode_packet(payload)
+            if packet.packet_type is not PacketType.PARITY:
+                raise WireError(
+                    "multicast DATA frame carried %s" % packet.packet_type
+                )
+            session.transport.on_parity(packet)
         self._after_progress(session)
 
     def _on_unicast(self, frame):

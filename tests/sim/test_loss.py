@@ -111,6 +111,41 @@ class TestTwoStateMarkovLoss:
         lost = [stepper.is_lost(t * 0.05) for t in range(50_000)]
         assert np.mean(lost) == pytest.approx(0.3, abs=0.02)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            # A slot grid as the wire plane queries it: gaps carry float
+            # noise (3*0.1 - 2*0.1 != 0.1), so a few distinct gaps recur.
+            [slot * 0.1 for slot in range(400)],
+            [slot * 0.001 for slot in range(400)],
+            # Irregular gaps, repeated times (gap 0) and a jump.
+            [0.0, 0.0, 0.05, 0.3, 0.3, 0.31, 5.0, 5.0004, 9.0, 9.0],
+        ],
+        ids=["grid-100ms", "grid-1ms", "irregular"],
+    )
+    def test_cached_stepper_matches_uncached_walk(self, times):
+        """Caching transitions per exact float gap changes no indicator:
+        the reference walk recomputes every transition, as the stepper
+        did before the cache."""
+        model = TwoStateMarkovLoss(0.3)
+        stepper = model.stepper(spawn_rng(14))
+        cached = [stepper.is_lost(t) for t in times]
+
+        rng = spawn_rng(14)
+        lost = bool(rng.random() < model.p)
+        reference = [lost]
+        for previous, time in zip(times, times[1:]):
+            p_good, p_loss = model._skeleton_probabilities(
+                np.asarray([time - previous])
+            )
+            threshold = p_loss[0] if lost else p_good[0]
+            lost = bool(rng.random() < threshold)
+            reference.append(lost)
+
+        assert cached == reference
+        gaps = {b - a for a, b in zip(times, times[1:])}
+        assert len(stepper._transitions) == len(gaps)
+
     def test_stepper_rejects_time_reversal(self):
         rng = spawn_rng(13)
         stepper = TwoStateMarkovLoss(0.3).stepper(rng)

@@ -7,7 +7,11 @@ from repro.crypto import KeyFactory
 from repro.errors import TransportError
 from repro.keytree import KeyTree, MarkingAlgorithm
 from repro.rekey import RekeyMessageBuilder
-from repro.rekey.packets import FEC_PAYLOAD_OFFSET
+from repro.rekey.packets import (
+    FEC_PAYLOAD_OFFSET,
+    EncPacket,
+    decode_enc_header,
+)
 from repro.transport.user import UserTransport
 
 
@@ -159,6 +163,77 @@ class TestFecRecovery:
             user.on_parity(parity)
         user.end_of_round()
         assert user.done
+
+
+def drive_lossy(message, user_id, view, seed, p_loss=0.5, rounds=6):
+    """Feed ``user_id``'s transport a seeded lossy sequence: every ENC
+    slot in round 1, then the parity its NACKs ask for.  ``view`` is
+    ``"packet"`` (full :class:`EncPacket`) or ``"header"`` (the
+    :class:`EncHeader` a wire client parses)."""
+    rng = np.random.default_rng(seed)
+    user = make_user(message, user_id)
+    next_parity = [0] * message.n_blocks
+    nacks = []
+    for round_no in range(1, rounds + 1):
+        if round_no == 1:
+            for packet in message.enc_packets():
+                if rng.random() < p_loss:
+                    continue
+                wire = packet.encode(message.packet_size)
+                if view == "header":
+                    packet = decode_enc_header(wire)
+                user.on_enc(packet, wire[FEC_PAYLOAD_OFFSET:])
+        elif nacks[-1] is not None:
+            for request in nacks[-1].requests:
+                block = request.block_id
+                parity = message.parity_packets(
+                    block, request.n_parity, next_parity[block]
+                )
+                next_parity[block] += request.n_parity
+                for packet in parity:
+                    if rng.random() >= p_loss:
+                        user.on_parity(packet)
+        nacks.append(user.end_of_round())
+    return user, nacks
+
+
+class TestHeaderViews:
+    """A transport fed only ENC headers behaves exactly like one fed
+    full packets, and parses the body of the covering packet alone."""
+
+    def test_header_fed_matches_packet_fed(self, message, monkeypatch):
+        materialised = []
+        decode = EncPacket.decode.__func__
+
+        def spy(cls, data):
+            packet = decode(cls, data)
+            materialised.append(packet)
+            return packet
+
+        fec_recoveries = 0
+        for seed, user_id in enumerate(sorted(message.needs_by_user)[::7]):
+            packet_fed, packet_nacks = drive_lossy(
+                message, user_id, "packet", seed
+            )
+            monkeypatch.setattr(EncPacket, "decode", classmethod(spy))
+            materialised.clear()
+            header_fed, header_nacks = drive_lossy(
+                message, user_id, "header", seed
+            )
+            monkeypatch.undo()
+            assert header_nacks == packet_nacks
+            assert header_fed.recovery_round == packet_fed.recovery_round
+            assert (
+                header_fed.recovered_encryptions
+                == packet_fed.recovered_encryptions
+            )
+            # One materialisation per covering packet received, no more.
+            assert len(materialised) == int(header_fed.done)
+            if header_fed.done:
+                assert materialised[0].covers_user(user_id)
+                assert header_fed.specific_packet is materialised[0]
+                fec_recoveries += bool(header_fed._decoded_blocks)
+        assert fec_recoveries > 0  # the FEC-recovery path was exercised
 
 
 class TestUsrReception:

@@ -11,6 +11,9 @@ import socket
 
 import pytest
 
+from repro.core.config import GroupConfig
+from repro.core.server import GroupKeyServer
+from repro.service.members import MemberFleet
 from repro.sim.topology import LossParameters
 from repro.util.retry import RetryPolicy
 from repro.wire.client import WireClient
@@ -211,3 +214,42 @@ class TestRegisterCycle:
         assert client.errors == []
         client._on_datagram(announce_frame(1))
         assert client._session is not None
+
+    def test_invalid_enc_payload_counted_and_interval_completes(self):
+        """A DATA frame whose ENC packet parses but has frm_id > to_id is
+        a decode error like any other garbage; the member still recovers
+        from the real packets that follow."""
+        server = GroupKeyServer(
+            ["m%02d" % i for i in range(8)],
+            config=GroupConfig(block_size=4, seed=3),
+        )
+        fleet = MemberFleet.register_all(server)
+        server.request_leave("m00")
+        fleet.evict("m00")
+        _, message = server.rekey()
+        client = make_client(
+            member=fleet.members["m05"],
+            loss_params=LossParameters(p_high=0.0, p_low=0.0, p_source=0.0),
+        )
+        client._on_datagram(
+            encode_frame(
+                FrameKind.ANNOUNCE,
+                1,
+                slot=1,
+                payload=encode_announce(message, server.config.degree),
+            )
+        )
+        wires = [p.encode(message.packet_size) for p in message.enc_packets()]
+        inverted = bytearray(wires[0])
+        inverted[6:8] = b"\xff\xff"  # frm_id 65535 > to_id
+        frames = [bytes(inverted)] + wires
+        for slot, payload in enumerate(frames):
+            client._on_datagram(
+                encode_frame(
+                    FrameKind.DATA, 1, round_no=1, slot=slot, payload=payload
+                )
+            )
+        assert client.decode_errors == 1
+        assert client.errors == []
+        assert client._session.absorbed
+        assert client.member.group_key == server.group_key

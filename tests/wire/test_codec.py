@@ -186,6 +186,17 @@ class TestFeedback:
         with pytest.raises(WireDecodeError):
             decode_feedback(b"\x00" * 4)
 
+    def test_zero_parity_nack_tail_refused(self):
+        """A tail that parses as a NACK but asks for 0 parity packets is
+        the wire's garbage to refuse, not a bare PacketError that would
+        fail the server's whole interval."""
+        nack = NackPacket(
+            rekey_message_id=3, user_id=7, requests=(NackRequest(2, 1),)
+        ).encode()
+        tail = nack[:4] + b"\x00" + nack[5:]  # n_parity 1 -> 0
+        with pytest.raises(WireDecodeError):
+            decode_feedback(encode_feedback(self.make()) + tail)
+
 
 class TestRegister:
     def test_round_trip(self):

@@ -10,6 +10,8 @@ protocol input.
 """
 
 import io
+import socket
+import time
 
 import pytest
 
@@ -137,6 +139,63 @@ class TestHeavyLoss:
         assert report.decision == "unicast-cutover"
         # Unicast recoveries report round 0 by convention.
         assert any(r == 0 for r in report.recovery_rounds)
+
+
+class TestMalformedFeedback:
+    def test_zero_parity_nack_counted_and_interval_completes(self):
+        """Any sender can reach the server's port: a FEEDBACK whose NACK
+        tail asks for 0 parity packets must be counted as a decode error,
+        not recorded as a failure that sinks the next interval."""
+        from repro.core.server import GroupKeyServer
+        from repro.rekey.packets import NackPacket, NackRequest
+        from repro.service.members import MemberFleet
+        from repro.wire.codec import Feedback, FrameKind, encode_feedback
+        from repro.wire.codec import encode_frame
+
+        config = GroupConfig(block_size=5, seed=4, nack_window_seconds=0.2)
+        server = GroupKeyServer(
+            ["m%02d" % i for i in range(8)], config=config
+        )
+        fleet = MemberFleet.register_all(server)
+        nack = NackPacket(
+            rekey_message_id=1, user_id=7, requests=(NackRequest(0, 1),)
+        ).encode()
+        feedback = encode_feedback(
+            Feedback(
+                member_index=0,
+                user_id=7,
+                done=False,
+                recovery_round=0,
+                dropped=0,
+                fingerprint="00" * 6,
+                latency_ms=0.0,
+            )
+        )
+        datagram = encode_frame(
+            FrameKind.FEEDBACK,
+            1,
+            round_no=1,
+            payload=feedback + nack[:4] + b"\x00" + nack[5:],
+        )
+
+        def rekey_out(leaver):
+            server.request_leave(leaver)
+            fleet.evict(leaver)
+            return server.rekey()[1]
+
+        with WireDelivery(config, seed=5) as backend:
+            backend.deliver(rekey_out("m00"), fleet)
+            wire_server = backend.server
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rogue:
+                rogue.sendto(datagram, tuple(wire_server.address))
+            deadline = time.monotonic() + 5.0
+            while not (wire_server.decode_errors or wire_server.errors):
+                assert time.monotonic() < deadline, "datagram never seen"
+                time.sleep(0.01)
+            backend.deliver(rekey_out("m01"), fleet)
+            fleet.check_agreement(server)
+            assert wire_server.decode_errors == 1
+            assert wire_server.errors == []
 
 
 class TestPlans:
