@@ -45,8 +45,8 @@ def main():
         n_lapse = int(rng.integers(per_interval // 2, per_interval + 1))
         n_new = int(rng.integers(per_interval // 2, per_interval + 1))
         total_requests += n_lapse + n_new
-        group.churn(n_new, n_lapse, rng=rng, lossy=True)
-        stats = group.last_delivery_stats
+        message = group.churn(n_new, n_lapse, rng=rng, lossy=True)
+        report = group.last_delivery
         counts, seconds = group.server.meter.snapshot()
         print(
             "interval %2d: %5d subs | +%2d/-%2d | "
@@ -56,10 +56,10 @@ def main():
                 group.n_members,
                 n_new,
                 n_lapse,
-                stats.n_enc_packets if stats else 0,
-                stats.bandwidth_overhead if stats else 0.0,
-                stats.n_multicast_rounds if stats else 0,
-                stats.unicast.users_served if stats else 0,
+                message.n_enc_packets,
+                report.detail["bandwidth_overhead"] if report else 0.0,
+                report.multicast_rounds if report else 0,
+                report.unicast_served if report else 0,
             )
         )
 

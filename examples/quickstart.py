@@ -55,14 +55,14 @@ def main():
     # transport (proactive FEC + NACKs + unicast tail):
     group.leave("alice")
     group.rekey(lossy=True)
-    stats = group.last_delivery_stats
+    report = group.last_delivery
     print(
         "\nlossy rekey #2: %d multicast round(s), %d NACK(s), "
         "%d user(s) served by unicast"
         % (
-            stats.n_multicast_rounds,
-            stats.first_round_nacks,
-            stats.unicast.users_served,
+            report.multicast_rounds,
+            report.first_round_nacks,
+            report.unicast_served,
         )
     )
     for name, member in sorted(group.members.items()):

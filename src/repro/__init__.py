@@ -19,7 +19,7 @@ Quick start::
 Sub-packages (importable directly for lower-level use):
 
 ========================  ====================================================
-``repro.core``            public API: server, member, group facade
+``repro.core``            public API: server, member, configuration
 ``repro.keytree``         d-ary key tree + marking algorithm
 ``repro.rekey``           ENC/PARITY/USR/NACK formats, UKA, blocks
 ``repro.fec``             GF(256) Reed-Solomon erasure coder
@@ -27,11 +27,13 @@ Sub-packages (importable directly for lower-level use):
 ``repro.sim``             burst-loss processes and multicast topology
 ``repro.transport``       the rekey transport protocol + simulators
 ``repro.analysis``        closed-form performance models
+``repro.service``         rekey daemon, delivery backends, ``SecureGroup``
 ========================  ====================================================
 """
 
-from repro.core import GroupConfig, GroupKeyServer, GroupMember, SecureGroup
+from repro.core import GroupConfig, GroupKeyServer, GroupMember
 from repro.errors import ReproError
+from repro.service.group import SecureGroup
 
 __version__ = "1.0.0"
 

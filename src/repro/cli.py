@@ -105,7 +105,7 @@ def _build_parser():
     serve.add_argument("--trace-file", default=None)
     serve.add_argument(
         "--transport",
-        choices=["direct", "sim", "udp", "wire"],
+        choices=["direct", "sim", "wire"],
         default="sim",
     )
     serve.add_argument(
@@ -533,13 +533,13 @@ def _cmd_demo(args, out):
             rng=rng,
             lossy=args.lossy,
         )
-        stats = group.last_delivery_stats
+        report = group.last_delivery
         detail = ""
-        if stats is not None:
+        if report is not None:
             detail = " (rounds=%d, NACKs=%d, unicast=%d)" % (
-                stats.n_multicast_rounds,
-                stats.first_round_nacks,
-                stats.unicast.users_served,
+                report.multicast_rounds,
+                report.first_round_nacks,
+                report.unicast_served,
             )
         print(
             "interval %d: %d members, key %s%s"

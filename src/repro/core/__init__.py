@@ -6,15 +6,15 @@
 - :class:`GroupMember` — a user's key state: holds its leaf-to-root path
   keys, re-derives its own ID after tree restructuring (Theorem 4.2),
   and decrypts the new keys out of ENC/USR packets.
-- :class:`SecureGroup` — a facade wiring a server, its members, and
-  (optionally) the lossy transport simulation together; the quickest way
-  to run the whole system end to end.
+
+The :class:`~repro.service.group.SecureGroup` facade, which wires a
+server to its members and a delivery backend, lives one layer up in
+:mod:`repro.service` (``from repro import SecureGroup``).
 """
 
 from repro.core.config import GroupConfig
 from repro.core.server import GroupKeyServer
 from repro.core.member import GroupMember
-from repro.core.group import SecureGroup
 from repro.core.policy import (
     HybridBatching,
     ImmediateRekeying,
@@ -33,7 +33,6 @@ __all__ = [
     "PeriodicBatching",
     "Registrar",
     "RequestValidator",
-    "SecureGroup",
     "ThresholdBatching",
     "simulate_policy",
 ]

@@ -12,7 +12,7 @@ from repro.util.validation import check_non_negative, check_positive
 
 @dataclass
 class GroupConfig:
-    """Everything a :class:`~repro.core.group.SecureGroup` needs.
+    """Everything a :class:`~repro.service.group.SecureGroup` needs.
 
     Defaults follow the paper's evaluation: tree degree 4, 1027-byte ENC
     packets, FEC block size 10, proactivity factor 1, NACK target 20,
@@ -38,10 +38,9 @@ class GroupConfig:
     sending_interval_ms: float = 100.0
     max_multicast_rounds: int = 2
     deadline_rounds: int = 2
-    #: how long a server waits for NACKs after each multicast round —
-    #: shared by the loopback UDP endpoints and the asyncio wire plane
-    #: (where it caps the aggregation window; the window closes early
-    #: once every member has reported)
+    #: how long the wire plane's server waits for NACKs after each
+    #: multicast round (it caps the aggregation window; the window closes
+    #: early once every member has reported)
     nack_window_seconds: float = 0.3
     loss: LossParameters = field(default_factory=LossParameters)
     crypto_seed: int = 0

@@ -58,7 +58,7 @@ SERVICE_EVENT_KINDS = frozenset(
         "recovery",           # daemon recovered from snapshot + WAL
         "crash",              # injected crash fired
         "degradation_policy_ignored",  # configured policy not in force
-                                       # on this transport (UDP + carry)
+                                       # on this transport (wire + carry)
     }
 )
 

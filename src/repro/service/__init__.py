@@ -10,10 +10,13 @@ The paper's analysis is per-interval; this package runs the key server
 - :mod:`repro.service.wal` — the fsynced write-ahead log of accepted
   membership requests;
 - :mod:`repro.service.transports` — delivery backends (direct / the
-  simulated lossy transport with AdjustRho / real loopback UDP) with
-  per-interval deadlines and recorded degradation decisions;
+  simulated lossy transport with AdjustRho / the asyncio UDP wire plane
+  of :mod:`repro.wire`) with per-interval deadlines and recorded
+  degradation decisions;
 - :mod:`repro.service.members` — the in-process member population that
   survives daemon crashes and checks agreement/lockout invariants;
+- :mod:`repro.service.group` — :class:`SecureGroup`, the one-process
+  facade: a key server, its :class:`MemberFleet` and these backends;
 - :mod:`repro.service.health` — per-interval metrics ledger, JSON
   export, and the probe-style health summary.
 
@@ -37,13 +40,13 @@ from repro.service.daemon import (
     DaemonCrash,
     RekeyDaemon,
 )
+from repro.service.group import SecureGroup
 from repro.service.health import IntervalMetrics, ServiceMetrics
 from repro.service.members import MemberFleet
 from repro.service.transports import (
     DeliveryReport,
     DirectDelivery,
     SessionDelivery,
-    UdpDelivery,
     make_backend,
 )
 from repro.service.wal import (
@@ -68,10 +71,10 @@ __all__ = [
     "NoChurn",
     "PoissonChurn",
     "RekeyDaemon",
+    "SecureGroup",
     "ServiceMetrics",
     "SessionDelivery",
     "TraceChurn",
-    "UdpDelivery",
     "WriteAheadLog",
     "make_backend",
     "make_driver",

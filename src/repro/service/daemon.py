@@ -689,8 +689,8 @@ class RekeyDaemon:
                 self._carry.append((message, list(report.carried)))
             if report.detail.get("policy_ignored"):
                 # The transport could not honour the configured carry
-                # policy (UDP always cuts over) — count it so the health
-                # ledger shows the policy is not in force.
+                # policy (the wire plane always cuts over) — count it so
+                # the health ledger shows the policy is not in force.
                 self.metrics.bump("policy_ignored")
             transition = self.circuit.record(report.decision)
             if transition is not None:

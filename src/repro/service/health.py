@@ -58,7 +58,7 @@ class IntervalMetrics:
     #: recovery latency percentiles, in multicast rounds (unicast- or
     #: carry-recovered users count as one round past the last multicast
     #: round — they were still waiting when multicast stopped); NaN when
-    #: the backend observes only aggregates (UDP), exported as ``null``
+    #: the backend observes no per-user rounds, exported as ``null``
     recovery_p50: float
     recovery_p90: float
     recovery_p99: float
@@ -78,8 +78,8 @@ class IntervalMetrics:
         """Per-user recovery latencies in rounds from a delivery report.
 
         ``None`` when nothing per-user was observed: an empty interval
-        (``report`` is ``None``) or a backend that only sees aggregates
-        (UDP — ``recovery_rounds`` is ``None``).  Users multicast never
+        (``report`` is ``None``) or a backend that observes no per-user
+        rounds (``recovery_rounds`` is ``None``).  Users multicast never
         recovered (round 0) count as one round past the last one.
         """
         if report is None or report.recovery_rounds is None:
@@ -115,9 +115,9 @@ class IntervalMetrics:
         rounds = report.multicast_rounds if report else 0
         latencies = cls.recovery_latencies(report)
         if report is not None and latencies is None:
-            # Aggregate-only backend (UDP): a synthetic single-sample
-            # distribution would masquerade as a real percentile, so the
-            # percentiles are marked unobserved instead.
+            # A backend that observes no per-user rounds: a synthetic
+            # single-sample distribution would masquerade as a real
+            # percentile, so the percentiles are marked unobserved.
             p50 = p90 = p99 = float("nan")
         else:
             p50 = round(_percentile(latencies, 50), 3)
@@ -175,7 +175,7 @@ class ServiceMetrics:
             "snapshot_fallbacks": 0,
             "circuit_opens": 0,
             # intervals whose configured degradation policy the
-            # transport could not honour (UDP ignores "carry")
+            # transport could not honour (the wire plane ignores "carry")
             "policy_ignored": 0,
         }
 

@@ -1,6 +1,6 @@
 """Delivery backends: how the daemon moves a rekey message to members.
 
-Three interchangeable paths behind one ``deliver()`` interface:
+Interchangeable paths behind one ``deliver()`` interface:
 
 - :class:`DirectDelivery` — idealised loss-free channel (each member
   processes the one ENC packet that covers it); the fast path for
@@ -9,9 +9,8 @@ Three interchangeable paths behind one ``deliver()`` interface:
   :class:`~repro.transport.session.RekeySession` over the burst-loss
   topology, with the ``AdjustRho`` controller carried *across*
   intervals (the per-interval ρ trajectory the metrics report);
-- :class:`UdpDelivery` — real loopback UDP via
-  :func:`repro.net.run_udp_rekey` (one socket per member, injected
-  receiver-side loss).
+- :class:`~repro.wire.delivery.WireDelivery` — the asyncio UDP wire
+  plane on real loopback sockets (built lazily by :func:`make_backend`).
 
 **Graceful degradation.**  Every backend takes a per-interval deadline
 in multicast rounds.  When multicast has not finished everyone by the
@@ -25,7 +24,7 @@ is recorded in the :class:`DeliveryReport`:
   they stay stale this interval and the daemon serves them by unicast
   from the stored message at the start of the next interval (decision
   ``"carry-over"``); only :class:`SessionDelivery` distinguishes this —
-  the direct path never degrades, and the UDP path always cuts over.
+  the direct path never degrades, and the wire plane always cuts over.
 
 One approximation, documented: ``RekeySession`` reports first-round
 NACK *counts* but not per-user parity shortfalls, so ``AdjustRho`` is
@@ -62,7 +61,7 @@ class DeliveryReport:
     first_round_nacks: int = 0
     unicast_served: int = 0
     #: per-user multicast recovery round (1-based; 0 = not by multicast);
-    #: None when the backend cannot observe per-user rounds (UDP).
+    #: None for a backend that observes no per-user rounds.
     recovery_rounds: list = None
     #: names whose key updates were deferred to the next interval
     carried: list = field(default_factory=list)
@@ -248,73 +247,13 @@ class SessionDelivery(DeliveryBackend):
         )
 
 
-class UdpDelivery(DeliveryBackend):
-    """Real loopback-UDP delivery (small groups, integration realism).
-
-    The UDP driver always escalates stragglers to unicast inside the
-    interval, so the ``carry`` policy degrades to ``unicast`` here (the
-    decision is still recorded honestly as ``"unicast-cutover"``).
-    """
-
-    def __init__(self, config, drop_probability=0.15, seed=None):
-        self.config = config
-        self.drop_probability = float(drop_probability)
-        self._seed = config.seed if seed is None else seed
-        self._calls = 0
-
-    def deliver(self, message, fleet, deadline_rounds=2, policy="unicast"):
-        from repro.net import run_udp_rekey
-
-        policy_ignored = policy == "carry"
-        if policy_ignored:
-            # Not silent: operators configured carry but the UDP path
-            # cannot defer stragglers — say so on the bus and in the
-            # report so the daemon's ledger can count it.
-            self.obs.emit(
-                "degradation_policy_ignored",
-                transport="udp",
-                policy=policy,
-                effective="unicast",
-            )
-        fleet.relocate_all(message.max_kid)
-        self._calls += 1
-        report = run_udp_rekey(
-            message,
-            members_by_user_id=fleet.by_user_id(),
-            rho=self.config.rho,
-            drop_probability=self.drop_probability,
-            max_multicast_rounds=deadline_rounds,
-            seed=self._seed + self._calls,
-        )
-        degraded = report["unicast_users"] > 0
-        detail = {
-            "packets_sent": report["packets_sent"],
-            "packets_dropped": report["packets_dropped"],
-        }
-        if policy_ignored:
-            detail["policy_ignored"] = True
-        return DeliveryReport(
-            mode="udp",
-            decision=UNICAST_CUTOVER if degraded else IN_DEADLINE,
-            rho=self.config.rho,
-            multicast_rounds=report["rounds"],
-            unicast_served=report["unicast_users"],
-            recovery_rounds=None,
-            detail=detail,
-        )
-
-
-def make_backend(kind, config, seed=None, drop_probability=0.15,
-                 host="127.0.0.1", port=0, workers=0):
-    """CLI-facing factory: ``direct`` / ``sim`` / ``udp`` / ``wire``."""
+def make_backend(kind, config, seed=None, host="127.0.0.1", port=0,
+                 workers=0):
+    """CLI-facing factory: ``direct`` / ``sim`` / ``wire``."""
     if kind == "direct":
         return DirectDelivery()
     if kind == "sim":
         return SessionDelivery(config, seed=seed)
-    if kind == "udp":
-        return UdpDelivery(
-            config, drop_probability=drop_probability, seed=seed
-        )
     if kind == "wire":
         # Imported lazily: the wire plane pulls in asyncio machinery the
         # simulated backends never need.

@@ -1,7 +1,6 @@
 """The asyncio UDP wire plane: real sockets, deterministic runs.
 
-Where :mod:`repro.net` proves the wire formats are deployable with a
-thread per member, this package scales the same protocol to a
+The one real-socket path: this package runs the rekey protocol for a
 thousand-client fleet on one asyncio event loop (or sharded over worker
 processes) and keeps every run a pure function of its seed:
 

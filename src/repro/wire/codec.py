@@ -24,9 +24,9 @@ inside ``FEEDBACK`` frames so the aggregation window can close early).
 The control frames (``ANNOUNCE``/``ROUND_END``/``FEEDBACK``/
 ``REGISTER``) are this module's own small structs.
 
-The receive-buffer arithmetic lives here too so the thread-based
-loopback endpoints (:mod:`repro.net.endpoints`) and the asyncio plane
-size their buffers from one shared rule instead of a hardcoded 4 KiB.
+The receive-buffer arithmetic lives here too, so the server and client
+sockets size their buffers from one shared rule instead of a hardcoded
+4 KiB.
 """
 
 from __future__ import annotations

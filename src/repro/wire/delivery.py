@@ -334,9 +334,9 @@ class WireDelivery(DeliveryBackend):
     def deliver(self, message, fleet, deadline_rounds=2, policy="unicast"):
         policy_ignored = policy == "carry"
         if policy_ignored:
-            # Same honesty as the UDP backend: the wire plane always
-            # serves stragglers inside the interval, so a configured
-            # carry policy is not in force here.
+            # Not silent: the wire plane always serves stragglers
+            # inside the interval, so a configured carry policy is not
+            # in force here — say so on the bus and in the report.
             self.obs.emit(
                 "degradation_policy_ignored",
                 transport="wire",

@@ -1,9 +1,9 @@
-"""Tests for repro.core.group — the SecureGroup facade."""
+"""Tests for repro.service.group — the SecureGroup facade."""
 
 import numpy as np
 import pytest
 
-from repro.core import GroupConfig, SecureGroup
+from repro import GroupConfig, SecureGroup
 from repro.sim import LossParameters
 
 
@@ -47,6 +47,15 @@ class TestLifecycle:
         former = group.former_members["m1"]
         assert former.group_key != group.server.group_key
 
+    def test_rejoined_member_leaves_the_former_ledger(self):
+        group = make_group()
+        group.leave("m1")
+        group.rekey()
+        group.join("m1")
+        group.rekey()
+        assert "m1" in group.members
+        assert "m1" not in group.former_members
+
     def test_empty_interval(self):
         group = make_group()
         message = group.rekey()
@@ -71,7 +80,7 @@ class TestLossyDelivery:
         group.leave("m7")
         group.rekey(lossy=True)
         assert keys_agree(group)
-        assert group.last_delivery_stats is not None
+        assert group.last_delivery.mode == "session"
 
     def test_lossy_with_high_loss_uses_unicast(self):
         config_loss = LossParameters(alpha=1.0, p_high=0.35, p_low=0.35)
@@ -85,9 +94,9 @@ class TestLossyDelivery:
         group = make_group(n=64, degree=4)
         group.leave("m5")
         group.rekey(lossy=True)
-        stats = group.last_delivery_stats
-        assert stats.n_users == len(group.members)
-        assert stats.n_multicast_rounds >= 1
+        report = group.last_delivery
+        assert len(report.recovery_rounds) == len(group.members)
+        assert report.multicast_rounds >= 1
 
 
 class TestChurn:

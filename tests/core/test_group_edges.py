@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GroupConfig, SecureGroup
+from repro import GroupConfig, SecureGroup
 from repro.sim import LossParameters
 
 
@@ -21,7 +21,7 @@ class TestEmptyIntervals:
         message = group.rekey(lossy=True)
         assert message.is_empty
         assert group.server.group_key == key
-        assert group.last_delivery_stats is None
+        assert group.last_delivery is None
 
     def test_many_empty_intervals(self):
         group = make_group()

@@ -22,7 +22,7 @@ from hypothesis.stateful import (
 )
 import hypothesis.strategies as st
 
-from repro.core import GroupConfig, SecureGroup
+from repro import GroupConfig, SecureGroup
 
 
 class SecureGroupMachine(RuleBasedStateMachine):

@@ -1,4 +1,4 @@
-"""The UDP transport cannot defer stragglers, so a configured ``carry``
+"""The wire plane cannot defer stragglers, so a configured ``carry``
 policy silently degrading would lie to operators.  These tests pin the
 honest path: an obs event at the transport, a counter in the daemon's
 ledger, and a note in the health probe."""
@@ -9,24 +9,14 @@ from repro.service import (
     DaemonConfig,
     MemberFleet,
     RekeyDaemon,
-    UdpDelivery,
     make_backend,
 )
 
 MEMBERS = ["m%02d" % i for i in range(8)]
 
 
-class Events:
-    def __init__(self):
-        self.events = []
-
-    def emit(self, kind, **detail):
-        self.events.append((kind, detail))
-
-
-def lossless_udp(config):
-    # drop_probability=0 keeps the loopback exchange to one round.
-    return make_backend("udp", config, seed=5, drop_probability=0.0)
+def wire_backend(config):
+    return make_backend("wire", config, seed=5)
 
 
 class TestTransport:
@@ -37,27 +27,27 @@ class TestTransport:
         server.request_leave(MEMBERS[0])
         _, message = server.rekey()
         fleet.evict(MEMBERS[0])
-        udp = lossless_udp(config)
-        obs = Events()
-        udp.set_observer(obs)
-        return udp.deliver(message, fleet, policy=policy), obs
+        bus = EventBus()
+        wire = wire_backend(config)
+        wire.set_observer(Recorder(bus=bus))
+        try:
+            report = wire.deliver(message, fleet, policy=policy)
+        finally:
+            wire.close()
+        return report, bus
 
     def test_carry_policy_is_reported_ignored(self):
-        report, obs = self.deliver("carry")
+        report, bus = self.deliver("carry")
         assert report.detail["policy_ignored"] is True
-        kinds = [kind for kind, _ in obs.events]
-        assert "degradation_policy_ignored" in kinds
-        detail = dict(obs.events[kinds.index("degradation_policy_ignored")][1])
-        assert detail == {
-            "transport": "udp", "policy": "carry", "effective": "unicast"
+        (event,) = bus.of_kind("degradation_policy_ignored")
+        assert event["detail"] == {
+            "transport": "wire", "policy": "carry", "effective": "unicast"
         }
 
     def test_unicast_policy_is_silent(self):
-        report, obs = self.deliver("unicast")
+        report, bus = self.deliver("unicast")
         assert "policy_ignored" not in report.detail
-        assert not any(
-            kind == "degradation_policy_ignored" for kind, _ in obs.events
-        )
+        assert bus.of_kind("degradation_policy_ignored") == []
 
 
 class TestDaemonLedger:
@@ -65,16 +55,20 @@ class TestDaemonLedger:
         path = tmp_path / "events.jsonl"
         config = GroupConfig(block_size=5, crypto_seed=2)
         bus = EventBus(path=str(path))
-        daemon = RekeyDaemon.start_new(
-            MEMBERS,
-            config=config,
-            backend=lossless_udp(config),
-            service=DaemonConfig(deadline_policy="carry"),
-            obs=Recorder(bus=bus),
-        )
-        daemon.submit_leave(MEMBERS[1])
-        daemon.run_interval()
-        bus.close()
+        backend = wire_backend(config)
+        try:
+            daemon = RekeyDaemon.start_new(
+                MEMBERS,
+                config=config,
+                backend=backend,
+                service=DaemonConfig(deadline_policy="carry"),
+                obs=Recorder(bus=bus),
+            )
+            daemon.submit_leave(MEMBERS[1])
+            daemon.run_interval()
+        finally:
+            backend.close()
+            bus.close()
         assert daemon.metrics.counters["policy_ignored"] == 1
         health = daemon.metrics.health()
         assert any(

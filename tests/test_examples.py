@@ -20,7 +20,6 @@ CASES = [
     ("wire_walkthrough.py", []),
     ("deadline_provisioning.py", []),
     ("authenticated_membership.py", []),
-    ("localhost_udp_demo.py", ["--members", "24"]),
 ]
 
 
