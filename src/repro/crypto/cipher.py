@@ -20,6 +20,27 @@ from repro.crypto.keys import SymmetricKey
 from repro.errors import CryptoError
 
 _CHECKSUM_LENGTH = 4
+#: Keystream bytes per BLAKE2b call.
+_BLOCK_LENGTH = 32
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+_blake2b = hashlib.blake2b
+_COUNTER_ZERO = (0).to_bytes(8, "big")
+
+
+def _as_bytes(name, data):
+    """``data`` as ``bytes``; anything but a bytes-like object is refused.
+
+    ``bytes(16)`` would silently read an int as sixteen zero bytes, so
+    the constructor is only applied to genuine byte buffers (the wire
+    decoder hands over ``memoryview`` slices).
+    """
+    if data.__class__ is bytes:
+        return data
+    if isinstance(data, _BYTES_LIKE):
+        return bytes(data)
+    raise CryptoError(
+        "%s must be bytes-like, got %s" % (name, type(data).__name__)
+    )
 
 
 class EncryptedKey:
@@ -34,10 +55,15 @@ class EncryptedKey:
     __slots__ = ("_encryption_id", "_ciphertext")
 
     def __init__(self, encryption_id, ciphertext):
+        if type(encryption_id) is not int:
+            raise CryptoError(
+                "encryption_id must be an int, got %s"
+                % type(encryption_id).__name__
+            )
         if encryption_id < 0:
             raise CryptoError("encryption_id must be >= 0")
-        self._encryption_id = int(encryption_id)
-        self._ciphertext = bytes(ciphertext)
+        self._encryption_id = encryption_id
+        self._ciphertext = _as_bytes("ciphertext", ciphertext)
 
     @property
     def encryption_id(self):
@@ -84,22 +110,28 @@ class XorStreamCipher:
 
     @staticmethod
     def _keystream(key, length):
-        blocks = []
-        counter = 0
-        while sum(len(b) for b in blocks) < length:
-            blocks.append(
-                hashlib.blake2b(
-                    counter.to_bytes(8, "big"),
-                    key=key.material,
-                    digest_size=32,
-                ).digest()
+        material = key.material
+        if length <= _BLOCK_LENGTH:
+            # One block covers a 16-byte key wrap (the rekey hot path).
+            stream = _blake2b(
+                _COUNTER_ZERO, key=material, digest_size=_BLOCK_LENGTH
+            ).digest()
+        else:
+            stream = b"".join(
+                [
+                    _blake2b(
+                        counter.to_bytes(8, "big"),
+                        key=material,
+                        digest_size=_BLOCK_LENGTH,
+                    ).digest()
+                    for counter in range(-(-length // _BLOCK_LENGTH))
+                ]
             )
-            counter += 1
-        return b"".join(blocks)[:length]
+        return stream[:length]
 
     @staticmethod
     def _checksum(key, data):
-        return hashlib.blake2b(
+        return _blake2b(
             data, key=key.material, digest_size=_CHECKSUM_LENGTH
         ).digest()
 
@@ -107,37 +139,35 @@ class XorStreamCipher:
         """Encrypt ``plaintext`` bytes under ``key``."""
         if not isinstance(key, SymmetricKey):
             raise CryptoError("key must be a SymmetricKey")
-        plaintext = bytes(plaintext)
+        plaintext = _as_bytes("plaintext", plaintext)
         length = len(plaintext)
-        stream = self._keystream(key, length)
-        # XOR as one big-int op: identical bytes to the per-byte zip,
+        # XOR as one big-int op: identical bytes to a per-byte zip,
         # without a genexpr frame per byte (this runs once per tree
         # edge per rekey, thousands of times an interval).
         body = (
             int.from_bytes(plaintext, "big")
-            ^ int.from_bytes(stream, "big")
+            ^ int.from_bytes(self._keystream(key, length), "big")
         ).to_bytes(length, "big")
         if self._meter is not None:
-            self._meter.record_encrypt(len(plaintext))
+            self._meter.record_encrypt(length)
         return body + self._checksum(key, plaintext)
 
     def decrypt(self, ciphertext, key):
         """Decrypt; raises :class:`CryptoError` on wrong key / corruption."""
         if not isinstance(key, SymmetricKey):
             raise CryptoError("key must be a SymmetricKey")
-        ciphertext = bytes(ciphertext)
-        if len(ciphertext) < _CHECKSUM_LENGTH:
+        ciphertext = _as_bytes("ciphertext", ciphertext)
+        length = len(ciphertext) - _CHECKSUM_LENGTH
+        if length < 0:
             raise CryptoError("ciphertext too short")
-        body, checksum = (
-            ciphertext[:-_CHECKSUM_LENGTH],
-            ciphertext[-_CHECKSUM_LENGTH:],
-        )
-        stream = self._keystream(key, len(body))
-        plaintext = bytes(c ^ s for c, s in zip(body, stream))
-        if self._checksum(key, plaintext) != checksum:
+        plaintext = (
+            int.from_bytes(ciphertext[:length], "big")
+            ^ int.from_bytes(self._keystream(key, length), "big")
+        ).to_bytes(length, "big")
+        if self._checksum(key, plaintext) != ciphertext[length:]:
             raise CryptoError("decryption failed: wrong key or corrupt data")
         if self._meter is not None:
-            self._meter.record_decrypt(len(body))
+            self._meter.record_decrypt(length)
         return plaintext
 
     def encrypt_key(self, new_key, under_key, encryption_id=None):

@@ -29,6 +29,19 @@ class CryptoOp(enum.Enum):
     SIGN = "sign"
     VERIFY = "verify"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality; Enum's own ``__hash__`` is a Python
+    # function (``hash(self._name_)``) and the meter hashes an op on
+    # every primitive call.
+    __hash__ = object.__hash__
+
+
+# Bound once for the meter's per-primitive recorders: attribute access
+# on an Enum class is a metaclass lookup, not a plain dict hit.
+_KEYGEN = CryptoOp.KEYGEN
+_ENCRYPT = CryptoOp.ENCRYPT
+_DECRYPT = CryptoOp.DECRYPT
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -101,18 +114,19 @@ class CostMeter:
     def _bump(self, op, n=1):
         if op.__class__ is not CryptoOp:
             op = CryptoOp(op)
-        self.counts[op] = self.counts.get(op, 0) + n
+        counts = self.counts
+        counts[op] = counts.get(op, 0) + n
         self.seconds += n * self.model._table[op]
 
     def record_keygen(self):
-        self._bump(CryptoOp.KEYGEN)
+        self._bump(_KEYGEN)
 
     def record_encrypt(self, nbytes=16):
         # Per-key encryption cost; nbytes kept for interface symmetry.
-        self._bump(CryptoOp.ENCRYPT)
+        self._bump(_ENCRYPT)
 
     def record_decrypt(self, nbytes=16):
-        self._bump(CryptoOp.DECRYPT)
+        self._bump(_DECRYPT)
 
     def record_sign(self):
         self._bump(CryptoOp.SIGN)

@@ -15,6 +15,8 @@ from repro.util.validation import check_non_negative
 
 KEY_LENGTH = 16  # bytes of key material, AES-128-sized
 
+_blake2b = hashlib.blake2b
+
 
 class SymmetricKey:
     """An immutable 16-byte symmetric key with a logical identity.
@@ -27,20 +29,32 @@ class SymmetricKey:
     __slots__ = ("_material", "_node_id", "_version")
 
     def __init__(self, material, node_id=0, version=0):
-        if not isinstance(material, (bytes, bytearray)):
-            raise CryptoError(
-                "key material must be bytes, got %s" % type(material).__name__
-            )
+        if material.__class__ is not bytes:
+            if not isinstance(material, (bytes, bytearray)):
+                raise CryptoError(
+                    "key material must be bytes, got %s"
+                    % type(material).__name__
+                )
+            material = bytes(material)
         if len(material) != KEY_LENGTH:
             raise CryptoError(
                 "key material must be %d bytes, got %d"
                 % (KEY_LENGTH, len(material))
             )
-        check_non_negative("node_id", node_id, integral=True)
-        check_non_negative("version", version, integral=True)
-        self._material = bytes(material)
-        self._node_id = int(node_id)
-        self._version = int(version)
+        # Keys are built once per keygen and per decryption, so the
+        # common plain-int identity skips the validator call; anything
+        # else gets the full check (and int subclasses are normalised).
+        if type(node_id) is not int or node_id < 0:
+            node_id = int(
+                check_non_negative("node_id", node_id, integral=True)
+            )
+        if type(version) is not int or version < 0:
+            version = int(
+                check_non_negative("version", version, integral=True)
+            )
+        self._material = material
+        self._node_id = node_id
+        self._version = version
 
     @property
     def material(self):
@@ -100,15 +114,21 @@ class KeyFactory:
 
     def new_key(self, node_id, version):
         """Derive the key for ``node_id`` at ``version``."""
-        check_non_negative("node_id", node_id, integral=True)
-        check_non_negative("version", version, integral=True)
-        digest = hashlib.blake2b(
+        if type(node_id) is not int or node_id < 0:
+            node_id = int(
+                check_non_negative("node_id", node_id, integral=True)
+            )
+        if type(version) is not int or version < 0:
+            version = int(
+                check_non_negative("version", version, integral=True)
+            )
+        digest = _blake2b(
             self._seed
-            + int(node_id).to_bytes(8, "big")
-            + int(version).to_bytes(8, "big"),
+            + node_id.to_bytes(8, "big")
+            + version.to_bytes(8, "big"),
             digest_size=KEY_LENGTH,
         ).digest()
         self._generated += 1
         if self._meter is not None:
             self._meter.record_keygen()
-        return SymmetricKey(digest, node_id=node_id, version=version)
+        return SymmetricKey(digest, node_id, version)

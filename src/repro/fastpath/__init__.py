@@ -8,11 +8,13 @@ the only path ``serve``, the soaks and the tenants run) is this package;
 kept so tests can hold the array plane to it byte for byte.
 
 - :mod:`~repro.fastpath.marking` — the shipping marker: re-marks only
-  the paths a batch touches, with the ancestor frontier and the
-  per-user needs enumeration as whole-array operations;
+  the paths a batch touches, with the ancestor frontier as a whole-array
+  operation and the per-user needs read off a per-k-node chain table;
 - :mod:`~repro.fastpath.session` — a :class:`RekeySession` subclass
   whose per-round reception, block-ID estimation, FEC bookkeeping and
-  NACK synthesis are masked array reductions instead of per-user loops;
+  NACK synthesis are masked array reductions instead of per-user loops,
+  and which hands every user's recovered encryptions to the delivery
+  layer in one pass;
 - :mod:`~repro.fastpath.absorb` — fleet-wide relocation and encryption
   absorption with a shared decryption memo.
 

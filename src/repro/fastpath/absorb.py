@@ -21,7 +21,9 @@ state byte-identical (``tests/fastpath`` diffs every member's
   (failing) decryption attempt, exactly as the per-member path would;
 - indexing each recovered-encryption list by encryption ID once per
   *distinct list object* (members delivered by the same multicast slot
-  share one tuple — see ``_UserView.recovered_shared``), so per member
+  share one tuple — see
+  :meth:`~repro.fastpath.session.ArrayRekeySession.recovered_by_user`,
+  which hands the whole fleet's tuples over in one pass), so per member
   the on-path filter is an O(height) walk of dict probes instead of an
   O(list) scan plus a sort.
 """
@@ -33,6 +35,10 @@ import numpy as np
 from repro.crypto.cipher import XorStreamCipher
 from repro.errors import CryptoError, KeyTreeError, TransportError
 from repro.keytree import ids as idmath
+
+
+#: Memo miss marker (a memoised ``None`` is a remembered failed decryption).
+_UNSEEN = object()
 
 
 class FleetAbsorber:
@@ -135,9 +141,8 @@ class FleetAbsorber:
                     )
                 parent_id = (node_id - 1) // d
                 token = (node_id, encrypted.ciphertext, child_key.material)
-                if token in memo:
-                    new_key = memo[token]
-                else:
+                new_key = memo.get(token, _UNSEEN)
+                if new_key is _UNSEEN:
                     try:
                         new_key = self._cipher.decrypt_key(
                             encrypted, child_key, node_id=parent_id

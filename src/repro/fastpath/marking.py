@@ -16,9 +16,10 @@ replaces the scans:
 - the ancestor frontier, once large enough to beat the object walk, is
   an iterated ``(id - 1) // d`` parent map with per-level ``np.unique``
   dedup;
-- needs enumeration is level-synchronous path ascent over the sorted
-  u-node ID column with ``np.isin`` membership tests against the
-  updated-k-node set.
+- needs enumeration reads a chain table memoised per k-node: a user's
+  needs are its own ID (when its parent was updated) followed by its
+  parent's chain, so each k-node's chain is built once and shared by
+  every user below it (:class:`ArrayBatchResult`).
 
 Key-version bumps and key material regeneration stay per-node: each new
 key is an independent BLAKE2b derivation, so there is nothing to fuse —
@@ -39,39 +40,59 @@ from repro.keytree.nodes import NodeKind
 
 
 class ArrayBatchResult(BatchResult):
-    """BatchResult whose needs enumeration is a whole-array operation.
+    """BatchResult whose needs enumeration reads a per-k-node chain table.
 
-    Produces a dict equal (same keys, same ordered value lists) to the
-    oracle's per-path walk — the differential suite compares them
-    directly — while touching each (user, level) pair only inside numpy.
+    A user's needs are the path nodes whose parent was updated, deepest
+    first: ``needs(u) = [u if parent(u) is updated] + needs(parent(u))``.
+    The tail ``needs(parent(u))`` depends only on the k-node, so it is
+    memoised once per k-node; per user that leaves one set probe and at
+    most one short list.  The dict equals the oracle's per-path walk key
+    for key, in the same order (the differential suite compares
+    ``list(items())``).
+
+    Users whose own edge is not needed get their parent's memoised list
+    itself, so siblings may share one list object: the lists are
+    read-only, as every consumer (assignment, packet building, delivery)
+    already treats them.
     """
 
     def needs_by_user(self):
         if self._needs_cache is not None:
             return self._needs_cache
-        updated = np.asarray(
-            self.subtree.updated_knode_ids, dtype=np.int64
-        )
-        u_ids = np.asarray(self.tree.u_node_ids(), dtype=np.int64)
-        if len(u_ids) == 0 or len(updated) == 0:
-            self._needs_cache = {}
-            return self._needs_cache
-        d = self.tree.degree
-        current = u_ids.copy()
-        level_columns = []
-        while np.any(current > 0):
-            parent = np.where(current > 0, (current - 1) // d, 0)
-            wanted = (current > 0) & np.isin(parent, updated)
-            level_columns.append(np.where(wanted, current, -1))
-            current = np.where(current > 0, parent, 0)
-        columns = np.stack(level_columns, axis=1)
+        updated = self.subtree._updated_set
         needs = {}
-        for u_id, row in zip(u_ids.tolist(), columns.tolist()):
-            wanted = [child for child in row if child >= 0]
-            if wanted:
-                needs[u_id] = wanted
+        if updated:
+            d = self.tree.degree
+            # k-node ID -> needs(k-node), built once per k-node
+            above = {0: []}
+            for u_id in self.tree.u_node_ids():
+                if u_id == 0:
+                    continue  # a lone user at the root needs nothing
+                parent = (u_id - 1) // d
+                tail = above.get(parent)
+                if tail is None:
+                    tail = _fill_chain(above, parent, d, updated)
+                if parent in updated:
+                    needs[u_id] = [u_id] + tail
+                elif tail:
+                    needs[u_id] = tail
         self._needs_cache = needs
         return needs
+
+
+def _fill_chain(above, node_id, degree, updated):
+    """Memoise ``above`` for ``node_id`` and its unvisited ancestors."""
+    pending = []
+    while node_id not in above:
+        pending.append(node_id)
+        node_id = (node_id - 1) // degree
+    tail = above[node_id]
+    for node_id in reversed(pending):
+        parent = (node_id - 1) // degree
+        if parent in updated:
+            tail = [node_id] + tail
+        above[node_id] = tail
+    return tail
 
 
 #: Below this many touched leaves the object-level frontier walk wins

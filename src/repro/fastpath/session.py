@@ -54,8 +54,10 @@ class _UserView:
 
     Presents the slice of :class:`~repro.transport.user.UserTransport`
     the rest of the system touches after the multicast loop: ``done``,
-    ``recovery_round``, ``recovered_encryptions`` (the delivery layer's
-    absorb input) and ``on_usr`` (the unicast mop-up's entry point).
+    ``recovery_round``, ``recovered_encryptions`` and ``on_usr`` (the
+    unicast mop-up's entry point).  The delivery layer's absorb input
+    comes from :meth:`ArrayRekeySession.recovered_by_user` instead, in
+    one pass over the arrays.
     """
 
     __slots__ = ("_session", "_position", "user_id")
@@ -88,23 +90,6 @@ class _UserView:
         # the covering plan slot's.
         slot = int(session._own_slot[self._position])
         return list(session.message.enc_packets()[slot].encryptions)
-
-    def recovered_shared(self):
-        """:attr:`recovered_encryptions` without the defensive copy.
-
-        Members recovered by the same multicast slot share one
-        encryption tuple, which is what lets the fleet absorber key its
-        per-list index on object identity instead of re-scanning the
-        list per member.  Callers must not mutate the result.
-        """
-        session = self._session
-        if not session._done[self._position]:
-            return None
-        usr = session._usr_encryptions.get(self._position)
-        if usr is not None:
-            return usr
-        slot = int(session._own_slot[self._position])
-        return session.message.enc_packets()[slot].encryptions
 
     def on_usr(self, packet):
         session = self._session
@@ -346,6 +331,28 @@ class ArrayRekeySession(RekeySession):
         return nacks
 
     # -- aggregates ---------------------------------------------------------
+
+    def recovered_by_user(self):
+        """Every user's recovered encryptions, in ``user_ids`` order.
+
+        ``None`` for a user not done.  Users recovered by multicast get
+        their covering plan slot's tuple itself, not a copy (whichever
+        packet delivered them — original, duplicate or FEC-decoded —
+        carried exactly those encryptions), so users of one slot share
+        one object and the fleet absorber indexes it once.  Callers must
+        not mutate the results.
+        """
+        slots = [packet.encryptions for packet in self.message.enc_packets()]
+        recovered = [
+            slots[slot] if done else None
+            for done, slot in zip(
+                self._done.tolist(), self._own_slot.tolist()
+            )
+        ]
+        # Unicast mop-up users (all done) got their own USR tuple.
+        for position, encryptions in self._usr_encryptions.items():
+            recovered[position] = encryptions
+        return recovered
 
     def _n_done(self):
         return int(self._done.sum())

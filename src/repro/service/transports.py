@@ -190,10 +190,8 @@ class SessionDelivery(DeliveryBackend):
         else:
             fleet.relocate_all(message.max_kid)
         by_id = fleet.by_user_id()
-        user_rounds = {
-            user_id: int(stats.user_rounds[index])
-            for index, user_id in enumerate(session.user_ids)
-        }
+        recovery_rounds = stats.user_rounds.tolist()
+        user_rounds = dict(zip(session.user_ids, recovery_rounds))
         carried = []
         if policy == "carry":
             carried = sorted(
@@ -202,7 +200,17 @@ class SessionDelivery(DeliveryBackend):
                 if rounds == 0 and user_id in by_id
             )
         carried_set = set(carried)
-        for user_id, transport in session.users.items():
+        if absorber is not None:
+            # One pass over the session's arrays; members of one
+            # multicast slot share its tuple, which the absorber
+            # indexes exactly once.
+            recovered = zip(session.user_ids, session.recovered_by_user())
+        else:
+            recovered = (
+                (user_id, transport.recovered_encryptions)
+                for user_id, transport in session.users.items()
+            )
+        for user_id, encryptions in recovered:
             member = by_id.get(user_id)
             if member is None:
                 raise ServiceError(
@@ -211,12 +219,10 @@ class SessionDelivery(DeliveryBackend):
             if member.name in carried_set:
                 continue
             if absorber is not None:
-                # recovered_shared skips the defensive copy so the
-                # absorber can index each slot's tuple exactly once.
-                absorber.absorb(member, transport.recovered_shared())
+                absorber.absorb(member, encryptions)
             else:
                 member.absorb_encryptions(
-                    transport.recovered_encryptions, max_kid=message.max_kid
+                    encryptions, max_kid=message.max_kid
                 )
 
         if carried:
@@ -235,9 +241,7 @@ class SessionDelivery(DeliveryBackend):
             multicast_rounds=stats.n_multicast_rounds,
             first_round_nacks=stats.first_round_nacks,
             unicast_served=unicast_served,
-            recovery_rounds=[
-                user_rounds[user_id] for user_id in session.user_ids
-            ],
+            recovery_rounds=recovery_rounds,
             carried=carried,
             detail={
                 "multicast_packets": stats.total_multicast_packets,

@@ -34,6 +34,10 @@ def check_type(name, value, expected_type):
 
 def check_positive(name, value, integral=False):
     """Raise unless ``value`` is a real number strictly greater than zero."""
+    # A plain positive int passes either way; everything else (bool,
+    # floats, numpy scalars, out-of-range values) takes the full check.
+    if type(value) is int and value > 0:
+        return value
     check_type(name, value, int if integral else Real)
     if value <= 0:
         raise ConfigurationError("%s must be > 0, got %r" % (name, value))
@@ -42,6 +46,8 @@ def check_positive(name, value, integral=False):
 
 def check_non_negative(name, value, integral=False):
     """Raise unless ``value`` is a real number greater than or equal to 0."""
+    if type(value) is int and value >= 0:
+        return value
     check_type(name, value, int if integral else Real)
     if value < 0:
         raise ConfigurationError("%s must be >= 0, got %r" % (name, value))

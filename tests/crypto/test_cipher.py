@@ -1,7 +1,7 @@
 """Tests for repro.crypto.cipher."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.crypto.cipher import (
     ENCRYPTION_WIRE_SIZE,
@@ -10,6 +10,8 @@ from repro.crypto.cipher import (
 )
 from repro.crypto.keys import KeyFactory
 from repro.errors import CryptoError
+
+from tests.hypothesis_compat import given, st
 
 
 @pytest.fixture
@@ -134,3 +136,54 @@ class TestEncryptedKey:
     def test_rejects_negative_id(self):
         with pytest.raises(CryptoError):
             EncryptedKey(-1, b"abc")
+
+
+class TestBytesLikeOnly:
+    """``bytes(16)`` is sixteen zero bytes, so ints (and other
+    non-buffers) must be refused rather than converted."""
+
+    @pytest.mark.parametrize("bad", [16, 0, True, "abc", [1, 2, 3], None])
+    def test_encrypt_rejects_non_buffer_plaintext(self, cipher, keys, bad):
+        key, _ = keys
+        with pytest.raises(CryptoError, match="bytes-like"):
+            cipher.encrypt(bad, key)
+
+    @pytest.mark.parametrize("bad", [20, True, "abcdefgh", None])
+    def test_decrypt_rejects_non_buffer_ciphertext(self, cipher, keys, bad):
+        key, _ = keys
+        with pytest.raises(CryptoError, match="bytes-like"):
+            cipher.decrypt(bad, key)
+
+    @pytest.mark.parametrize("bad", [20, "abc", None])
+    def test_encrypted_key_rejects_non_buffer_ciphertext(self, bad):
+        with pytest.raises(CryptoError, match="bytes-like"):
+            EncryptedKey(3, bad)
+
+    @pytest.mark.parametrize(
+        "wrap", [bytes, bytearray, memoryview], ids=lambda t: t.__name__
+    )
+    def test_buffers_are_accepted(self, cipher, keys, wrap):
+        key, _ = keys
+        ciphertext = cipher.encrypt(wrap(b"payload"), key)
+        assert type(ciphertext) is bytes
+        assert cipher.decrypt(wrap(ciphertext), key) == b"payload"
+        encrypted = EncryptedKey(5, wrap(ciphertext))
+        assert type(encrypted.ciphertext) is bytes
+        assert encrypted.ciphertext == ciphertext
+
+    def test_memoryview_slice_as_the_wire_decoder_passes(self):
+        frame = memoryview(b"\x00\x05abcdef")
+        assert EncryptedKey(5, frame[2:]).ciphertext == b"abcdef"
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, 3.7, 3.0, "3", None, np.int64(3)], ids=repr
+    )
+    def test_encryption_id_must_be_a_plain_int(self, bad):
+        with pytest.raises(CryptoError):
+            EncryptedKey(bad, b"abc")
+
+    def test_encrypt_key_rejects_a_non_int_encryption_id(self, cipher, keys):
+        child_key, _ = keys
+        new_key = KeyFactory(seed=9).new_key(0, 1)
+        with pytest.raises(CryptoError):
+            cipher.encrypt_key(new_key, child_key, encryption_id=1.0)

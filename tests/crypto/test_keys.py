@@ -1,10 +1,14 @@
 """Tests for repro.crypto.keys."""
 
+import enum
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.crypto.keys import KEY_LENGTH, KeyFactory, SymmetricKey
-from repro.errors import CryptoError
+from repro.errors import ConfigurationError, CryptoError
+
+from tests.hypothesis_compat import given, st
 
 
 class TestSymmetricKey:
@@ -111,3 +115,44 @@ class TestKeyFactory:
             assert key_a != key_b
         else:
             assert key_a == key_b
+
+
+class _Identity(enum.IntEnum):
+    NODE = 12
+
+
+class TestIdentityValidationParity:
+    """Node IDs and versions get exactly the validator's verdict: the
+    plain-int shortcut in the constructors changes no outcome."""
+
+    REJECTED = [True, False, -1, 2.5, 3.0, np.int64(3), np.int64(-1)]
+
+    @pytest.mark.parametrize("bad", REJECTED, ids=repr)
+    def test_symmetric_key_rejects(self, bad):
+        with pytest.raises(ConfigurationError):
+            SymmetricKey(b"\x01" * 16, node_id=bad)
+        with pytest.raises(ConfigurationError):
+            SymmetricKey(b"\x01" * 16, version=bad)
+
+    @pytest.mark.parametrize("bad", REJECTED, ids=repr)
+    def test_new_key_rejects(self, bad):
+        factory = KeyFactory(seed=1)
+        with pytest.raises(ConfigurationError):
+            factory.new_key(bad, 0)
+        with pytest.raises(ConfigurationError):
+            factory.new_key(0, bad)
+        assert factory.generated_count == 0
+
+    def test_int_subclass_is_normalised(self):
+        key = SymmetricKey(b"\x01" * 16, node_id=_Identity.NODE, version=0)
+        assert type(key.node_id) is int and key.node_id == 12
+        derived = KeyFactory(seed=1).new_key(_Identity.NODE, _Identity.NODE)
+        assert type(derived.node_id) is int and type(derived.version) is int
+        assert derived == KeyFactory(seed=1).new_key(12, 12)
+
+    def test_bytes_subclass_material_is_copied_to_bytes(self):
+        class Material(bytes):
+            pass
+
+        key = SymmetricKey(Material(b"\x07" * 16))
+        assert type(key.material) is bytes

@@ -25,7 +25,7 @@ comparisons must go through ``label_of``, not the dict.
 import json
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
 
 from repro.crypto.keys import KeyFactory
 from repro.fastpath.marking import (
@@ -37,6 +37,8 @@ from repro.fastpath.marking import (
 from repro.keytree import KeyTree
 from repro.keytree.marking import MarkingAlgorithm
 from repro.keytree.persistence import tree_to_dict
+
+from tests.hypothesis_compat import given, settings, st
 
 
 def make_tree_pair(n_users, degree, key_seed=7):
@@ -69,7 +71,11 @@ def assert_batches_equal(oracle, candidate):
     assert oracle.departed_ids == candidate.departed_ids
     assert oracle.moved == candidate.moved
     assert oracle.max_knode_id == candidate.max_knode_id
-    assert oracle.needs_by_user() == candidate.needs_by_user()
+    # Items, not dict ==: the needs map's key order is the order the
+    # assigner and the session see users in.
+    assert list(oracle.needs_by_user().items()) == list(
+        candidate.needs_by_user().items()
+    )
     # Labels agree through label_of (see module docstring).
     for node_id in set(oracle.subtree.labels) | set(
         candidate.subtree.labels
@@ -139,6 +145,30 @@ class TestRandomChurnDifferential:
             for _ in range(6)
         ]
         run_intervals(schedule, n_users=64, degree=4, key_seed=seed)
+
+
+class TestDeterministicChurnDifferential:
+    """Fixed-seed traces that run without hypothesis installed."""
+
+    def test_256_users_20_interval_churn_trace(self):
+        rng = np.random.default_rng(2001)
+        schedule = [
+            (int(rng.integers(0, 40)), int(rng.integers(0, 40)))
+            for _ in range(20)
+        ]
+        run_intervals(schedule, n_users=256, degree=4, key_seed=11)
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    @pytest.mark.parametrize("n_users", range(1, 9))
+    def test_tiny_trees(self, n_users, degree):
+        """Single-user roots, half-full levels, and churn that empties
+        and refills them."""
+        run_intervals(
+            [(1, 0), (0, 1), (2, 2), (0, n_users), (3, 1), (n_users, 2)],
+            n_users=n_users,
+            degree=degree,
+            key_seed=n_users,
+        )
 
 
 class TestAncestorFrontier:
