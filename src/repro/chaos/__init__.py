@@ -15,11 +15,13 @@ on demand and reproducibly:
 - :mod:`repro.chaos.plans` — named, versioned plans (``standard``,
   ``io-storm``, ``storage-corruptor``, ``feedback-abuse``,
   ``unrecoverable``) the CLI and CI run.
-- :mod:`repro.chaos.soak` — the harness: run a durable daemon under a
-  plan, restart it after every storage mutation, and assert the
-  recovery invariants (agreement, bounded recovery, snapshot/WAL
-  round-trip).  Every injection and recovery is an obs event, so the
-  whole run digests to one reproducible hash.
+- :mod:`repro.chaos.soak` — the one soak harness (:func:`run_soak`)
+  behind every fault-soak family (chaos, HA, wire, tenancy), and the
+  chaos family itself: run a durable daemon under a plan, restart it
+  after every storage mutation, and assert the recovery invariants
+  (agreement, bounded recovery, snapshot/WAL round-trip).  Every
+  injection and recovery is an obs event, so the whole run digests to
+  one reproducible hash.
 
 Everything here is deterministic: the same ``(plan, seed)`` produces
 the identical fault sequence, byte offsets included.  See
@@ -43,17 +45,7 @@ from repro.chaos.seams import (
     FaultyFilesystem,
     Filesystem,
 )
-
-
-def __getattr__(name):
-    # The soak harness imports repro.service, which itself adopts the
-    # seams above — importing it eagerly here would be a cycle, so the
-    # two harness entry points resolve lazily (PEP 562).
-    if name in ("SoakResult", "run_soak"):
-        from repro.chaos import soak
-
-        return getattr(soak, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+from repro.chaos.soak import SoakResult, run_soak
 
 __all__ = [
     "Clock",

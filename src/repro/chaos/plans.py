@@ -102,13 +102,6 @@ PLAN_DESCRIPTIONS = {
 }
 
 
-def describe_plans(names=None):
-    """``(name, description)`` pairs for the ``--list-plans`` flag."""
-    if names is None:
-        names = PLAN_NAMES + HA_PLAN_NAMES
-    return [(name, PLAN_DESCRIPTIONS[name]) for name in names]
-
-
 def make_plan(name, seed=7):
     """Build the named :class:`FaultPlan` with damage drawn from ``seed``."""
     if name == "standard":

@@ -35,9 +35,10 @@ compared against the plan's rates — and drop-like faults apply only to
 the *first* occurrence of a coordinate.  Retransmissions reuse the
 coordinates of the frame they repeat, so retries always get through,
 the run converges, and how *many* retries the scheduler needed never
-enters the fault record.  The timeline of first applications (and its
-:func:`fault_timeline_digest`) is therefore identical for the same
-``(plan, seed)`` on any machine and under any worker placement: the
+enters the fault record.  The timeline of first applications, sorted (receive-side ones land in
+socket-arrival order, which the scheduler owns), is therefore identical
+for the same ``(plan, seed)`` on any machine and under any worker
+placement: the
 injector lives in the server process, and the client side of the fleet
 never makes a fault decision.
 """
@@ -45,7 +46,6 @@ never makes a fault decision.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 
 from repro.errors import ChaosError
@@ -123,8 +123,8 @@ class DatagramFaultInjector:
         self.params = params
         self.seed = int(seed)
         self.obs = obs
-        #: first-application records, the digest input (see
-        #: :func:`fault_timeline_digest`)
+        #: first-application records, in arrival order (only the sorted
+        #: set is a pure function of the plan and seed)
         self.timeline = []
         #: per-family totals of *applied* (first-occurrence) faults
         self.applied = {}
@@ -308,22 +308,6 @@ class DatagramFaultInjector:
             out.append(wire)
             self._record_frame("duplicate", "recv", member_index, frame)
         return out
-
-
-def fault_timeline_digest(timeline):
-    """SHA-256 over the *sorted* canonical fault applications.
-
-    Sorted, not sequenced: send-side first applications happen in
-    deterministic program order, but receive-side ones land in socket
-    arrival order, which the scheduler owns.  The *set* of applications
-    is a pure function of ``(plan, seed)``; its order is not.
-    """
-    canonical = sorted(
-        json.dumps(entry, sort_keys=True) for entry in timeline
-    )
-    return hashlib.sha256(
-        "\n".join(canonical).encode("utf-8")
-    ).hexdigest()
 
 
 # -- wire chaos plans ----------------------------------------------------

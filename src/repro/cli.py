@@ -42,9 +42,14 @@ heterogeneous groups on one deadline-aware scheduler with per-tenant
 WAL/snapshot namespacing under ``--state-dir`` (see
 ``docs/tenancy.md``).
 
-The four digest-pinned soak commands (``chaos-soak``, ``ha-soak``,
-``fleet``, ``wire-chaos-soak``, plus ``tenancy-soak``) share one
-result protocol and one exit-code contract, implemented by
+The four soak commands (``chaos-soak``, ``ha-soak``,
+``wire-chaos-soak``, ``tenancy-soak``) are one table,
+:data:`_SOAK_COMMANDS`, over the soak families of the one harness
+(:func:`repro.chaos.soak.run_soak`): each row names its family, its
+``--plan`` choices and size flags, and its summary lines; the shared
+flags (``--seed``, ``--obs-file``, ``--expect-digest``, ``--json``,
+``--list-plans``) are added once.  They and ``fleet`` share one result
+protocol and one exit-code contract, implemented by
 :func:`run_soak_command`: 0 = all invariants green, 1 = a failure or a
 violated invariant, 2 = configuration error, 3 = digest mismatch,
 4 = a worker process died.
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 
 
 def _build_parser():
@@ -258,132 +264,13 @@ def _build_parser():
         "timelines and the per-cohort latency CDF from its streams",
     )
 
-    chaos = sub.add_parser(
-        "chaos-soak",
-        help="run the daemon under a deterministic fault plan",
-    )
-    chaos.add_argument(
-        "--plan",
-        choices=["standard", "io-storm", "storage-corruptor",
-                 "feedback-abuse", "unrecoverable"],
-        default="standard",
-        help="named fault plan (see docs/robustness.md)",
-    )
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument(
-        "--intervals",
-        type=int,
-        default=None,
-        help="override the plan's designed interval count",
-    )
-    chaos.add_argument("--members", type=int, default=24)
-    chaos.add_argument(
-        "--state-dir",
-        default=None,
-        help="WAL/snapshot directory (default: a fresh temp dir)",
-    )
-    chaos.add_argument(
-        "--obs-file",
-        default=None,
-        metavar="PATH",
-        help="also write the event stream as JSONL (for obs-report)",
-    )
-    chaos.add_argument(
-        "--expect-digest",
-        default=None,
-        metavar="SHA256",
-        help="fail unless the run's fault-timeline digest matches",
-    )
-    chaos.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the soak result as JSON at the end",
-    )
-    chaos.add_argument(
-        "--list-plans",
-        action="store_true",
-        help="list every named fault plan (single-node and HA) and exit",
-    )
-
-    ha = sub.add_parser(
-        "ha-soak",
-        help="run a leader/standby pair under a cluster fault plan",
-    )
-    ha.add_argument(
-        "--plan",
-        choices=["leader-kill", "replication-partition", "split-brain"],
-        default="leader-kill",
-        help="named cluster fault plan (see docs/ha.md)",
-    )
-    ha.add_argument("--seed", type=int, default=7)
-    ha.add_argument(
-        "--intervals",
-        type=int,
-        default=None,
-        help="override the plan's designed interval count",
-    )
-    ha.add_argument("--members", type=int, default=24)
-    ha.add_argument(
-        "--state-dir",
-        default=None,
-        help="shared WAL/snapshot/lease directory (default: temp dir)",
-    )
-    ha.add_argument(
-        "--obs-file",
-        default=None,
-        metavar="PATH",
-        help="also write the event stream as JSONL (for obs-report)",
-    )
-    ha.add_argument(
-        "--expect-digest",
-        default=None,
-        metavar="SHA256",
-        help="fail unless the run's fault-timeline digest matches",
-    )
-    ha.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the soak result as JSON at the end",
-    )
-    ha.add_argument(
-        "--list-plans",
-        action="store_true",
-        help="list the cluster fault plans and exit",
-    )
-
-    fleet = sub.add_parser(
+    fleet = _add_run_parser(
+        sub,
         "fleet",
-        help="drive a client fleet over real UDP loopback",
-    )
-    fleet.add_argument(
-        "--plan",
-        default="smoke",
-        help="named fleet plan (see --list-plans; docs/networking.md)",
-    )
-    fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        help="override the plan's client count",
-    )
-    fleet.add_argument(
-        "--intervals",
-        type=int,
-        default=None,
-        help="override the plan's interval count",
-    )
-    fleet.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the plan's worker-process count (0 = in-process)",
-    )
-    fleet.add_argument(
-        "--obs-file",
-        default=None,
-        metavar="PATH",
-        help="also write the event stream as JSONL (for obs-report)",
+        "drive a client fleet over real UDP loopback",
+        "smoke",
+        ("clients", "intervals", "workers"),
+        "fleet digest",
     )
     fleet.add_argument(
         "--obs-dir",
@@ -393,125 +280,15 @@ def _build_parser():
         "stream per process (server.jsonl + worker-NN.jsonl); "
         "analyse with `repro obs-report --trace-dir DIR`",
     )
-    fleet.add_argument(
-        "--expect-digest",
-        default=None,
-        metavar="SHA256",
-        help="fail unless the run's fleet digest matches",
-    )
-    fleet.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the fleet result as JSON at the end",
-    )
-    fleet.add_argument(
-        "--list-plans",
-        action="store_true",
-        help="list every named fleet plan and exit",
-    )
-
-    wire_chaos = sub.add_parser(
-        "wire-chaos-soak",
-        help="run the wire plane under a survivability fault plan",
-    )
-    wire_chaos.add_argument(
-        "--plan",
-        default="datagram-storm",
-        help="named wire fault plan (see --list-plans; "
-        "docs/robustness.md)",
-    )
-    wire_chaos.add_argument("--seed", type=int, default=7)
-    wire_chaos.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        help="override the plan's client count",
-    )
-    wire_chaos.add_argument(
-        "--intervals",
-        type=int,
-        default=None,
-        help="override the plan's interval count",
-    )
-    wire_chaos.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the plan's worker-process count (0 = in-process)",
-    )
-    wire_chaos.add_argument(
-        "--obs-file",
-        default=None,
-        metavar="PATH",
-        help="also write the event stream as JSONL (for obs-report)",
-    )
-    wire_chaos.add_argument(
-        "--expect-digest",
-        default=None,
-        metavar="SHA256",
-        help="fail unless the run's wire-timeline digest matches",
-    )
-    wire_chaos.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the soak result as JSON at the end",
-    )
-    wire_chaos.add_argument(
-        "--list-plans",
-        action="store_true",
-        help="list every named wire fault plan and exit",
-    )
-
-    tenancy = sub.add_parser(
-        "tenancy-soak",
-        help="run the multi-tenant key service under an abuse plan",
-    )
-    tenancy.add_argument(
-        "--plan",
-        choices=["noisy-neighbor", "tenant-wal-corruption", "mass-rehome"],
-        default="noisy-neighbor",
-        help="named tenancy plan (see --list-plans; docs/tenancy.md)",
-    )
-    tenancy.add_argument("--seed", type=int, default=7)
-    tenancy.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        help="override the plan's tenant count",
-    )
-    tenancy.add_argument(
-        "--ticks",
-        type=int,
-        default=None,
-        help="override the plan's scheduler tick count",
-    )
-    tenancy.add_argument(
-        "--state-root",
-        default=None,
-        help="shared storage root for all tenants (default: temp dir)",
-    )
-    tenancy.add_argument(
-        "--obs-file",
-        default=None,
-        metavar="PATH",
-        help="also write the event stream as JSONL (for obs-report)",
-    )
-    tenancy.add_argument(
-        "--expect-digest",
-        default=None,
-        metavar="SHA256",
-        help="fail unless the run's tenancy-timeline digest matches",
-    )
-    tenancy.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the soak result as JSON at the end",
-    )
-    tenancy.add_argument(
-        "--list-plans",
-        action="store_true",
-        help="list the tenancy plans and exit",
-    )
+    for command, soak in _SOAK_COMMANDS.items():
+        _add_run_parser(
+            sub,
+            command,
+            soak.help,
+            soak.plan_default,
+            soak.sizes,
+            soak.digest_label,
+        )
     return parser
 
 
@@ -963,13 +740,6 @@ def _cmd_obs_report(args, out):
     return 0
 
 
-def _print_plans(names, out):
-    from repro.chaos.plans import describe_plans
-
-    for name, description in describe_plans(names):
-        print("  %-22s %s" % (name, description), file=out)
-
-
 def run_soak_command(
     args,
     out,
@@ -1047,104 +817,6 @@ def run_soak_command(
     return 0
 
 
-def _cmd_chaos_soak(args, out):
-    from repro.chaos import run_soak
-    from repro.errors import ChaosError
-
-    def list_plans(out):
-        from repro.chaos.plans import HA_PLAN_NAMES, PLAN_NAMES
-
-        print("single-node plans (chaos-soak):", file=out)
-        _print_plans(PLAN_NAMES, out)
-        print("cluster plans (ha-soak):", file=out)
-        _print_plans(HA_PLAN_NAMES, out)
-
-    def summarize(result, out):
-        print(
-            "chaos-soak: %d fault(s) injected, %d restart(s), "
-            "%d/%d interval(s)"
-            % (
-                result.faults_injected,
-                result.restarts,
-                result.intervals_completed,
-                result.intervals_target,
-            ),
-            file=out,
-        )
-
-    def failure_note(result, out):
-        if not result.expect_recoverable:
-            print(
-                "(plan %r is deliberately unrecoverable; the diagnostic "
-                "above is its expected outcome)" % result.plan,
-                file=out,
-            )
-
-    return run_soak_command(
-        args,
-        out,
-        label="chaos-soak",
-        digest_label="fault-timeline digest",
-        run=lambda log: run_soak(
-            plan=args.plan,
-            seed=args.seed,
-            intervals=args.intervals,
-            members=args.members,
-            state_dir=args.state_dir,
-            obs_path=args.obs_file,
-            log=log,
-        ),
-        error_types=(ChaosError,),
-        list_plans=list_plans,
-        summarize=summarize,
-        failure_note=failure_note,
-    )
-
-
-def _cmd_ha_soak(args, out):
-    from repro.errors import ChaosError
-    from repro.ha.soak import run_ha_soak
-
-    def list_plans(out):
-        from repro.chaos.plans import HA_PLAN_NAMES
-
-        print("cluster plans (ha-soak):", file=out)
-        _print_plans(HA_PLAN_NAMES, out)
-
-    def summarize(result, out):
-        print(
-            "ha-soak: %d fault(s) injected, %d promotion(s), "
-            "final epoch %d, %d/%d interval(s)"
-            % (
-                result.faults_injected,
-                result.promotions,
-                result.final_epoch,
-                result.intervals_completed,
-                result.intervals_target,
-            ),
-            file=out,
-        )
-
-    return run_soak_command(
-        args,
-        out,
-        label="ha-soak",
-        digest_label="fault-timeline digest",
-        run=lambda log: run_ha_soak(
-            plan=args.plan,
-            seed=args.seed,
-            intervals=args.intervals,
-            members=args.members,
-            state_dir=args.state_dir,
-            obs_path=args.obs_file,
-            log=log,
-        ),
-        error_types=(ChaosError,),
-        list_plans=list_plans,
-        summarize=summarize,
-    )
-
-
 def _cmd_fleet(args, out):
     from repro.errors import WireError
     from repro.wire.fleet import FLEET_PLANS, run_fleet
@@ -1203,113 +875,208 @@ def _cmd_fleet(args, out):
     )
 
 
-def _cmd_wire_chaos_soak(args, out):
-    from repro.errors import ChaosError, WireError
-    from repro.wire.chaos import run_wire_chaos_soak
+#: flag help for each size override (the flag is ``--`` + the name
+#: with dashes); ``None`` defaults come from the plan
+_SIZE_HELP = {
+    "intervals": "override the plan's designed interval count",
+    "members": "override the plan's member count",
+    "clients": "override the plan's client count",
+    "workers": "override the plan's worker-process count (0 = in-process)",
+    "tenants": "override the plan's tenant count",
+    "ticks": "override the plan's scheduler tick count",
+    "state_dir": "WAL/snapshot/lease directory, kept after the run "
+    "(default: a scratch dir, removed)",
+    "state_root": "shared storage root for all tenants, kept after the "
+    "run (default: a scratch dir, removed)",
+}
 
-    def list_plans(out):
-        from repro.chaos.wire_faults import describe_wire_plans
 
-        print("wire fault plans (wire-chaos-soak):", file=out)
-        for name, description in describe_wire_plans():
-            print("  %-22s %s" % (name, description), file=out)
+@dataclass(frozen=True)
+class _SoakCommand:
+    """One soak subcommand over a :class:`~repro.chaos.soak.SoakFamily`."""
 
-    def summarize(result, out):
-        print(
-            "wire-chaos-soak: %d fault(s) applied, %d eviction(s), "
-            "%d promotion(s), %d/%d interval(s)"
-            % (
-                sum(result.faults_applied.values()),
-                result.evictions,
-                result.promotions,
-                result.intervals_completed,
-                result.intervals_target,
-            ),
-            file=out,
-        )
+    family: str
+    help: str
+    #: the default ``--plan`` (any name is accepted; the harness rejects
+    #: unknown ones, exit 2)
+    plan_default: str
+    #: the family's size overrides, as flags
+    sizes: tuple
+    digest_label: str
+    #: ``summary(result, out)`` prints the headline lines
+    summary: object
+    #: families whose plans ``--list-plans`` prints
+    lists: tuple
 
-    return run_soak_command(
-        args,
-        out,
-        label="wire-chaos-soak",
-        digest_label="wire-timeline digest",
-        run=lambda log: run_wire_chaos_soak(
-            plan=args.plan,
-            seed=args.seed,
-            clients=args.clients,
-            intervals=args.intervals,
-            workers=args.workers,
-            obs_path=args.obs_file,
-            log=log,
-        ),
-        error_types=(ChaosError, WireError),
-        list_plans=list_plans,
-        summarize=summarize,
+
+def _chaos_summary(r, out):
+    print(
+        "chaos-soak: %d fault(s) injected, %d restart(s), "
+        "%d/%d interval(s)"
+        % (r.faults_injected, r.restarts, r.intervals_completed,
+           r.intervals_target),
+        file=out,
     )
 
 
-def _cmd_tenancy_soak(args, out):
-    from repro.errors import ChaosError, TenancyError
-    from repro.tenancy import run_tenancy_soak
+def _ha_summary(r, out):
+    print(
+        "ha-soak: %d fault(s) injected, %d promotion(s), "
+        "final epoch %d, %d/%d interval(s)"
+        % (r.faults_injected, r.promotions, r.final_epoch,
+           r.intervals_completed, r.intervals_target),
+        file=out,
+    )
 
-    def list_plans(out):
-        from repro.tenancy.soak import (
-            TENANCY_PLAN_DESCRIPTIONS,
-            TENANCY_PLAN_NAMES,
-        )
 
-        print("tenancy plans (tenancy-soak):", file=out)
-        for name in TENANCY_PLAN_NAMES:
-            print(
-                "  %-22s %s" % (name, TENANCY_PLAN_DESCRIPTIONS[name]),
-                file=out,
-            )
+def _wire_summary(r, out):
+    print(
+        "wire-chaos-soak: %d fault(s) applied, %d eviction(s), "
+        "%d promotion(s), %d/%d interval(s)"
+        % (sum(r.faults_applied.values()), r.evictions, r.promotions,
+           r.intervals_completed, r.intervals_target),
+        file=out,
+    )
 
-    def summarize(result, out):
+
+def _tenancy_summary(r, out):
+    print(
+        "tenancy-soak: %d tenant(s), %d/%d tick(s), %d interval(s), "
+        "%d shed, %d quarantine(s), %d promotion(s)"
+        % (r.tenants, r.ticks_completed, r.ticks_target,
+           r.intervals_total, r.shed_total, r.quarantines, r.promotions),
+        file=out,
+    )
+    if r.rehomed:
         print(
-            "tenancy-soak: %d tenant(s), %d/%d tick(s), %d interval(s), "
-            "%d shed, %d quarantine(s), %d promotion(s)"
-            % (
-                result.tenants,
-                result.ticks_completed,
-                result.ticks_target,
-                result.intervals_total,
-                result.shed_total,
-                result.quarantines,
-                result.promotions,
-            ),
+            "  re-homed %d tenant(s) under epoch %d "
+            "(%d digest(s) verified, %d request(s) replayed)"
+            % (r.rehomed, r.final_epoch, r.digests_verified,
+               r.requests_replayed),
             file=out,
         )
-        if result.rehomed:
+
+
+_SOAK_COMMANDS = {
+    "chaos-soak": _SoakCommand(
+        "chaos",
+        "run the daemon under a deterministic fault plan",
+        "standard",
+        ("intervals", "members", "state_dir"),
+        "fault-timeline digest",
+        _chaos_summary,
+        ("chaos", "ha"),
+    ),
+    "ha-soak": _SoakCommand(
+        "ha",
+        "run a leader/standby pair under a cluster fault plan",
+        "leader-kill",
+        ("intervals", "members", "state_dir"),
+        "fault-timeline digest",
+        _ha_summary,
+        ("ha",),
+    ),
+    "wire-chaos-soak": _SoakCommand(
+        "wire",
+        "run the wire plane under a survivability fault plan",
+        "datagram-storm",
+        ("clients", "intervals", "workers"),
+        "wire-timeline digest",
+        _wire_summary,
+        ("wire",),
+    ),
+    "tenancy-soak": _SoakCommand(
+        "tenancy",
+        "run the multi-tenant key service under an abuse plan",
+        "noisy-neighbor",
+        ("tenants", "ticks", "state_root"),
+        "tenancy-timeline digest",
+        _tenancy_summary,
+        ("tenancy",),
+    ),
+}
+
+
+def _add_run_parser(sub, command, help, plan_default, sizes, digest_label):
+    """A digest-pinned run command: ``--plan``, its size flags, and the
+    flags every such command shares."""
+    parser = sub.add_parser(command, help=help)
+    parser.add_argument(
+        "--plan",
+        default=plan_default,
+        help="named plan (see --list-plans)",
+    )
+    parser.add_argument("--seed", type=int, default=7)
+    for size in sizes:
+        parser.add_argument(
+            "--" + size.replace("_", "-"),
+            type=None if size.startswith("state_") else int,
+            default=None,
+            help=_SIZE_HELP[size],
+        )
+    parser.add_argument(
+        "--obs-file",
+        default=None,
+        metavar="PATH",
+        help="also write the event stream as JSONL (for obs-report)",
+    )
+    parser.add_argument(
+        "--expect-digest",
+        default=None,
+        metavar="SHA256",
+        help="fail unless the run's %s matches" % digest_label,
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the result as JSON at the end",
+    )
+    parser.add_argument(
+        "--list-plans",
+        action="store_true",
+        help="list the named plans and exit",
+    )
+    return parser
+
+
+def _cmd_soak(args, out):
+    from repro.chaos.soak import run_soak, soak_family
+
+    soak = _SOAK_COMMANDS[args.command]
+    family = soak_family(soak.family)
+
+    def list_plans(out):
+        for name in soak.lists:
+            listed = soak_family(name)
+            print("%s plans (%s):" % (name, listed.command), file=out)
+            for plan, entry in listed.plans.items():
+                print("  %-22s %s" % (plan, entry.description), file=out)
+
+    def failure_note(result, out):
+        if not result.counters.get("expect_recoverable", True):
             print(
-                "  re-homed %d tenant(s) under epoch %d "
-                "(%d digest(s) verified, %d request(s) replayed)"
-                % (
-                    result.rehomed,
-                    result.final_epoch,
-                    result.digests_verified,
-                    result.requests_replayed,
-                ),
+                "(plan %r is deliberately unrecoverable; the diagnostic "
+                "above is its expected outcome)" % result.plan,
                 file=out,
             )
 
     return run_soak_command(
         args,
         out,
-        label="tenancy-soak",
-        digest_label="tenancy-timeline digest",
-        run=lambda log: run_tenancy_soak(
-            plan=args.plan,
+        label=args.command,
+        digest_label=soak.digest_label,
+        run=lambda log: run_soak(
+            family,
+            args.plan,
             seed=args.seed,
-            tenants=args.tenants,
-            ticks=args.ticks,
-            state_root=args.state_root,
-            obs_path=args.obs_file,
             log=log,
+            obs_path=args.obs_file,
+            **{size: getattr(args, size) for size in soak.sizes},
         ),
-        error_types=(ChaosError, TenancyError),
+        error_types=family.error_types,
         list_plans=list_plans,
-        summarize=summarize,
+        summarize=soak.summary,
+        failure_note=failure_note,
     )
 
 
@@ -1323,12 +1090,9 @@ def main(argv=None, out=None):
         "analyze": _cmd_analyze,
         "serve": _cmd_serve,
         "obs-report": _cmd_obs_report,
-        "chaos-soak": _cmd_chaos_soak,
-        "ha-soak": _cmd_ha_soak,
         "fleet": _cmd_fleet,
-        "wire-chaos-soak": _cmd_wire_chaos_soak,
-        "tenancy-soak": _cmd_tenancy_soak,
     }
+    handlers.update(dict.fromkeys(_SOAK_COMMANDS, _cmd_soak))
     return handlers[args.command](args, out)
 
 

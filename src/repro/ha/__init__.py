@@ -14,9 +14,10 @@ key byte:
 - :mod:`repro.ha.standby` — :class:`StandbyReplica` (replays the
   stream into a shadow server) and :func:`promote` (lease + epoch +
   fleet resync = the new leader).
-- :mod:`repro.ha.soak` — the cluster chaos harness behind
-  ``python -m repro ha-soak`` and its three plans (``leader-kill``,
-  ``replication-partition``, ``split-brain``).
+- :mod:`repro.ha.soak` — the cluster soak family behind
+  ``python -m repro ha-soak`` (:class:`StandbyPair` and three plans:
+  ``leader-kill``, ``replication-partition``, ``split-brain``), run by
+  the one soak harness in :mod:`repro.chaos.soak`.
 
 The safety argument, end to end: the WAL refuses appends from any
 epoch older than the lease's (``StaleEpochError`` before a byte
@@ -25,7 +26,7 @@ cannot prove digest convergence refuses to promote.  See
 ``docs/ha.md``.
 """
 
-from repro.ha.digest import server_digest, state_digest
+from repro.ha.digest import server_digest
 from repro.ha.lease import Lease
 from repro.ha.replication import (
     DirectLink,
@@ -39,20 +40,9 @@ from repro.ha.replication import (
 from repro.ha.standby import StandbyReplica, promote
 
 
-def __getattr__(name):
-    # The soak harness reaches into repro.service (which adopts the
-    # chaos seams); resolve it lazily to keep `import repro.ha` light
-    # and cycle-free, mirroring repro.chaos (PEP 562).
-    if name in ("HaSoakResult", "run_ha_soak", "LEASE_TTL"):
-        from repro.ha import soak
-
-        return getattr(soak, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
 __all__ = [
     "DirectLink",
     "FrameReader",
-    "HaSoakResult",
     "LeaderPublisher",
     "Lease",
     "ReplicationClient",
@@ -61,7 +51,5 @@ __all__ = [
     "decode_body",
     "encode_frame",
     "promote",
-    "run_ha_soak",
     "server_digest",
-    "state_digest",
 ]

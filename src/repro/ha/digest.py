@@ -17,16 +17,9 @@ byte-identical trees, not just matching fingerprints.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
-
-def state_digest(payload):
-    """SHA-256 hex over the canonical JSON encoding of ``payload``."""
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+from repro.util import canonical_digest
 
 
 def server_digest(server):
     """The convergence digest of one :class:`GroupKeyServer`."""
-    return state_digest(server.snapshot())
+    return canonical_digest(server.snapshot())

@@ -1,9 +1,10 @@
-"""The HA soak harness: a leader/standby pair under a cluster fault plan.
+"""The HA soak family: a leader/standby pair under a cluster fault plan.
 
-``run_ha_soak`` boots a real durable leader daemon and a hot standby in
-one process, wires them through the deterministic
-:class:`~repro.ha.replication.DirectLink`, and enacts one of the
-cluster fault plans (:data:`repro.chaos.plans.HA_PLAN_NAMES`):
+``run_soak("ha", plan)`` (:mod:`repro.chaos.soak`) boots a real durable
+leader daemon and a hot standby in one process, wires them through the
+deterministic :class:`~repro.ha.replication.DirectLink`
+(:class:`StandbyPair`), and enacts one of the cluster fault plans
+(:data:`repro.chaos.plans.HA_PLAN_NAMES`):
 
 - ``leader-kill`` — an injected :class:`DaemonCrash` fells the leader
   mid-interval (post-delivery: the worst alignment — members hold keys
@@ -26,27 +27,39 @@ cluster fault plans (:data:`repro.chaos.plans.HA_PLAN_NAMES`):
 Determinism: the same ``(plan, seed)`` drives the same churn, the same
 delivery losses, and the same orchestration schedule, so the run's
 chaos/HA event subsequence canonicalises to a stable digest — pinned in
-``docs/robustness.md`` and checked by the CI ``ha-smoke`` job, exactly
-like the single-node soak digests.
+``docs/ha.md`` and checked by the CI soak-smoke job, exactly like the
+single-node soak digests.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
-from repro.chaos.faults import FaultPlan
-from repro.chaos.plans import PLAN_INTERVALS, make_plan
+from repro.chaos.plans import (
+    PLAN_DESCRIPTIONS,
+    PLAN_INTERVALS,
+    PLAN_NAMES,
+    make_plan,
+)
 from repro.chaos.seams import FaultyClock, FaultyFilesystem
-from repro.chaos.soak import canonical_timeline, timeline_digest
-from repro.errors import ChaosError, ReproError, StaleEpochError
+from repro.chaos.soak import (
+    TIMELINE_KINDS,
+    SoakFamily,
+    SoakPlan,
+    agreement_ok,
+    audit_wal,
+    run_single_node,
+    start_durable,
+    steps,
+)
+from repro.errors import StaleEpochError
 from repro.ha.digest import server_digest
 from repro.ha.lease import Lease
 from repro.ha.replication import DirectLink, LeaderPublisher
 from repro.ha.standby import StandbyReplica, promote
-from repro.obs.events import EventBus
-from repro.obs.recorder import NULL, Recorder
+from repro.obs.recorder import NULL
 
 #: soak lease TTL (virtual seconds) — far beyond any real run time, so
 #: only an *orchestrated* ``clock.sleep`` can lapse it; the FaultyClock
@@ -55,124 +68,69 @@ from repro.obs.recorder import NULL, Recorder
 LEASE_TTL = 3600.0
 
 
-@dataclass
-class HaSoakResult:
-    """Everything one HA soak run observed and concluded."""
+class StandbyPair:
+    """A leader daemon and its hot standby in one process.
 
-    plan: str
-    seed: int
-    intervals_target: int
-    intervals_completed: int = 0
-    promotions: int = 0
-    faults_injected: int = 0
-    final_epoch: int = 0
-    invariants: dict = field(default_factory=dict)
-    timeline: list = field(default_factory=list)
-    digest: str = ""
-    failure: object = None
+    Both nodes share ``state_dir`` (WAL, snapshot, lease); the leader's
+    WAL streams to a :class:`StandbyReplica` over a :class:`DirectLink`,
+    and :meth:`fail_over` waits out the lease and promotes the standby.
+    The caller builds the leader with ``epoch=pair.epoch`` and
+    ``fence=pair.leader_lease`` and hands it to :meth:`attach`: the HA
+    plans start a durable daemon, the wire-chaos leader kill a live
+    wire fleet.
+    """
 
-    @property
-    def ok(self):
-        return self.failure is None and bool(self.invariants) and all(
-            self.invariants.values()
-        )
-
-    def to_dict(self):
-        return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "intervals_target": self.intervals_target,
-            "intervals_completed": self.intervals_completed,
-            "promotions": self.promotions,
-            "faults_injected": self.faults_injected,
-            "final_epoch": self.final_epoch,
-            "invariants": dict(self.invariants),
-            "digest": self.digest,
-            "failure": None if self.failure is None else str(self.failure),
-            "ok": self.ok,
-        }
-
-
-class _Cluster:
-    """One in-process leader/standby pair and everything they share."""
-
-    def __init__(self, fault_plan, seed, members, state_dir, obs, fs,
-                 clock, crash_plan=None):
-        from repro.core.config import GroupConfig
-        from repro.service.churn import PoissonChurn
-        from repro.service.daemon import DaemonConfig, RekeyDaemon
-        from repro.service.transports import SessionDelivery
-
-        self.plan = fault_plan
-        self.seed = int(seed)
+    def __init__(self, state_dir, obs, clock, fs=None):
         self.state_dir = state_dir
         self.obs = obs
-        self.fs = fs
         self.clock = clock
-        self.ttl = LEASE_TTL
+        self.fs = fs
         lease_path = os.path.join(state_dir, "lease.json")
         self.leader_lease = Lease(
-            lease_path, "node-a", ttl=self.ttl, fs=fs, clock=clock, obs=obs
+            lease_path, "node-a", ttl=LEASE_TTL, fs=fs, clock=clock, obs=obs
         )
         self.standby_lease = Lease(
-            lease_path, "node-b", ttl=self.ttl, fs=fs, clock=clock, obs=obs
+            lease_path, "node-b", ttl=LEASE_TTL, fs=fs, clock=clock, obs=obs
         )
-        epoch = self.leader_lease.acquire()
-        self.config = GroupConfig(
-            block_size=5, seed=seed, **fault_plan.group_overrides
-        )
-        service_kwargs = {
-            "state_dir": state_dir,
-            # compaction off: the end-of-run WAL scan is the audit trail
-            # (every commit, every epoch) and must see the full history
-            "wal_compact_every": 0,
-            "verify_invariants": True,
-            "crash_plan": crash_plan,
-        }
-        service_kwargs.update(fault_plan.daemon_overrides)
-        self.service = DaemonConfig(**service_kwargs)
-        self.backend = SessionDelivery(self.config, seed=seed + 1)
-        self.leader = RekeyDaemon.start_new(
-            ["member-%03d" % index for index in range(members)],
-            config=self.config,
-            backend=self.backend,
-            churn=PoissonChurn(alpha=0.15),
-            service=self.service,
-            seed=seed,
-            obs=obs,
-            fs=fs,
-            clock=clock,
-            epoch=epoch,
-            fence=self.leader_lease,
-        )
-        #: whichever daemon currently owns the write path
-        self.active = self.leader
-        obs.emit("ha_role", node="node-a", role="leader", epoch=epoch)
-        obs.emit("ha_role", node="node-b", role="standby", epoch=epoch)
-        self.publisher = self.leader.attach_replication(
-            LeaderPublisher(epoch, wal=self.leader.wal, obs=obs)
+        self.epoch = self.leader_lease.acquire()
+        #: the first leader, and whichever daemon owns the write path
+        self.leader = self.active = None
+
+    def attach(self, leader):
+        """Start streaming ``leader``'s WAL into a fresh standby."""
+        self.leader = self.active = leader
+        self.obs.emit("ha_role", node="node-a", role="leader",
+                      epoch=self.epoch)
+        self.obs.emit("ha_role", node="node-b", role="standby",
+                      epoch=self.epoch)
+        self.publisher = leader.attach_replication(
+            LeaderPublisher(self.epoch, wal=leader.wal, obs=self.obs)
         )
         self.link = DirectLink()
         self.replica = StandbyReplica(
-            config=self.config, node_id="node-b", obs=obs, clock=clock
+            config=leader.server.config,
+            node_id="node-b",
+            obs=self.obs,
+            clock=self.clock,
         )
-        self.publisher.subscribe(self.link, server=self.leader.server)
+        self.publisher.subscribe(self.link, server=leader.server)
         self.drain()
 
     def drain(self):
         """Deliver every queued frame into the standby."""
         self.replica.apply_frames(self.link.poll())
 
-    def tick(self):
+    def tick(self, renew=True):
         """The leader's between-interval housekeeping: renew + stream."""
-        self.leader_lease.renew()
+        if renew:
+            self.leader_lease.renew()
         self.publisher.heartbeat()
         self.drain()
 
-    def fail_over(self, fleet, churn):
+    def fail_over(self, seed, backend=None):
         """Standby-side failover: wait out the lease, then promote."""
         self.drain()
-        self.clock.sleep(self.ttl + 1.0)
+        self.clock.sleep(LEASE_TTL + 1.0)
         self.obs.emit(
             "ha_heartbeat_lost",
             node=self.replica.node_id,
@@ -183,37 +141,58 @@ class _Cluster:
             self.replica,
             self.state_dir,
             self.standby_lease,
-            backend=self.backend,
-            fleet=fleet,
-            churn=churn,
-            service=self.service,
-            seed=self.seed,
+            backend=self.leader.backend if backend is None else backend,
+            fleet=self.leader.fleet,
+            churn=self.leader.churn,
+            service=self.leader.service,
+            seed=seed,
             obs=self.obs,
             fs=self.fs,
             clock=self.clock,
         )
         return self.active
 
-    def wal_records(self):
-        """The surviving log, scanned strictly (any damage is fatal)."""
-        from repro.service.wal import scan_records
+    def run_killed(self, intervals, tally, fail_over, before=None):
+        """Run the active daemon to ``intervals`` across a leader kill.
 
-        records, error = scan_records(
-            os.path.join(self.state_dir, "wal.jsonl"), self.fs
+        After each of its intervals the leader renews its lease and
+        streams; when the injected :class:`DaemonCrash` fells it,
+        ``fail_over(current)`` must close it and promote the standby.
+        Returns the invariants every leader-kill plan shares.
+        """
+        from repro.service.daemon import DaemonCrash
+
+        for current in steps(
+            intervals, lambda: self.active.server.intervals_processed
+        ):
+            if before is not None:
+                before(current)
+            try:
+                self.active.run_interval()
+            except DaemonCrash:
+                # the crash already fired; the promoted daemon must not
+                # trip over the same plan at its replay interval
+                self.leader.service.crash_plan = None
+                fail_over(current)
+                tally["promotions"] += 1
+                continue
+            if self.active is self.leader:
+                self.tick()
+        tally["final_epoch"] = self.active.epoch
+        _, lost_none, monotonic = self.wal_audit(intervals)
+        return {
+            "completed": self.active.server.intervals_processed >= intervals,
+            "promoted": tally["promotions"] == 1,
+            "key-agreement": agreement_ok(self.active),
+            "no-interval-lost": lost_none,
+            "wal-epochs-monotonic": monotonic,
+        }
+
+    def wal_audit(self, intervals):
+        """:func:`~repro.chaos.soak.audit_wal` over the shared log."""
+        return audit_wal(
+            os.path.join(self.state_dir, "wal.jsonl"), intervals, self.fs
         )
-        if error is not None:
-            raise error
-        return records
-
-    def agreement_ok(self):
-        try:
-            self.active.fleet.check_agreement(
-                self.active.server,
-                exclude=self.active.pending_carry_names(),
-            )
-            return True
-        except ReproError:
-            return False
 
     def close(self):
         self.leader.close()
@@ -221,345 +200,255 @@ class _Cluster:
             self.active.close()
 
 
-def _steps_guard(steps, done, intervals):
-    if steps > intervals * 3 + 8:
-        raise ChaosError(
-            "ha soak wedged: %d steps but only %d/%d intervals done"
-            % (steps, done, intervals)
+@contextmanager
+def _cluster(soak):
+    """Boot the pair for one HA plan; yields ``(fault_plan, pair)`` and
+    closes both nodes however the plan ends."""
+    from repro.service.daemon import CrashPlan
+
+    fault_plan = make_plan(soak.name, seed=soak.seed).bind(soak.obs)
+    tally = soak.result.counters
+    pair = None
+    try:
+        kill = fault_plan.ha_fault_of("leader-kill")
+        fs = FaultyFilesystem(fault_plan)
+        pair = StandbyPair(soak.state_dir, soak.obs, FaultyClock(), fs=fs)
+        pair.attach(
+            start_durable(
+                fault_plan,
+                soak.seed,
+                soak.sizes["members"],
+                soak.state_dir,
+                soak.obs,
+                fs,
+                pair.clock,
+                start={"epoch": pair.epoch, "fence": pair.leader_lease},
+                # compaction off: the end-of-run WAL scan is the audit
+                # trail (every commit, every epoch) and must see it all
+                wal_compact_every=0,
+                crash_plan=(
+                    None if kill is None
+                    else CrashPlan(kill.at_interval, kill.point)
+                ),
+            )
         )
+        soak.say(
+            "ha-soak: plan %r, seed %d, %d members, %d intervals"
+            % (soak.name, soak.seed, soak.sizes["members"],
+               soak.sizes["intervals"])
+        )
+        yield fault_plan, pair
+    finally:
+        if pair is not None and pair.active is not None:
+            pair.close()
+            tally["intervals_completed"] = (
+                pair.active.server.intervals_processed
+            )
+        tally["faults_injected"] = fault_plan.injected
 
 
-def _oracle_final_state(fault_plan, seed, intervals, members, kill):
+def _oracle_final_state(soak, kill):
     """The single-node truth the failover cluster must reproduce.
 
-    One daemon, same seeds, same churn, crashed by the same plan at the
-    same point — then recovered from its own snapshot + WAL and run to
-    the same interval count.  Returns ``(fingerprint, digest)`` of its
-    final state.  Because key derivation, marking, and churn are all
-    deterministic in the seeds, failover is correct *iff* the cluster's
-    final state equals this run's, byte for byte.
+    The chaos family's single-node loop, silent (``obs=NULL``): same
+    seeds, same churn, crashed by the same plan at the same point, then
+    recovered from its own snapshot + WAL and run to the same interval
+    count.  Returns ``(fingerprint, digest)`` of its final state.
+    Because key derivation, marking, and churn are all deterministic in
+    the seeds, failover is correct *iff* the cluster's final state
+    equals this run's, byte for byte.
     """
-    from repro.core.config import GroupConfig
-    from repro.service.churn import PoissonChurn
-    from repro.service.daemon import (
-        CrashPlan,
-        DaemonConfig,
-        DaemonCrash,
-        RekeyDaemon,
-    )
-    from repro.service.transports import SessionDelivery
+    from repro.service.daemon import CrashPlan
 
-    state_dir = tempfile.mkdtemp(prefix="ha-oracle-")
-    config = GroupConfig(
-        block_size=5, seed=seed, **fault_plan.group_overrides
-    )
-    service_kwargs = {
-        "state_dir": state_dir,
-        "wal_compact_every": 0,
-        "verify_invariants": True,
-        "crash_plan": CrashPlan(kill.at_interval, kill.point),
-    }
-    service_kwargs.update(fault_plan.daemon_overrides)
-    service = DaemonConfig(**service_kwargs)
-    backend = SessionDelivery(config, seed=seed + 1)
-    daemon = RekeyDaemon.start_new(
-        ["member-%03d" % index for index in range(members)],
-        config=config,
-        backend=backend,
-        churn=PoissonChurn(alpha=0.15),
-        service=service,
-        seed=seed,
-        obs=NULL,
-    )
-    steps = 0
-    while daemon.server.intervals_processed < intervals:
-        steps += 1
-        _steps_guard(steps, daemon.server.intervals_processed, intervals)
-        try:
-            daemon.run_interval()
-        except DaemonCrash:
-            daemon.close()
-            service.crash_plan = None
-            daemon = RekeyDaemon.recover(
-                state_dir,
-                config=config,
-                backend=backend,
-                fleet=daemon.fleet,
-                churn=daemon.churn,
-                service=service,
-                seed=seed,
-                obs=NULL,
-            )
-    fingerprint = daemon.server.group_key.fingerprint()
-    digest = server_digest(daemon.server)
-    daemon.close()
-    return fingerprint, digest
-
-
-def _run_leader_kill(cluster, intervals, result, say, obs, members):
-    from repro.service.daemon import DaemonCrash
-    from repro.service.wal import epochs_monotonic
-
-    kill = cluster.plan.ha_fault_of("leader-kill")
-    digest_at_promotion = None
-    steps = 0
-    while cluster.active.server.intervals_processed < intervals:
-        steps += 1
-        _steps_guard(
-            steps, cluster.active.server.intervals_processed, intervals
+    with tempfile.TemporaryDirectory(prefix="ha-oracle-") as state_dir:
+        daemon, _ = run_single_node(
+            make_plan(soak.name, seed=soak.seed),
+            soak.seed,
+            soak.sizes["intervals"],
+            soak.sizes["members"],
+            state_dir,
+            NULL,
+            {"restarts": 0},
+            wal_compact_every=0,
+            crash_plan=CrashPlan(kill.at_interval, kill.point),
         )
-        current = cluster.active.server.intervals_processed
-        cluster.plan.set_interval(current)
         try:
-            cluster.active.run_interval()
-        except DaemonCrash:
-            cluster.plan.apply_ha_fault("leader-kill", point=kill.point)
-            say(
+            return (
+                daemon.server.group_key.fingerprint(),
+                server_digest(daemon.server),
+            )
+        finally:
+            daemon.close()
+
+
+def _run_leader_kill(soak):
+    with _cluster(soak) as (plan, pair):
+        kill = plan.ha_fault_of("leader-kill")
+        digest_at_promotion = None
+
+        def fail_over(current):
+            nonlocal digest_at_promotion
+            plan.apply_ha_fault("leader-kill", point=kill.point)
+            soak.say(
                 "  interval %d: leader killed at %s -> failing over"
                 % (current, kill.point)
             )
-            cluster.leader.close()
-            # the crash already fired; the promoted daemon must not
-            # trip over the same plan at its replay interval
-            cluster.service.crash_plan = None
-            cluster.drain()
-            digest_at_promotion = cluster.replica.digest_ok
-            cluster.fail_over(cluster.leader.fleet, cluster.leader.churn)
-            result.promotions += 1
-            continue
-        if cluster.active is cluster.leader:
-            cluster.tick()
-    result.intervals_completed = cluster.active.server.intervals_processed
-    result.final_epoch = cluster.active.epoch
+            pair.leader.close()
+            pair.drain()
+            digest_at_promotion = pair.replica.digest_ok
+            pair.fail_over(soak.seed)
 
-    invariants = result.invariants
-    invariants["completed"] = (
-        cluster.active.server.intervals_processed >= intervals
-    )
-    invariants["promoted"] = result.promotions == 1
-    invariants["digest-at-promotion"] = digest_at_promotion is True
-    oracle_fp, oracle_digest = _oracle_final_state(
-        cluster.plan, cluster.seed, intervals, members, kill
-    )
-    invariants["key-oracle"] = (
-        cluster.active.server.group_key.fingerprint() == oracle_fp
-        and server_digest(cluster.active.server) == oracle_digest
-    )
-    records = cluster.wal_records()
-    committed = {
-        r["interval"] for r in records if r["op"] == "commit"
-    }
-    invariants["no-interval-lost"] = committed == set(range(intervals))
-    invariants["wal-epochs-monotonic"] = epochs_monotonic(records)
-    invariants["key-agreement"] = cluster.agreement_ok()
-
-
-def _run_partition(cluster, intervals, result, say, obs):
-    window = cluster.plan.ha_fault_of("partition")
-    steps = 0
-    while cluster.leader.server.intervals_processed < intervals:
-        steps += 1
-        _steps_guard(
-            steps, cluster.leader.server.intervals_processed, intervals
+        invariants = soak.result.invariants
+        invariants.update(
+            pair.run_killed(
+                soak.sizes["intervals"],
+                soak.result.counters,
+                fail_over,
+                before=plan.set_interval,
+            )
         )
-        current = cluster.leader.server.intervals_processed
-        cluster.plan.set_interval(current)
-        if current == window.at_interval and not cluster.link.partitioned:
-            cluster.link.partitioned = True
-            cluster.plan.apply_ha_fault(
-                "partition", until_interval=window.until_interval
-            )
-            say("  interval %d: replication partitioned" % current)
-        elif current == window.until_interval and cluster.link.partitioned:
-            cluster.link.partitioned = False
-            obs.emit(
-                "ha_replication_connect",
-                node=cluster.replica.node_id,
-                since_seq=cluster.replica.applied_seq + 1,
-            )
-            cluster.publisher.catch_up(
-                cluster.link, since_seq=cluster.replica.applied_seq + 1
-            )
-            say(
-                "  interval %d: partition healed, WAL suffix replayed"
-                % current
-            )
-        cluster.leader.run_interval()
-        cluster.tick()
-    result.intervals_completed = cluster.leader.server.intervals_processed
-    result.final_epoch = cluster.leader.epoch
-
-    invariants = result.invariants
-    invariants["completed"] = (
-        cluster.leader.server.intervals_processed >= intervals
-    )
-    invariants["no-promotion"] = result.promotions == 0
-    invariants["frames-dropped"] = cluster.link.dropped > 0
-    invariants["caught-up"] = (
-        cluster.replica.lag() == 0
-        and cluster.replica.server.intervals_processed
-        == cluster.leader.server.intervals_processed
-    )
-    invariants["digest-match"] = cluster.replica.digest_ok is True
-    invariants["key-agreement"] = cluster.agreement_ok()
-
-
-def _run_split_brain(cluster, intervals, result, say, obs):
-    from repro.service.wal import epochs_monotonic
-
-    pause = cluster.plan.ha_fault_of("lease-pause")
-    digest_at_promotion = None
-    fenced = False
-    steps = 0
-    while cluster.active.server.intervals_processed < intervals:
-        steps += 1
-        _steps_guard(
-            steps, cluster.active.server.intervals_processed, intervals
+        invariants["digest-at-promotion"] = digest_at_promotion is True
+        oracle_fp, oracle_digest = _oracle_final_state(soak, kill)
+        invariants["key-oracle"] = (
+            pair.active.server.group_key.fingerprint() == oracle_fp
+            and server_digest(pair.active.server) == oracle_digest
         )
-        current = cluster.active.server.intervals_processed
-        cluster.plan.set_interval(current)
-        if cluster.active is cluster.leader:
-            if current == pause.at_interval:
-                cluster.plan.apply_ha_fault(
-                    "lease-pause", until_interval=pause.until_interval
+
+
+def _run_partition(soak):
+    intervals = soak.sizes["intervals"]
+    tally = soak.result.counters
+    with _cluster(soak) as (plan, pair):
+        window = plan.ha_fault_of("partition")
+        for current in steps(
+            intervals, lambda: pair.leader.server.intervals_processed
+        ):
+            plan.set_interval(current)
+            if current == window.at_interval and not pair.link.partitioned:
+                pair.link.partitioned = True
+                plan.apply_ha_fault(
+                    "partition", until_interval=window.until_interval
                 )
-                say(
-                    "  interval %d: leader stops renewing its lease"
+                soak.say("  interval %d: replication partitioned" % current)
+            elif current == window.until_interval and pair.link.partitioned:
+                pair.link.partitioned = False
+                soak.obs.emit(
+                    "ha_replication_connect",
+                    node=pair.replica.node_id,
+                    since_seq=pair.replica.applied_seq + 1,
+                )
+                pair.publisher.catch_up(
+                    pair.link, since_seq=pair.replica.applied_seq + 1
+                )
+                soak.say(
+                    "  interval %d: partition healed, WAL suffix replayed"
                     % current
                 )
-            if current == pause.until_interval:
-                # The standby notices the lapse and takes over while
-                # the old leader is still alive — the split-brain
-                # moment the epoch fence exists for.
-                digest_at_promotion = cluster.replica.digest_ok
-                cluster.fail_over(
-                    cluster.leader.fleet, cluster.leader.churn
-                )
-                result.promotions += 1
-                say(
-                    "  interval %d: standby promoted to epoch %d"
-                    % (current, cluster.active.epoch)
-                )
-                # ... and the deposed leader, none the wiser, tries to
-                # accept one more request.  The fence must refuse it
-                # before a single byte reaches the shared log.
-                try:
-                    cluster.leader.submit_join("intruder")
-                except StaleEpochError as error:
-                    fenced = True
-                    say("  deposed leader fenced: %s" % error)
-                cluster.leader.close()
-                continue
-        cluster.active.run_interval()
-        if cluster.active is cluster.leader:
-            if cluster.plan.current_interval < pause.at_interval:
-                cluster.leader_lease.renew()
-            cluster.publisher.heartbeat()
-            cluster.drain()
-    result.intervals_completed = cluster.active.server.intervals_processed
-    result.final_epoch = cluster.active.epoch
+            pair.leader.run_interval()
+            pair.tick()
+        tally["final_epoch"] = pair.leader.epoch
 
-    invariants = result.invariants
-    invariants["completed"] = (
-        cluster.active.server.intervals_processed >= intervals
-    )
-    invariants["promoted"] = result.promotions == 1
-    invariants["fenced"] = fenced
-    records = cluster.wal_records()
-    invariants["no-stale-record"] = epochs_monotonic(records) and not any(
-        record.get("user") == "intruder" for record in records
-    )
-    invariants["digest-at-promotion"] = digest_at_promotion is True
-    invariants["key-agreement"] = cluster.agreement_ok()
-
-
-def run_ha_soak(
-    plan="leader-kill",
-    seed=7,
-    intervals=None,
-    members=24,
-    state_dir=None,
-    obs_path=None,
-    log=None,
-):
-    """Run one cluster soak; returns an :class:`HaSoakResult`.
-
-    ``plan`` is a name from :data:`~repro.chaos.plans.HA_PLAN_NAMES`
-    (or a ready :class:`FaultPlan` with ``ha_faults``); everything —
-    churn, losses, orchestration — is a pure function of
-    ``(plan, seed)``, so the result's timeline digest is pinnable.
-    Plan-induced failures land in ``result.failure``, not exceptions.
-    """
-    if isinstance(plan, FaultPlan):
-        fault_plan = plan
-    else:
-        fault_plan = make_plan(plan, seed=seed)
-    if not fault_plan.ha_faults:
-        raise ChaosError(
-            "plan %r is single-node: run it with chaos-soak, not ha-soak"
-            % (fault_plan.name,)
+        invariants = soak.result.invariants
+        invariants["completed"] = (
+            pair.leader.server.intervals_processed >= intervals
         )
-    if intervals is None:
-        intervals = PLAN_INTERVALS.get(fault_plan.name, 8)
-    say = log if log is not None else (lambda line: None)
-
-    bus = EventBus(path=obs_path)
-    obs = Recorder(bus=bus)
-    fault_plan.bind(obs)
-    fs = FaultyFilesystem(fault_plan)
-    clock = FaultyClock()
-    if state_dir is None:
-        state_dir = tempfile.mkdtemp(prefix="ha-soak-")
-    else:
-        os.makedirs(state_dir, exist_ok=True)
-
-    result = HaSoakResult(
-        plan=fault_plan.name,
-        seed=int(seed),
-        intervals_target=int(intervals),
-    )
-    cluster = None
-    try:
-        kill = fault_plan.ha_fault_of("leader-kill")
-        crash_plan = None
-        if kill is not None:
-            from repro.service.daemon import CrashPlan
-
-            crash_plan = CrashPlan(kill.at_interval, kill.point)
-        cluster = _Cluster(
-            fault_plan, seed, members, state_dir, obs, fs, clock,
-            crash_plan=crash_plan,
+        invariants["no-promotion"] = tally["promotions"] == 0
+        invariants["frames-dropped"] = pair.link.dropped > 0
+        invariants["caught-up"] = (
+            pair.replica.lag() == 0
+            and pair.replica.server.intervals_processed
+            == pair.leader.server.intervals_processed
         )
-        say(
-            "ha-soak: plan %r, seed %d, %d members, %d intervals"
-            % (fault_plan.name, seed, members, intervals)
+        invariants["digest-match"] = pair.replica.digest_ok is True
+        invariants["key-agreement"] = agreement_ok(pair.leader)
+
+
+def _run_split_brain(soak):
+    intervals = soak.sizes["intervals"]
+    tally = soak.result.counters
+    with _cluster(soak) as (plan, pair):
+        pause = plan.ha_fault_of("lease-pause")
+        digest_at_promotion = None
+        fenced = False
+        for current in steps(
+            intervals, lambda: pair.active.server.intervals_processed
+        ):
+            plan.set_interval(current)
+            if pair.active is pair.leader:
+                if current == pause.at_interval:
+                    plan.apply_ha_fault(
+                        "lease-pause", until_interval=pause.until_interval
+                    )
+                    soak.say(
+                        "  interval %d: leader stops renewing its lease"
+                        % current
+                    )
+                if current == pause.until_interval:
+                    # The standby notices the lapse and takes over while
+                    # the old leader is still alive — the split-brain
+                    # moment the epoch fence exists for.
+                    digest_at_promotion = pair.replica.digest_ok
+                    pair.fail_over(soak.seed)
+                    tally["promotions"] += 1
+                    soak.say(
+                        "  interval %d: standby promoted to epoch %d"
+                        % (current, pair.active.epoch)
+                    )
+                    # ... and the deposed leader, none the wiser, tries
+                    # to accept one more request.  The fence must refuse
+                    # it before a single byte reaches the shared log.
+                    try:
+                        pair.leader.submit_join("intruder")
+                    except StaleEpochError as error:
+                        fenced = True
+                        soak.say("  deposed leader fenced: %s" % error)
+                    pair.leader.close()
+                    continue
+            pair.active.run_interval()
+            if pair.active is pair.leader:
+                pair.tick(renew=plan.current_interval < pause.at_interval)
+        tally["final_epoch"] = pair.active.epoch
+
+        invariants = soak.result.invariants
+        invariants["completed"] = (
+            pair.active.server.intervals_processed >= intervals
         )
-        if kill is not None:
-            _run_leader_kill(cluster, intervals, result, say, obs, members)
-        elif fault_plan.ha_fault_of("partition") is not None:
-            _run_partition(cluster, intervals, result, say, obs)
-        elif fault_plan.ha_fault_of("lease-pause") is not None:
-            _run_split_brain(cluster, intervals, result, say, obs)
-        else:  # pragma: no cover - HA_FAULT_KINDS is validated upstream
-            raise ChaosError(
-                "plan %r has no runnable HA fault" % (fault_plan.name,)
-            )
-        for name, passed in sorted(result.invariants.items()):
-            obs.emit("soak_invariant", invariant=name, passed=bool(passed))
-            say(
-                "  invariant %-22s %s" % (name, "ok" if passed else "FAIL")
-            )
-    except ReproError as error:
-        result.failure = error
-        say("  ha soak aborted: %s" % error)
-    finally:
-        if cluster is not None:
-            cluster.close()
-            result.intervals_completed = (
-                cluster.active.server.intervals_processed
-            )
-        result.faults_injected = fault_plan.injected
-        result.timeline = canonical_timeline(bus.events)
-        result.digest = timeline_digest(result.timeline)
-        bus.close()
-    return result
+        invariants["promoted"] = tally["promotions"] == 1
+        invariants["fenced"] = fenced
+        records, _, monotonic = pair.wal_audit(intervals)
+        invariants["no-stale-record"] = monotonic and not any(
+            record.get("user") == "intruder" for record in records
+        )
+        invariants["digest-at-promotion"] = digest_at_promotion is True
+        invariants["key-agreement"] = agreement_ok(pair.active)
+
+
+SOAK_FAMILY = SoakFamily(
+    command="ha-soak",
+    plans={
+        name: SoakPlan(
+            run,
+            sizes={"intervals": PLAN_INTERVALS[name], "members": 24},
+            description=PLAN_DESCRIPTIONS[name],
+        )
+        for name, run in {
+            "leader-kill": _run_leader_kill,
+            "replication-partition": _run_partition,
+            "split-brain": _run_split_brain,
+        }.items()
+    },
+    kinds=TIMELINE_KINDS,
+    counters={
+        "intervals_target": 0,
+        "intervals_completed": 0,
+        "promotions": 0,
+        "faults_injected": 0,
+        "final_epoch": 0,
+    },
+    targets={"intervals_target": "intervals"},
+    state_key="state_dir",
+    refused={
+        name: "is single-node: run it with chaos-soak, not ha-soak"
+        for name in PLAN_NAMES
+    },
+)

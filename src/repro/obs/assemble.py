@@ -23,13 +23,12 @@ clients ran in-process or sharded over workers, on any machine.
 from __future__ import annotations
 
 import glob
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 
 from repro.errors import ObsError
 from repro.obs.events import read_events
+from repro.util import canonical_digest
 
 #: milestone names in timeline order
 MILESTONES = ("announce", "first_data", "decoded", "key_decrypted")
@@ -119,14 +118,12 @@ class Timeline:
 
 def timeline_digest(timelines):
     """SHA-256 over the canonical timelines (the determinism pin)."""
-    data = json.dumps(
+    return canonical_digest(
         sorted(
             (t.canonical() for t in timelines),
             key=lambda c: (c["interval"], c["member_index"]),
-        ),
-        sort_keys=True,
-    ).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+        )
+    )
 
 
 @dataclass

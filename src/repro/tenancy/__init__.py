@@ -23,9 +23,9 @@ package is that layer:
 - :mod:`repro.tenancy.failover` — :func:`promote_all`: a standby
   re-homes every tenant under one freshly minted lease epoch, verifying
   per-tenant state digests and interval continuity;
-- :mod:`repro.tenancy.soak` — the ``tenancy-soak`` chaos harness and
-  its three digest-pinned plans (noisy-neighbor, tenant-WAL-corruption,
-  mass re-home).
+- :mod:`repro.tenancy.soak` — the ``tenancy-soak`` family and its
+  three digest-pinned plans (noisy-neighbor, tenant-WAL-corruption,
+  mass re-home), run by the one soak harness in :mod:`repro.chaos.soak`.
 
 See ``docs/tenancy.md`` for the operational story.
 """
@@ -35,11 +35,7 @@ from repro.tenancy.failover import PromotionReport, promote_all
 from repro.tenancy.quotas import AdmissionController, TenantBreaker, TenantQuota
 from repro.tenancy.registry import TenantRegistry, TenantSpec, make_fleet
 from repro.tenancy.scheduler import DeadlineScheduler, estimate_cost
-from repro.tenancy.soak import (
-    TENANCY_PLAN_NAMES,
-    TenancySoakResult,
-    run_tenancy_soak,
-)
+from repro.tenancy.soak import TENANCY_PLAN_NAMES
 
 __all__ = [
     "AdmissionController",
@@ -47,7 +43,6 @@ __all__ = [
     "MultiGroupDaemon",
     "PromotionReport",
     "TENANCY_PLAN_NAMES",
-    "TenancySoakResult",
     "TenantBreaker",
     "TenantQuota",
     "TenantRegistry",
@@ -55,5 +50,4 @@ __all__ = [
     "estimate_cost",
     "make_fleet",
     "promote_all",
-    "run_tenancy_soak",
 ]

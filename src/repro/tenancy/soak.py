@@ -1,4 +1,4 @@
-"""The tenancy-soak harness: the multi-tenant daemon under abuse.
+"""The tenancy soak family: the multi-tenant daemon under abuse.
 
 Three plans, each pinning one multi-tenant promise:
 
@@ -22,67 +22,23 @@ Three plans, each pinning one multi-tenant promise:
 Every run is a pure function of ``(plan, seed)`` — virtual ticks, a
 :class:`~repro.chaos.seams.FaultyClock`, per-tenant seeded churn — so
 the tenancy-relevant event subsequence canonicalises to a pinned
-**digest** exactly like the chaos soak's
-(:func:`repro.chaos.soak.canonical_timeline`).
+**digest** exactly like the chaos soak's: all four soak families run
+through the one harness, ``run_soak("tenancy", plan)`` in
+:mod:`repro.chaos.soak`.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-from dataclasses import dataclass, field
 
 from repro.chaos.seams import FaultyClock
-from repro.chaos.soak import canonical_timeline, timeline_digest
-from repro.errors import ChaosError, ReproError
-from repro.obs.events import TENANCY_EVENT_KINDS, EventBus
-from repro.obs.recorder import NULL, Recorder
+from repro.chaos.soak import SoakFamily, SoakPlan, audit_wal
+from repro.errors import ChaosError, TenancyError
+from repro.ha.soak import LEASE_TTL
+from repro.obs.events import TENANCY_EVENT_KINDS
+from repro.obs.recorder import NULL
 from repro.tenancy.daemon import MultiGroupDaemon, tenant_state_dir
 from repro.tenancy.registry import TenantRegistry, TenantSpec, make_fleet
-
-#: the tenancy plans, in documentation order
-TENANCY_PLAN_NAMES = (
-    "noisy-neighbor",
-    "tenant-wal-corruption",
-    "mass-rehome",
-)
-
-TENANCY_PLAN_DESCRIPTIONS = {
-    "noisy-neighbor": (
-        "one tenant's flash crowd is shed and quarantined while every "
-        "victim tenant finishes byte-identical to an aggressor-free run"
-    ),
-    "tenant-wal-corruption": (
-        "a WAL byte-flip quarantines only its own tenant's log and an "
-        "I/O-storm tenant is benched; neighbors complete every interval"
-    ),
-    "mass-rehome": (
-        "a standby re-homes every tenant of a killed leader under one "
-        "new epoch: digests verify, no committed interval is lost"
-    ),
-}
-
-#: default fleet size per plan
-PLAN_TENANTS = {
-    "noisy-neighbor": 32,
-    "tenant-wal-corruption": 24,
-    "mass-rehome": 1000,
-}
-
-#: default scheduler ticks per plan
-PLAN_TICKS = {
-    "noisy-neighbor": 12,
-    "tenant-wal-corruption": 10,
-    "mass-rehome": 4,
-}
-
-#: smallest fleet each plan's cast of characters fits in (aggressor +
-#: victim, two fault victims + a neighbor, a crasher + the re-homed)
-PLAN_MIN_TENANTS = {
-    "noisy-neighbor": 2,
-    "tenant-wal-corruption": 3,
-    "mass-rehome": 2,
-}
 
 #: event kinds that define a tenancy run's reproducible timeline: the
 #: tenancy lifecycle itself plus the fault/recovery/fencing kinds the
@@ -116,70 +72,26 @@ VICTIM_MISS_BAND = 0.02
 #: again)
 STORM_AT = 5
 
-#: mass-rehome lease TTL: huge vs the run's real duration, tiny vs the
-#: FaultyClock's virtual sleep
-LEASE_TTL = 3600.0
+def _start(soak):
+    """``(tenants, ticks, root, seed, obs, say, tally)`` of one run."""
+    return (
+        soak.sizes["tenants"],
+        soak.sizes["ticks"],
+        soak.state_dir,
+        soak.seed,
+        soak.obs,
+        soak.say,
+        soak.result.counters,
+    )
 
 
-@dataclass
-class TenancySoakResult:
-    """Everything one tenancy-soak run observed and concluded."""
-
-    plan: str
-    seed: int
-    tenants: int
-    ticks_target: int
-    ticks_completed: int = 0
-    intervals_total: int = 0
-    shed_total: int = 0
-    quarantines: int = 0
-    restarts: int = 0
-    promotions: int = 0
-    rehomed: int = 0
-    digests_verified: int = 0
-    requests_replayed: int = 0
-    final_epoch: int = 0
-    #: largest |victim miss-rate - baseline miss-rate| (noisy-neighbor)
-    victim_miss_delta: float = 0.0
-    #: the aggressor's admission ledger and breaker (noisy-neighbor)
-    aggressor: dict = field(default_factory=dict)
-    #: invariant name -> bool (empty when the run failed before the end)
-    invariants: dict = field(default_factory=dict)
-    #: canonical tenancy event sequence (see TENANCY_TIMELINE_KINDS)
-    timeline: list = field(default_factory=list)
-    digest: str = ""
-    #: the terminal diagnostic, when the run could not finish
-    failure: object = None
-
-    @property
-    def ok(self):
-        return self.failure is None and bool(self.invariants) and all(
-            self.invariants.values()
-        )
-
-    def to_dict(self):
-        return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "tenants": self.tenants,
-            "ticks_target": self.ticks_target,
-            "ticks_completed": self.ticks_completed,
-            "intervals_total": self.intervals_total,
-            "shed_total": self.shed_total,
-            "quarantines": self.quarantines,
-            "restarts": self.restarts,
-            "promotions": self.promotions,
-            "rehomed": self.rehomed,
-            "digests_verified": self.digests_verified,
-            "requests_replayed": self.requests_replayed,
-            "final_epoch": self.final_epoch,
-            "victim_miss_delta": self.victim_miss_delta,
-            "aggressor": dict(self.aggressor),
-            "invariants": dict(self.invariants),
-            "digest": self.digest,
-            "failure": None if self.failure is None else str(self.failure),
-            "ok": self.ok,
-        }
+def _tally_fleet(tally, *segments):
+    """Sum ticks, intervals and quarantines over a run's daemons."""
+    tally["ticks_completed"] = sum(d.ticks for d in segments)
+    tally["intervals_total"] = sum(d.intervals_total for d in segments)
+    tally["quarantines"] = sum(
+        b.quarantines for d in segments for b in d.breakers.values()
+    )
 
 
 def _fingerprints(daemon, names):
@@ -210,12 +122,11 @@ def _noisy_registry(n_tenants, seed):
     return TenantRegistry(base)
 
 
-def _run_noisy_neighbor(result, root, n_tenants, n_ticks, seed, obs, say):
+def _run_noisy_neighbor(soak):
     from repro.service.churn import FlashCrowdChurn, NoChurn, PoissonChurn
     from repro.service.transports import SessionDelivery
 
-    if n_tenants < 2:
-        raise ChaosError("noisy-neighbor needs at least 2 tenants")
+    n_tenants, n_ticks, root, seed, obs, say, tally = _start(soak)
 
     def drivers(registry, aggressive):
         aggressor = registry.names[0]
@@ -272,15 +183,11 @@ def _run_noisy_neighbor(result, root, n_tenants, n_ticks, seed, obs, say):
     victims = active.registry.names[1:]
     ledger = active.admission.ledger(aggressor)
     breaker = active.breakers[aggressor]
-    result.ticks_completed = active.ticks
-    result.intervals_total = active.intervals_total
-    result.shed_total = sum(
+    _tally_fleet(tally, active)
+    tally["shed_total"] = sum(
         entry["shed"] for entry in active.admission.to_dict().values()
     )
-    result.quarantines = sum(
-        b.quarantines for b in active.breakers.values()
-    )
-    result.aggressor = {
+    tally["aggressor"] = {
         "name": aggressor,
         "ledger": ledger.to_dict(),
         "quarantines": breaker.quarantines,
@@ -292,9 +199,9 @@ def _run_noisy_neighbor(result, root, n_tenants, n_ticks, seed, obs, say):
         )
         for name in victims
     ]
-    result.victim_miss_delta = max(deltas) if deltas else 0.0
+    tally["victim_miss_delta"] = max(deltas) if deltas else 0.0
 
-    invariants = result.invariants
+    invariants = soak.result.invariants
     invariants["completed"] = (
         active.ticks == n_ticks and baseline.ticks == n_ticks
     )
@@ -304,7 +211,7 @@ def _run_noisy_neighbor(result, root, n_tenants, n_ticks, seed, obs, say):
         active, victims
     ) == _fingerprints(baseline, victims)
     invariants["victim-miss-band"] = (
-        result.victim_miss_delta <= VICTIM_MISS_BAND
+        tally["victim_miss_delta"] <= VICTIM_MISS_BAND
     )
     invariants["victims-never-quarantined"] = not any(
         active.breakers[name].quarantines for name in victims
@@ -318,15 +225,12 @@ def _run_noisy_neighbor(result, root, n_tenants, n_ticks, seed, obs, say):
 # -- plan: tenant-wal-corruption ---------------------------------------
 
 
-def _run_wal_corruption(result, root, n_tenants, n_ticks, seed, obs, say):
+def _run_wal_corruption(soak):
     from repro.chaos.faults import FaultPlan, IoFault
     from repro.chaos.seams import FaultyFilesystem
     from repro.service.churn import PoissonChurn
 
-    if n_tenants < 4:
-        raise ChaosError("tenant-wal-corruption needs at least 4 tenants")
-    if n_ticks < 4:
-        raise ChaosError("tenant-wal-corruption needs at least 4 ticks")
+    n_tenants, n_ticks, root, seed, obs, say, tally = _start(soak)
     half = n_ticks // 2
     registry = make_fleet(n_tenants, seed=seed, interval_ticks=1)
     names = registry.names
@@ -350,7 +254,7 @@ def _run_wal_corruption(result, root, n_tenants, n_ticks, seed, obs, say):
     def drivers():
         return {name: PoissonChurn(alpha=0.1) for name in names}
 
-    daemon = MultiGroupDaemon.start_new(
+    first = MultiGroupDaemon.start_new(
         registry,
         root,
         churn=drivers(),
@@ -359,15 +263,10 @@ def _run_wal_corruption(result, root, n_tenants, n_ticks, seed, obs, say):
         clock=clock,
     )
     try:
-        daemon.run_ticks(half)
-        seg1_ticks = daemon.ticks
-        seg1_intervals = daemon.intervals_total
-        seg1_quarantines = sum(
-            b.quarantines for b in daemon.breakers.values()
-        )
-        seg1_conserved = not daemon.admission.verify()
+        first.run_ticks(half)
+        seg1_conserved = not first.admission.verify()
     finally:
-        daemon.close()
+        first.close()
 
     # Damage one tenant's log at rest, then restart the whole fleet
     # through recovery — the blast radius must be that tenant's WAL.
@@ -401,21 +300,17 @@ def _run_wal_corruption(result, root, n_tenants, n_ticks, seed, obs, say):
         obs=obs,
         clock=clock,
     )
-    result.restarts = 1
+    tally["restarts"] = 1
     try:
         daemon.run_ticks(n_ticks - half)
-        result.ticks_completed = seg1_ticks + daemon.ticks
-        result.intervals_total = seg1_intervals + daemon.intervals_total
-        result.quarantines = seg1_quarantines + sum(
-            b.quarantines for b in daemon.breakers.values()
-        )
+        _tally_fleet(tally, first, daemon)
         quarantine_events = [
             event
             for event in obs.bus.events
             if event["kind"] == "wal_quarantine"
         ]
-        invariants = result.invariants
-        invariants["completed"] = result.ticks_completed == n_ticks
+        invariants = soak.result.invariants
+        invariants["completed"] = tally["ticks_completed"] == n_ticks
         invariants["wal-quarantine-isolated"] = len(
             quarantine_events
         ) == 1 and quarantine_events[0]["detail"].get(
@@ -444,14 +339,12 @@ def _run_wal_corruption(result, root, n_tenants, n_ticks, seed, obs, say):
 # -- plan: mass-rehome -------------------------------------------------
 
 
-def _run_mass_rehome(result, root, n_tenants, n_ticks, seed, obs, say):
+def _run_mass_rehome(soak):
     from repro.service.churn import PoissonChurn
     from repro.service.daemon import CrashPlan, DaemonConfig, DaemonCrash
-    from repro.service.wal import epochs_monotonic, scan_records
     from repro.tenancy.failover import fleet_lease, promote_all
 
-    if n_ticks < 3:
-        raise ChaosError("mass-rehome needs at least 3 ticks")
+    n_tenants, n_ticks, root, seed, obs, say, tally = _start(soak)
     registry = make_fleet(
         n_tenants, seed=seed, n_members=3, interval_ticks=1
     )
@@ -516,11 +409,11 @@ def _run_mass_rehome(result, root, n_tenants, n_ticks, seed, obs, say):
         obs=obs,
         clock=clock,
     )
-    result.promotions = 1
-    result.rehomed = report.tenants
-    result.digests_verified = report.digests_verified
-    result.requests_replayed = report.requests_replayed
-    result.final_epoch = report.epoch
+    tally["promotions"] = 1
+    tally["rehomed"] = report.tenants
+    tally["digests_verified"] = report.digests_verified
+    tally["requests_replayed"] = report.requests_replayed
+    tally["final_epoch"] = report.epoch
     say(
         "  promoted: %d tenants re-homed under epoch %d "
         "(%d digests verified, %d requests replayed)"
@@ -533,38 +426,29 @@ def _run_mass_rehome(result, root, n_tenants, n_ticks, seed, obs, say):
     )
     try:
         promoted.run_ticks(n_ticks - leader.ticks)
-        result.ticks_completed = leader.ticks + promoted.ticks
-        result.intervals_total = (
+        tally["ticks_completed"] = leader.ticks + promoted.ticks
+        tally["intervals_total"] = (
             leader.intervals_total + promoted.intervals_total
         )
-        result.quarantines = sum(
+        tally["quarantines"] = sum(
             b.quarantines for b in promoted.breakers.values()
         )
-        lost, nonmonotonic = [], []
-        for name, tenant in promoted.daemons.items():
-            records, wal_error = scan_records(
-                os.path.join(tenant_state_dir(root, name), "wal.jsonl")
+        audits = [
+            audit_wal(
+                os.path.join(tenant_state_dir(root, name), "wal.jsonl"),
+                tenant.server.intervals_processed,
             )
-            if wal_error is not None or not epochs_monotonic(records):
-                nonmonotonic.append(name)
-            commits = {
-                int(record["interval"])
-                for record in records
-                if record.get("op") == "commit"
-            }
-            if commits != set(
-                range(tenant.server.intervals_processed)
-            ):
-                lost.append(name)
-        invariants = result.invariants
+            for name, tenant in promoted.daemons.items()
+        ]
+        invariants = soak.result.invariants
         invariants["leader-crashed"] = crashed
-        invariants["completed"] = result.ticks_completed == n_ticks
+        invariants["completed"] = tally["ticks_completed"] == n_ticks
         invariants["rehomed-all"] = report.tenants == n_tenants
         invariants["digests-verified"] = (
             report.ok and report.digests_verified == n_tenants
         )
-        invariants["no-interval-lost"] = not lost
-        invariants["wal-epochs-monotonic"] = not nonmonotonic
+        invariants["no-interval-lost"] = all(a[1] for a in audits)
+        invariants["wal-epochs-monotonic"] = all(a[2] for a in audits)
         invariants["final-epoch"] = report.epoch == 2
         invariants["key-agreement"] = not promoted.check_agreement()
         invariants["admission-conserved"] = (
@@ -574,83 +458,76 @@ def _run_mass_rehome(result, root, n_tenants, n_ticks, seed, obs, say):
         promoted.close()
 
 
-_PLAN_RUNNERS = {
-    "noisy-neighbor": _run_noisy_neighbor,
-    "tenant-wal-corruption": _run_wal_corruption,
-    "mass-rehome": _run_mass_rehome,
-}
+SOAK_FAMILY = SoakFamily(
+    command="tenancy-soak",
+    plans={
+        # minimum sizes: the smallest fleet each plan's cast of
+        # characters fits in (aggressor + victim; a WAL victim, a storm
+        # victim, a neighbor and the flip target; a crasher + the
+        # re-homed) and the ticks its schedule needs
+        "noisy-neighbor": SoakPlan(
+            _run_noisy_neighbor,
+            sizes={"tenants": 32, "ticks": 12},
+            minimum={"tenants": 2, "ticks": 1},
+            description=(
+                "one tenant's flash crowd is shed and quarantined while "
+                "every victim tenant finishes byte-identical to an "
+                "aggressor-free run"
+            ),
+        ),
+        "tenant-wal-corruption": SoakPlan(
+            _run_wal_corruption,
+            sizes={"tenants": 24, "ticks": 10},
+            minimum={"tenants": 4, "ticks": 4},
+            description=(
+                "a WAL byte-flip quarantines only its own tenant's log and "
+                "an I/O-storm tenant is benched; neighbors complete every "
+                "interval"
+            ),
+        ),
+        "mass-rehome": SoakPlan(
+            _run_mass_rehome,
+            sizes={"tenants": 1000, "ticks": 4},
+            minimum={"tenants": 2, "ticks": 3},
+            description=(
+                "a standby re-homes every tenant of a killed leader under "
+                "one new epoch: digests verify, no committed interval is "
+                "lost"
+            ),
+        ),
+    },
+    kinds=TENANCY_TIMELINE_KINDS,
+    invariant_event="tenancy_invariant",
+    counters={
+        "tenants": 0,
+        "ticks_target": 0,
+        "ticks_completed": 0,
+        "intervals_total": 0,
+        "shed_total": 0,
+        "quarantines": 0,
+        "restarts": 0,
+        "promotions": 0,
+        "rehomed": 0,
+        "digests_verified": 0,
+        "requests_replayed": 0,
+        "final_epoch": 0,
+        #: largest |victim miss-rate - baseline miss-rate|
+        #: (noisy-neighbor)
+        "victim_miss_delta": 0.0,
+        #: the aggressor's admission ledger and breaker (noisy-neighbor)
+        "aggressor": {},
+    },
+    targets={"tenants": "tenants", "ticks_target": "ticks"},
+    complete_event="tenancy_complete",
+    complete_fields={
+        "ticks": "ticks_completed",
+        "intervals": "intervals_total",
+        "shed": "shed_total",
+        "quarantines": "quarantines",
+    },
+    error_types=(ChaosError, TenancyError),
+    state_key="state_root",
+)
 
-
-def run_tenancy_soak(
-    plan="noisy-neighbor",
-    seed=7,
-    tenants=None,
-    ticks=None,
-    state_root=None,
-    obs_path=None,
-    log=None,
-):
-    """Run one tenancy soak; returns a :class:`TenancySoakResult`
-    (plan-induced failures land in ``result.failure``, not a raise).
-
-    ``tenants`` / ``ticks`` override the plan's defaults (the pinned
-    digests hold only for the defaults).  ``log`` is an optional
-    callable for progress lines (the CLI passes ``print``).
-    """
-    if plan not in _PLAN_RUNNERS:
-        raise ChaosError(
-            "unknown tenancy plan %r (valid: %s)"
-            % (plan, ", ".join(TENANCY_PLAN_NAMES))
-        )
-    n_tenants = PLAN_TENANTS[plan] if tenants is None else int(tenants)
-    n_ticks = PLAN_TICKS[plan] if ticks is None else int(ticks)
-    if n_ticks < 1:
-        raise ChaosError("tenancy soak needs ticks >= 1")
-    minimum = PLAN_MIN_TENANTS[plan]
-    if n_tenants < minimum:
-        raise ChaosError(
-            "plan %r needs at least %d tenants, got %d"
-            % (plan, minimum, n_tenants)
-        )
-    say = log if log is not None else (lambda line: None)
-    if state_root is None:
-        state_root = tempfile.mkdtemp(prefix="tenancy-soak-")
-    bus = EventBus(path=obs_path)
-    obs = Recorder(bus=bus)
-    result = TenancySoakResult(
-        plan=plan,
-        seed=int(seed),
-        tenants=n_tenants,
-        ticks_target=n_ticks,
-    )
-    try:
-        _PLAN_RUNNERS[plan](
-            result, state_root, n_tenants, n_ticks, int(seed), obs, say
-        )
-        for name, passed in sorted(result.invariants.items()):
-            obs.emit(
-                "tenancy_invariant", invariant=name, passed=bool(passed)
-            )
-            say(
-                "  invariant %-26s %s"
-                % (name, "ok" if passed else "FAIL")
-            )
-    except ReproError as error:
-        result.failure = error
-        say("  tenancy soak aborted: %s" % error)
-    finally:
-        obs.emit(
-            "tenancy_complete",
-            plan=plan,
-            seed=int(seed),
-            ticks=result.ticks_completed,
-            intervals=result.intervals_total,
-            shed=result.shed_total,
-            quarantines=result.quarantines,
-        )
-        result.timeline = canonical_timeline(
-            bus.events, kinds=TENANCY_TIMELINE_KINDS
-        )
-        result.digest = timeline_digest(result.timeline)
-        bus.close()
-    return result
+#: the tenancy plans, in documentation order
+TENANCY_PLAN_NAMES = tuple(SOAK_FAMILY.plans)

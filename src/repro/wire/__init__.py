@@ -14,18 +14,12 @@ processes) and keeps every run a pure function of its seed:
 - :mod:`repro.wire.worker` — multiprocessing client shards;
 - :mod:`repro.wire.fleet` — the digest-pinned fleet runner behind
   ``python -m repro fleet``;
-- :mod:`repro.wire.chaos` — the survivability soaks behind
+- :mod:`repro.wire.chaos` — the survivability soak family behind
   ``python -m repro wire-chaos-soak`` (datagram faults, client
-  crashes, live-fleet leader failover).
+  crashes, live-fleet leader failover), run by the one soak harness in
+  :mod:`repro.chaos.soak`.
 """
 
-from repro.wire.chaos import (
-    WIRE_TIMELINE_KINDS,
-    WireChaosResult,
-    canonical_wire_timeline,
-    run_wire_chaos_soak,
-    wire_timeline_digest,
-)
 from repro.wire.client import WireClient
 from repro.wire.codec import (
     WIRE_HEADER_SIZE,
@@ -40,7 +34,6 @@ from repro.wire.fleet import (
     FLEET_PLANS,
     FleetPlan,
     FleetResult,
-    fleet_digest,
     run_fleet,
 )
 from repro.wire.loss import MemberLoss, cohort_of
@@ -60,21 +53,15 @@ __all__ = [
     "MemberLoss",
     "Participant",
     "WIRE_HEADER_SIZE",
-    "WIRE_TIMELINE_KINDS",
-    "WireChaosResult",
     "WireClient",
     "WireDelivery",
     "WireFleet",
     "WireOutcome",
     "WireServer",
-    "canonical_wire_timeline",
     "cohort_of",
     "decode_frame",
     "encode_frame",
-    "fleet_digest",
     "max_datagram_size",
     "recv_buffer_size",
     "run_fleet",
-    "run_wire_chaos_soak",
-    "wire_timeline_digest",
 ]

@@ -1,7 +1,8 @@
-"""Wire-plane survivability soaks: ``python -m repro wire-chaos-soak``.
+"""The wire soak family: ``python -m repro wire-chaos-soak``.
 
-``run_wire_chaos_soak`` drives the real asyncio UDP wire plane through
-one of the pinned-digest survivability plans
+``run_soak("wire", plan)`` (:mod:`repro.chaos.soak`) drives the real
+asyncio UDP wire plane through one of the pinned-digest survivability
+plans
 (:data:`~repro.chaos.wire_faults.WIRE_CHAOS_PLAN_NAMES`):
 
 - ``datagram-storm`` — every fault family of the
@@ -36,35 +37,19 @@ the *set* is a pure function of ``(plan, seed)``.  Client-side FSM
 events (resyncs, rehomes, stale-epoch refusals) are deliberately
 excluded: their counts depend on real-time pacing and worker placement.
 The digests are pinned in ``docs/robustness.md`` and checked by the CI
-``wire-chaos-smoke`` job.
+soak-smoke job.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-# NOTE: repro.chaos.wire_faults imports repro.wire.codec, so importing
-# it at module level from inside the repro.wire package would be
-# circular — the plan registry is pulled in lazily where needed.
-from repro.errors import ChaosError, ReproError, WorkerCrashError
-from repro.obs.events import HA_EVENT_KINDS, EventBus
-from repro.obs.recorder import Recorder
+from repro.chaos.soak import SoakFamily, SoakPlan, agreement_ok
+from repro.chaos.wire_faults import WIRE_CHAOS_PLAN_NAMES, make_wire_plan
+from repro.errors import ChaosError, ReproError, WireError
+from repro.obs.events import HA_EVENT_KINDS
 
-__all__ = [
-    "WIRE_TIMELINE_KINDS",
-    "WireChaosResult",
-    "canonical_wire_timeline",
-    "run_wire_chaos_soak",
-    "wire_timeline_digest",
-]
-
-#: soak lease TTL (virtual seconds) — same reasoning as the HA soak:
-#: only an orchestrated ``clock.sleep`` may lapse it, never a slow host
-LEASE_TTL = 3600.0
+__all__ = ["WIRE_TIMELINE_KINDS", "wire_plan"]
 
 #: Event kinds that define a wire-chaos run's reproducible timeline.
 #: The single-node soak's ``TIMELINE_KINDS`` is deliberately left
@@ -81,125 +66,21 @@ WIRE_TIMELINE_KINDS = frozenset(
     }
 )
 
-#: detail keys dropped from the digest (same policy as the chaos soak)
-_VOLATILE_KEYS = ("error", "trace")
 
-
-def canonical_wire_timeline(events):
-    """The digest-stable projection of a run's survivability events.
-
-    Envelope times are dropped, volatile detail keys are dropped,
-    path-valued details reduce to their basename, and the entries are
-    **sorted** — receive-side fault applications arrive in scheduler
-    order, so only the set is deterministic (see the module docs).
-    """
-    timeline = []
-    for event in events:
-        if event["kind"] not in WIRE_TIMELINE_KINDS:
-            continue
-        detail = {}
-        for key, value in event["detail"].items():
-            if key in _VOLATILE_KEYS:
-                continue
-            if isinstance(value, str) and os.sep in value:
-                value = os.path.basename(value)
-            detail[key] = value
-        timeline.append({"kind": event["kind"], "detail": detail})
-    timeline.sort(key=lambda entry: json.dumps(entry, sort_keys=True))
-    return timeline
-
-
-def wire_timeline_digest(timeline):
-    """SHA-256 over the canonical wire timeline (the determinism pin)."""
-    data = json.dumps(timeline, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
-
-
-@dataclass
-class WireChaosResult:
-    """Everything one wire-chaos soak observed and concluded."""
-
-    plan: str
-    seed: int
-    clients: int
-    intervals_target: int
-    workers: int = 0
-    intervals_completed: int = 0
-    #: per-family counts of applied (first-occurrence) datagram faults
-    faults_applied: dict = field(default_factory=dict)
-    crashes_scheduled: int = 0
-    evictions: int = 0
-    #: client-FSM totals — informational, timing-dependent, not digested
-    resyncs: int = 0
-    rehomes: int = 0
-    promotions: int = 0
-    final_epoch: int = 0
-    invariants: dict = field(default_factory=dict)
-    timeline: list = field(default_factory=list)
-    digest: str = ""
-    failure: object = None
-    worker_crash: bool = False
-
-    @property
-    def ok(self):
-        return (
-            self.failure is None
-            and bool(self.invariants)
-            and all(self.invariants.values())
-        )
-
-    def to_dict(self):
-        return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "clients": self.clients,
-            "workers": self.workers,
-            "intervals_target": self.intervals_target,
-            "intervals_completed": self.intervals_completed,
-            "faults_applied": dict(self.faults_applied),
-            "crashes_scheduled": self.crashes_scheduled,
-            "evictions": self.evictions,
-            "resyncs": self.resyncs,
-            "rehomes": self.rehomes,
-            "promotions": self.promotions,
-            "final_epoch": self.final_epoch,
-            "invariants": dict(self.invariants),
-            "digest": self.digest,
-            "failure": None if self.failure is None else str(self.failure),
-            "worker_crash": self.worker_crash,
-            "ok": self.ok,
-        }
-
-
-# -- shared plumbing -----------------------------------------------------
-
-
-def _resolve(plan, clients, intervals, workers):
-    from repro.chaos.wire_faults import WireChaosPlan, make_wire_plan
-
-    if isinstance(plan, WireChaosPlan):
-        overrides = {}
-        if clients is not None:
-            overrides["clients"] = int(clients)
-        if intervals is not None:
-            overrides["intervals"] = int(intervals)
-        if workers is not None:
-            overrides["workers"] = int(workers)
-        return replace(plan, **overrides) if overrides else plan
-    return make_wire_plan(
-        plan, clients=clients, intervals=intervals, workers=workers
-    )
-
-
-def _make_churn(plan):
+def _wire_daemon(plan, seed, obs, backend, service, **kwargs):
+    """The plan's daemon and churn over ``backend``."""
     from repro.service.churn import NoChurn, PoissonChurn
+    from repro.wire.fleet import wire_daemon
 
+    churn = NoChurn()
     if plan.churn_alpha_join or plan.churn_alpha_leave:
-        return PoissonChurn(
+        churn = PoissonChurn(
             alpha=plan.churn_alpha_leave,
             alpha_join=plan.churn_alpha_join,
         )
-    return NoChurn()
+    return wire_daemon(
+        plan.clients, churn, seed, obs, backend, service, **kwargs
+    )
 
 
 def _crash_schedule(plan):
@@ -210,61 +91,53 @@ def _crash_schedule(plan):
     }
 
 
-def _agreement_ok(daemon):
+def _close_backend(backend):
     try:
-        daemon.fleet.check_agreement(
-            daemon.server, exclude=daemon.pending_carry_names()
+        backend.close()
+    except ReproError:  # teardown must not mask the run's verdict
+        pass
+
+
+def _start(soak):
+    """The plan with the run's sizes applied, and its group config."""
+    from repro.core.config import GroupConfig
+
+    plan = replace(soak.spec, **soak.sizes)
+    soak.say(
+        "wire-chaos: plan %r, seed %d, %d clients%s, %d intervals"
+        % (
+            soak.name,
+            soak.seed,
+            plan.clients,
+            " on %d workers" % plan.workers if plan.workers else "",
+            plan.intervals,
         )
-        return True
-    except ReproError:
-        return False
-
-
-def _steps_guard(steps, done, intervals):
-    if steps > intervals * 3 + 8:
-        raise ChaosError(
-            "wire chaos soak wedged: %d steps but only %d/%d intervals"
-            % (steps, done, intervals)
-        )
-
-
-def _close_all(backend, daemons):
-    if backend is not None:
-        try:
-            backend.close()
-        except ReproError:  # teardown must not mask the run's verdict
-            pass
-    for daemon in daemons:
-        try:
-            daemon.close()
-        except ReproError:  # pragma: no cover - double-close noise
-            pass
+    )
+    return plan, GroupConfig(
+        block_size=plan.block_size,
+        seed=soak.seed,
+        nack_window_seconds=plan.nack_window_seconds,
+    )
 
 
 # -- the single-daemon plans ---------------------------------------------
 
 
-def _run_single(plan, seed, obs, result, say):
+def _run_single(soak):
     """``datagram-storm`` and ``client-churn-crash``: one daemon, the
     injector and/or scripted client deaths, liveness evictions feeding
     the leave intake."""
     from repro.chaos.wire_faults import DatagramFaultInjector
-    from repro.core.config import GroupConfig
-    from repro.core.server import GroupKeyServer
-    from repro.service.daemon import DaemonConfig, RekeyDaemon
-    from repro.service.members import MemberFleet
-    from repro.wire.delivery import WireDelivery, WireFleet
+    from repro.service.daemon import DaemonConfig
+    from repro.wire.delivery import WireDelivery
 
-    config = GroupConfig(
-        block_size=plan.block_size,
-        seed=seed,
-        nack_window_seconds=plan.nack_window_seconds,
-    )
+    plan, config = _start(soak)
+    seed, obs, tally = soak.seed, soak.obs, soak.result.counters
     injector = None
     if plan.faults.any_enabled:
         injector = DatagramFaultInjector(plan.faults, seed, obs=obs)
     schedule = _crash_schedule(plan)
-    result.crashes_scheduled = len(schedule)
+    tally["crashes_scheduled"] = len(schedule)
     backend = WireDelivery(
         config,
         seed=seed + 1,
@@ -284,19 +157,12 @@ def _run_single(plan, seed, obs, result, say):
             interval=interval,
             phase=round_no,
         )
-    server = GroupKeyServer(
-        ["member-%04d" % index for index in range(plan.clients)],
-        config=config,
-    )
-    fleet_cls = WireFleet if plan.workers else MemberFleet
-    daemon = RekeyDaemon(
-        server,
-        backend=backend,
-        fleet=fleet_cls.register_all(server),
-        churn=_make_churn(plan),
-        service=DaemonConfig(deadline_rounds=config.max_multicast_rounds),
-        seed=seed,
-        obs=obs,
+    daemon = _wire_daemon(
+        plan,
+        seed,
+        obs,
+        backend,
+        DaemonConfig(deadline_rounds=config.max_multicast_rounds),
     )
     # Casualties become leaves from the daemon's own thread (the intake
     # lock is reentrant): evicted mid-interval, rekeyed out at the next.
@@ -304,7 +170,7 @@ def _run_single(plan, seed, obs, result, say):
     try:
         daemon.run(
             plan.intervals,
-            on_interval=lambda record: say(
+            on_interval=lambda record: soak.say(
                 "  interval %d: %d members, %d rounds, %d carried"
                 % (
                     record.interval,
@@ -314,18 +180,17 @@ def _run_single(plan, seed, obs, result, say):
                 )
             ),
         )
-        result.intervals_completed = daemon.server.intervals_processed
-        result.evictions = len(backend.dead_members)
+        tally["evictions"] = len(backend.dead_members)
         stats = backend.client_stats()
-        result.resyncs = sum(s["resyncs"] for s in stats.values())
+        tally["resyncs"] = sum(s["resyncs"] for s in stats.values())
 
-        invariants = result.invariants
+        invariants = soak.result.invariants
         invariants["completed"] = (
             daemon.server.intervals_processed >= plan.intervals
         )
-        invariants["key-agreement"] = _agreement_ok(daemon)
+        invariants["key-agreement"] = agreement_ok(daemon)
         if injector is not None:
-            result.faults_applied = dict(injector.applied)
+            tally["faults_applied"] = dict(injector.applied)
             for fault, rate in (
                 ("corrupt", plan.faults.corrupt_rate),
                 ("duplicate", plan.faults.duplicate_rate),
@@ -360,48 +225,27 @@ def _run_single(plan, seed, obs, result, say):
         else:
             invariants["no-member-lost"] = not backend.dead_members
     finally:
-        result.intervals_completed = daemon.server.intervals_processed
-        _close_all(backend, [daemon])
+        tally["intervals_completed"] = daemon.server.intervals_processed
+        _close_backend(backend)
+        daemon.close()
 
 
 # -- the live-fleet failover plan ----------------------------------------
 
 
-def _run_leader_kill_live(plan, seed, obs, result, say):
+def _run_leader_kill_live(soak):
     """``leader-kill-live``: kill the leader post-delivery, promote a
     hot standby, and make the *live* worker fleet re-home to it."""
     from repro.chaos.seams import FaultyClock
-    from repro.core.config import GroupConfig
-    from repro.core.server import GroupKeyServer
-    from repro.ha.lease import Lease
-    from repro.ha.replication import DirectLink, LeaderPublisher
-    from repro.ha.standby import StandbyReplica, promote
-    from repro.service.daemon import (
-        CrashPlan,
-        DaemonConfig,
-        DaemonCrash,
-        RekeyDaemon,
-    )
-    from repro.service.wal import epochs_monotonic, scan_records
-    from repro.wire.delivery import WireDelivery, WireFleet
+    from repro.ha.soak import StandbyPair
+    from repro.service.daemon import CrashPlan, DaemonConfig
+    from repro.wire.delivery import WireDelivery
 
-    state_dir = tempfile.mkdtemp(prefix="wire-chaos-")
-    clock = FaultyClock()
-    lease_path = os.path.join(state_dir, "lease.json")
-    leader_lease = Lease(
-        lease_path, "node-a", ttl=LEASE_TTL, clock=clock, obs=obs
-    )
-    standby_lease = Lease(
-        lease_path, "node-b", ttl=LEASE_TTL, clock=clock, obs=obs
-    )
-    epoch = leader_lease.acquire()
-    config = GroupConfig(
-        block_size=plan.block_size,
-        seed=seed,
-        nack_window_seconds=plan.nack_window_seconds,
-    )
+    plan, config = _start(soak)
+    seed, obs, tally = soak.seed, soak.obs, soak.result.counters
+    pair = StandbyPair(soak.state_dir, obs, FaultyClock())
     service = DaemonConfig(
-        state_dir=state_dir,
+        state_dir=soak.state_dir,
         wal_compact_every=0,
         verify_invariants=True,
         deadline_rounds=config.max_multicast_rounds,
@@ -412,225 +256,131 @@ def _run_leader_kill_live(plan, seed, obs, result, say):
         seed=seed + 1,
         workers=plan.workers,
         resync_timeout=plan.resync_timeout,
-        epoch=epoch,
+        epoch=pair.epoch,
     )
-    server = GroupKeyServer(
-        ["member-%04d" % index for index in range(plan.clients)],
-        config=config,
+    leader = _wire_daemon(
+        plan,
+        seed,
+        obs,
+        backend,
+        service,
+        clock=pair.clock,
+        epoch=pair.epoch,
+        fence=pair.leader_lease,
     )
-    leader = RekeyDaemon(
-        server,
-        backend=backend,
-        fleet=WireFleet.register_all(server),
-        churn=_make_churn(plan),
-        service=service,
-        seed=seed,
-        obs=obs,
-        clock=clock,
-        epoch=epoch,
-        fence=leader_lease,
-    )
-    if leader.snapshot_path is not None and not leader._save_snapshot():
-        raise ChaosError(
-            "could not write the initial snapshot to %s"
-            % leader.snapshot_path
-        )
-    obs.emit("ha_role", node="node-a", role="leader", epoch=epoch)
-    obs.emit("ha_role", node="node-b", role="standby", epoch=epoch)
-    publisher = leader.attach_replication(
-        LeaderPublisher(epoch, wal=leader.wal, obs=obs)
-    )
-    link = DirectLink()
-    replica = StandbyReplica(
-        config=config, node_id="node-b", obs=obs, clock=clock
-    )
-    publisher.subscribe(link, server=leader.server)
-    replica.apply_frames(link.poll())
-
-    active = leader
-    daemons = [leader]
-    intervals = plan.intervals
-    steps = 0
     try:
-        while active.server.intervals_processed < intervals:
-            steps += 1
-            _steps_guard(
-                steps, active.server.intervals_processed, intervals
+        if not leader._save_snapshot():
+            raise ChaosError(
+                "could not write the initial snapshot to %s"
+                % leader.snapshot_path
             )
-            current = active.server.intervals_processed
-            try:
-                active.run_interval()
-            except DaemonCrash:
-                say(
-                    "  interval %d: leader killed post-delivery -> "
-                    "failing over with the fleet live" % current
-                )
-                # The workers' client processes — and their sockets —
-                # survive the leader: detach them before tearing the
-                # leader's wire plane down, so the successor can adopt
-                # the pool and rebind the same UDP port.
-                adoption = backend.handoff()
-                leader.close()
-                backend.close()
-                service.crash_plan = None
-                replica.apply_frames(link.poll())
-                clock.sleep(LEASE_TTL + 1.0)
-                obs.emit(
-                    "ha_heartbeat_lost",
-                    node=replica.node_id,
-                    leader_epoch=replica.leader_epoch,
-                    applied_seq=replica.applied_seq,
-                )
-                successor = WireDelivery(
-                    config,
-                    seed=seed + 1,
-                    workers=plan.workers,
-                    resync_timeout=plan.resync_timeout,
-                    handoff=adoption,
-                )
-                active = promote(
-                    replica,
-                    state_dir,
-                    standby_lease,
-                    backend=successor,
-                    fleet=leader.fleet,
-                    churn=leader.churn,
-                    service=service,
-                    seed=seed,
-                    obs=obs,
-                    clock=clock,
-                )
-                # The promoted epoch is minted inside promote(); the
-                # successor's server starts lazily at the next deliver,
-                # so stamping it here fences every ANNOUNCE it sends.
-                successor.epoch = active.epoch
-                backend = successor
-                daemons.append(active)
-                result.promotions += 1
-                say(
-                    "  promoted node-b to epoch %d; fleet re-homing"
-                    % active.epoch
-                )
-                continue
-            if active is leader:
-                leader_lease.renew()
-                publisher.heartbeat()
-                replica.apply_frames(link.poll())
-        result.intervals_completed = active.server.intervals_processed
-        result.final_epoch = active.epoch
-        stats = backend.client_stats()
-        result.resyncs = sum(s["resyncs"] for s in stats.values())
-        result.rehomes = sum(
-            1 for s in stats.values() if s["epoch"] == active.epoch
-        )
-        result.evictions = len(backend.dead_members)
+        pair.attach(leader)
 
-        invariants = result.invariants
-        invariants["completed"] = (
-            active.server.intervals_processed >= intervals
+        def fail_over(current):
+            nonlocal backend
+            soak.say(
+                "  interval %d: leader killed post-delivery -> "
+                "failing over with the fleet live" % current
+            )
+            # The workers' client processes — and their sockets —
+            # survive the leader: detach them before tearing the
+            # leader's wire plane down, so the successor can adopt the
+            # pool and rebind the same UDP port.
+            adoption = backend.handoff()
+            leader.close()
+            backend.close()
+            backend = WireDelivery(
+                config,
+                seed=seed + 1,
+                workers=plan.workers,
+                resync_timeout=plan.resync_timeout,
+                handoff=adoption,
+            )
+            # The promoted epoch is minted inside promote(); the
+            # successor's server starts lazily at the next deliver, so
+            # stamping it here fences every ANNOUNCE it sends.
+            backend.epoch = pair.fail_over(seed, backend=backend).epoch
+            soak.say(
+                "  promoted node-b to epoch %d; fleet re-homing"
+                % backend.epoch
+            )
+
+        invariants = soak.result.invariants
+        invariants.update(pair.run_killed(plan.intervals, tally, fail_over))
+        stats = backend.client_stats()
+        tally["resyncs"] = sum(s["resyncs"] for s in stats.values())
+        tally["rehomes"] = sum(
+            1 for s in stats.values() if s["epoch"] == pair.active.epoch
         )
-        invariants["promoted"] = result.promotions == 1
+        tally["evictions"] = len(backend.dead_members)
         invariants["rehomed"] = bool(stats) and all(
-            s["epoch"] == active.epoch and not s["dead"]
+            s["epoch"] == pair.active.epoch and not s["dead"]
             for s in stats.values()
         )
-        invariants["key-agreement"] = _agreement_ok(active)
-        records, wal_error = scan_records(
-            os.path.join(state_dir, "wal.jsonl")
-        )
-        if wal_error is not None:
-            raise wal_error
-        committed = {
-            r["interval"] for r in records if r["op"] == "commit"
-        }
-        invariants["no-interval-lost"] = committed == set(
-            range(intervals)
-        )
-        invariants["wal-epochs-monotonic"] = epochs_monotonic(records)
     finally:
-        result.intervals_completed = active.server.intervals_processed
-        _close_all(backend, daemons)
-
-
-# -- the entry point -----------------------------------------------------
-
-
-def run_wire_chaos_soak(
-    plan="datagram-storm",
-    seed=7,
-    clients=None,
-    intervals=None,
-    workers=None,
-    obs_path=None,
-    log=None,
-):
-    """Run one wire-chaos soak; returns a :class:`WireChaosResult`.
-
-    ``plan`` is a name from
-    :data:`~repro.chaos.wire_faults.WIRE_CHAOS_PLAN_NAMES` (or a ready
-    :class:`~repro.chaos.wire_faults.WireChaosPlan`).  Run-induced
-    failures land in ``result.failure``, not exceptions — except plan
-    misconfiguration, which raises :class:`~repro.errors.ChaosError`
-    like every other soak entry point.
-    """
-    plan = _resolve(plan, clients, intervals, workers)
-    if plan.leader_kill_interval and plan.workers < 1:
-        raise ChaosError(
-            "a leader-kill plan needs worker processes: the clients "
-            "must outlive the killed leader"
-        )
-    say = log if log is not None else (lambda line: None)
-    bus = EventBus(path=obs_path)
-    obs = Recorder(bus=bus)
-    result = WireChaosResult(
-        plan=plan.name,
-        seed=int(seed),
-        clients=plan.clients,
-        intervals_target=plan.intervals,
-        workers=plan.workers,
-    )
-    say(
-        "wire-chaos: plan %r, seed %d, %d clients%s, %d intervals"
-        % (
-            plan.name,
-            int(seed),
-            plan.clients,
-            " on %d workers" % plan.workers if plan.workers else "",
-            plan.intervals,
-        )
-    )
-    try:
-        if plan.leader_kill_interval:
-            _run_leader_kill_live(plan, int(seed), obs, result, say)
+        tally["intervals_completed"] = (
+            pair.active or leader
+        ).server.intervals_processed
+        _close_backend(backend)
+        if pair.active is None:
+            leader.close()
         else:
-            _run_single(plan, int(seed), obs, result, say)
-        for name, passed in sorted(result.invariants.items()):
-            obs.emit(
-                "wire_chaos_invariant",
-                invariant=name,
-                passed=bool(passed),
-            )
-            say(
-                "  invariant %-22s %s"
-                % (name, "ok" if passed else "FAIL")
-            )
-    except WorkerCrashError as error:
-        result.failure = error
-        result.worker_crash = True
-        say("  wire chaos soak aborted: %s" % error)
-    except ReproError as error:
-        result.failure = error
-        say("  wire chaos soak aborted: %s" % error)
-    finally:
-        result.timeline = canonical_wire_timeline(bus.events)
-        result.digest = wire_timeline_digest(result.timeline)
-        obs.emit(
-            "wire_chaos_complete",
-            plan=plan.name,
-            seed=int(seed),
-            intervals=result.intervals_completed,
-            digest=result.digest,
-            ok=result.ok,
-        )
-        bus.close()
-    return result
+            pair.close()
+
+
+def wire_plan(spec):
+    """The :class:`~repro.chaos.soak.SoakPlan` that runs one
+    :class:`~repro.chaos.wire_faults.WireChaosPlan` (registered or ad
+    hoc): a leader kill needs worker processes, because the clients
+    must outlive the killed leader."""
+    return SoakPlan(
+        _run_leader_kill_live if spec.leader_kill_interval else _run_single,
+        sizes={
+            "clients": spec.clients,
+            "intervals": spec.intervals,
+            "workers": spec.workers,
+        },
+        minimum={"workers": 1} if spec.leader_kill_interval else {},
+        description=spec.description,
+        spec=spec,
+    )
+
+
+SOAK_FAMILY = SoakFamily(
+    command="wire-chaos-soak",
+    plans={
+        name: wire_plan(make_wire_plan(name))
+        for name in WIRE_CHAOS_PLAN_NAMES
+    },
+    kinds=WIRE_TIMELINE_KINDS,
+    ordered=False,
+    invariant_event="wire_chaos_invariant",
+    counters={
+        "clients": 0,
+        "workers": 0,
+        "intervals_target": 0,
+        "intervals_completed": 0,
+        #: per-family counts of applied (first-occurrence) datagram
+        #: faults
+        "faults_applied": {},
+        "crashes_scheduled": 0,
+        "evictions": 0,
+        #: client-FSM totals — informational, timing-dependent, not
+        #: digested
+        "resyncs": 0,
+        "rehomes": 0,
+        "promotions": 0,
+        "final_epoch": 0,
+        "worker_crash": False,
+    },
+    targets={
+        "clients": "clients",
+        "workers": "workers",
+        "intervals_target": "intervals",
+    },
+    complete_event="wire_chaos_complete",
+    complete_fields={"intervals": "intervals_completed"},
+    complete_after_digest=True,
+    error_types=(ChaosError, WireError),
+    adopt=wire_plan,
+)

@@ -22,16 +22,16 @@ per-cohort recovery-latency percentiles computed from the
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.chaos.soak import SoakResult
 from repro.errors import ReproError, WireError, WorkerCrashError
 from repro.obs.events import EventBus
 from repro.obs.recorder import Recorder
+from repro.util import canonical_digest
 
 #: Fleet plans, smallest first.  ``smoke`` is sized for CI (and the
 #: pinned-digest test); ``standard`` is the acceptance configuration;
@@ -78,55 +78,15 @@ FLEET_PLANS = {
 
 
 @dataclass
-class FleetResult:
-    """Everything one fleet run observed and concluded."""
+class FleetResult(SoakResult):
+    """A soak result plus the canonical per-interval protocol records
+    (the digest input).  Its counters: ``clients``, ``workers``,
+    ``intervals_target``, ``intervals_completed``, ``cohorts`` (the
+    per-cohort wall-clock summary from ``wire_member_recovered``
+    events) and ``worker_crash`` (a dead worker process: a distinct CLI
+    exit code, because the fleet lost a machine)."""
 
-    plan: str
-    seed: int
-    clients: int
-    intervals_target: int
-    workers: int = 0
-    intervals_completed: int = 0
-    #: the canonical per-interval protocol records (the digest input)
     records: list = field(default_factory=list)
-    digest: str = ""
-    #: per-cohort wall-clock summary from wire_member_recovered events
-    cohorts: dict = field(default_factory=dict)
-    invariants: dict = field(default_factory=dict)
-    failure: object = None
-    #: the failure was a dead worker process (distinct CLI exit code:
-    #: the fleet did not merely miss an invariant, it lost a machine)
-    worker_crash: bool = False
-
-    @property
-    def ok(self):
-        return (
-            self.failure is None
-            and bool(self.invariants)
-            and all(self.invariants.values())
-        )
-
-    def to_dict(self):
-        return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "clients": self.clients,
-            "workers": self.workers,
-            "intervals_target": self.intervals_target,
-            "intervals_completed": self.intervals_completed,
-            "digest": self.digest,
-            "cohorts": dict(self.cohorts),
-            "invariants": dict(self.invariants),
-            "failure": None if self.failure is None else str(self.failure),
-            "worker_crash": self.worker_crash,
-            "ok": self.ok,
-        }
-
-
-def fleet_digest(records):
-    """SHA-256 over the canonical interval records (the determinism pin)."""
-    data = json.dumps(records, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
 
 
 def _percentiles(values):
@@ -193,6 +153,31 @@ def resolve_plan(plan, clients=None, intervals=None, workers=None):
     return replace(resolved, **overrides) if overrides else resolved
 
 
+def wire_daemon(clients, churn, seed, obs, backend, service, **kwargs):
+    """A daemon serving ``clients`` members over the wire ``backend``;
+    the members are hosted by its worker processes when it has any."""
+    from repro.core.server import GroupKeyServer
+    from repro.service.daemon import RekeyDaemon
+    from repro.service.members import MemberFleet
+    from repro.wire.delivery import WireFleet
+
+    server = GroupKeyServer(
+        ["member-%04d" % index for index in range(clients)],
+        config=backend.config,
+    )
+    fleet_cls = WireFleet if backend.workers else MemberFleet
+    return RekeyDaemon(
+        server,
+        backend=backend,
+        fleet=fleet_cls.register_all(server),
+        churn=churn,
+        service=service,
+        seed=seed,
+        obs=obs,
+        **kwargs,
+    )
+
+
 def run_fleet(
     plan="smoke",
     seed=7,
@@ -216,11 +201,9 @@ def run_fleet(
     The directory is what ``repro obs-report --trace-dir`` consumes.
     """
     from repro.core.config import GroupConfig
-    from repro.core.server import GroupKeyServer
     from repro.service.churn import NoChurn, PoissonChurn
-    from repro.service.daemon import DaemonConfig, RekeyDaemon
-    from repro.service.members import MemberFleet
-    from repro.wire.delivery import WireDelivery, WireFleet
+    from repro.service.daemon import DaemonConfig
+    from repro.wire.delivery import WireDelivery
 
     plan = resolve_plan(
         plan, clients=clients, intervals=intervals, workers=workers
@@ -240,9 +223,14 @@ def run_fleet(
     result = FleetResult(
         plan=plan.name,
         seed=int(seed),
-        clients=plan.clients,
-        intervals_target=plan.intervals,
-        workers=plan.workers,
+        counters={
+            "clients": plan.clients,
+            "workers": plan.workers,
+            "intervals_target": plan.intervals,
+            "intervals_completed": 0,
+            "cohorts": {},
+            "worker_crash": False,
+        },
     )
     churn = (
         PoissonChurn(alpha=plan.churn_alpha)
@@ -261,21 +249,13 @@ def run_fleet(
     )
     daemon = None
     try:
-        server = GroupKeyServer(
-            ["member-%04d" % index for index in range(plan.clients)],
-            config=config,
-        )
-        fleet_cls = WireFleet if plan.workers else MemberFleet
-        daemon = RekeyDaemon(
-            server,
-            backend=backend,
-            fleet=fleet_cls.register_all(server),
-            churn=churn,
-            service=DaemonConfig(
-                deadline_rounds=config.max_multicast_rounds
-            ),
-            seed=int(seed),
-            obs=obs,
+        daemon = wire_daemon(
+            plan.clients,
+            churn,
+            int(seed),
+            obs,
+            backend,
+            DaemonConfig(deadline_rounds=config.max_multicast_rounds),
         )
 
         def on_interval(record):
@@ -298,7 +278,9 @@ def run_fleet(
             )
 
         daemon.run(plan.intervals, on_interval=on_interval)
-        result.intervals_completed = daemon.server.intervals_processed
+        result.counters["intervals_completed"] = (
+            daemon.server.intervals_processed
+        )
 
         invariants = result.invariants
         invariants["completed"] = (
@@ -323,7 +305,7 @@ def run_fleet(
             )
     except WorkerCrashError as error:
         result.failure = error
-        result.worker_crash = True
+        result.counters["worker_crash"] = True
         say("  fleet aborted: %s" % error)
     except ReproError as error:
         result.failure = error
@@ -333,8 +315,8 @@ def run_fleet(
         if daemon is not None:
             daemon.close()
         result.records = list(backend.records)
-        result.digest = fleet_digest(result.records)
-        result.cohorts = cohort_summary(bus.events)
+        result.digest = canonical_digest(result.records)
+        result.counters["cohorts"] = cohort_summary(bus.events)
         obs.emit(
             "wire_fleet_complete",
             plan=plan.name,

@@ -19,10 +19,10 @@ from repro.chaos.wire_faults import (
     WireFaultParams,
     corrupt_frame,
     describe_wire_plans,
-    fault_timeline_digest,
     make_wire_plan,
 )
 from repro.errors import ChaosError, WireDecodeError
+from repro.util import canonical_digest, canonical_json
 from repro.wire.codec import FrameKind, decode_frame, encode_frame
 
 STORM = WireFaultParams(
@@ -56,7 +56,7 @@ def _drive(injector, coords):
             member, _frame(kind, interval, round_no=round_no, slot=slot)
         )
     injector.flush()
-    return fault_timeline_digest(injector.timeline)
+    return canonical_digest(sorted(injector.timeline, key=canonical_json))
 
 
 class TestInjectorPurity:

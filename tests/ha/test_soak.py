@@ -10,9 +10,9 @@ import io
 
 import pytest
 
+from repro.chaos.soak import run_soak
 from repro.cli import main
 from repro.errors import ChaosError
-from repro.ha.soak import run_ha_soak
 
 #: sha256 of the canonical fault timelines at seed 7 (docs/ha.md)
 PINNED = {
@@ -36,8 +36,8 @@ def run_cli(*argv):
 
 class TestLeaderKill:
     def test_failover_matches_the_single_node_oracle(self, tmp_path):
-        result = run_ha_soak(
-            "leader-kill", seed=7, state_dir=str(tmp_path)
+        result = run_soak(
+            "ha", "leader-kill", seed=7, state_dir=str(tmp_path)
         )
         assert result.failure is None
         assert result.ok, result.to_dict()
@@ -50,8 +50,8 @@ class TestLeaderKill:
 
 class TestReplicationPartition:
     def test_partition_heals_without_promotion(self, tmp_path):
-        result = run_ha_soak(
-            "replication-partition", seed=7, state_dir=str(tmp_path)
+        result = run_soak(
+            "ha", "replication-partition", seed=7, state_dir=str(tmp_path)
         )
         assert result.failure is None
         assert result.ok, result.to_dict()
@@ -65,8 +65,8 @@ class TestReplicationPartition:
 
 class TestSplitBrain:
     def test_deposed_leader_is_fenced(self, tmp_path):
-        result = run_ha_soak(
-            "split-brain", seed=7, state_dir=str(tmp_path)
+        result = run_soak(
+            "ha", "split-brain", seed=7, state_dir=str(tmp_path)
         )
         assert result.failure is None
         assert result.ok, result.to_dict()
@@ -79,7 +79,7 @@ class TestSplitBrain:
 class TestGuards:
     def test_single_node_plan_refused(self):
         with pytest.raises(ChaosError, match="single-node"):
-            run_ha_soak("standard", seed=7)
+            run_soak("ha", "standard", seed=7)
 
 
 class TestCli:

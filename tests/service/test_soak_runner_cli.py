@@ -185,3 +185,29 @@ def test_tenancy_soak_bad_tenant_count_exits_2(tmp_path):
     )
     assert code == 2
     assert "error:" in output
+
+
+def test_tenancy_soak_wal_corruption_tenant_minimum_exits_2(tmp_path):
+    # the plan's cast needs four tenants: refused before the run, so no
+    # digest is printed
+    code, output = run_cli(
+        "tenancy-soak",
+        "--plan", "tenant-wal-corruption",
+        "--tenants", "3",
+        "--state-root", str(tmp_path),
+    )
+    assert code == 2
+    assert "error:" in output
+    assert "digest" not in output
+
+
+def test_tenancy_soak_mass_rehome_tick_minimum_exits_2(tmp_path):
+    code, output = run_cli(
+        "tenancy-soak",
+        "--plan", "mass-rehome",
+        "--ticks", "2",
+        "--state-root", str(tmp_path),
+    )
+    assert code == 2
+    assert "error:" in output
+    assert "digest" not in output

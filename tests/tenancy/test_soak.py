@@ -8,13 +8,17 @@ and the pins below must be re-derived, not deleted.
 
 import pytest
 
+from repro.chaos.soak import run_soak
 from repro.errors import ChaosError
-from repro.tenancy.soak import (
-    PLAN_TENANTS,
-    PLAN_TICKS,
-    TENANCY_PLAN_NAMES,
-    run_tenancy_soak,
-)
+from repro.tenancy.soak import SOAK_FAMILY, TENANCY_PLAN_NAMES
+
+#: default fleet size and scheduler ticks per plan
+PLAN_TENANTS = {
+    name: plan.sizes["tenants"] for name, plan in SOAK_FAMILY.plans.items()
+}
+PLAN_TICKS = {
+    name: plan.sizes["ticks"] for name, plan in SOAK_FAMILY.plans.items()
+}
 
 #: full-scale digests at seed 7 (default tenants/ticks per plan)
 PINNED_DIGESTS = {
@@ -38,12 +42,13 @@ def test_plan_tables_are_consistent():
 
 def test_unknown_plan_rejected(tmp_path):
     with pytest.raises(ChaosError):
-        run_tenancy_soak(plan="kitchen-fire", state_root=str(tmp_path))
+        run_soak("tenancy", "kitchen-fire", state_root=str(tmp_path))
 
 
 def test_noisy_neighbor_small_scale(tmp_path):
-    result = run_tenancy_soak(
-        plan="noisy-neighbor",
+    result = run_soak(
+        "tenancy",
+        "noisy-neighbor",
         seed=7,
         tenants=8,
         ticks=8,
@@ -55,8 +60,9 @@ def test_noisy_neighbor_small_scale(tmp_path):
     assert result.aggressor["ledger"]["shed"] > 0
     assert result.victim_miss_delta == 0.0
     # determinism: the same (plan, seed, scale) reproduces the digest
-    again = run_tenancy_soak(
-        plan="noisy-neighbor",
+    again = run_soak(
+        "tenancy",
+        "noisy-neighbor",
         seed=7,
         tenants=8,
         ticks=8,
@@ -64,8 +70,9 @@ def test_noisy_neighbor_small_scale(tmp_path):
     )
     assert again.digest == result.digest
     # ... and a different seed does not
-    other = run_tenancy_soak(
-        plan="noisy-neighbor",
+    other = run_soak(
+        "tenancy",
+        "noisy-neighbor",
         seed=8,
         tenants=8,
         ticks=8,
@@ -75,8 +82,9 @@ def test_noisy_neighbor_small_scale(tmp_path):
 
 
 def test_wal_corruption_small_scale(tmp_path):
-    result = run_tenancy_soak(
-        plan="tenant-wal-corruption",
+    result = run_soak(
+        "tenancy",
+        "tenant-wal-corruption",
         seed=7,
         tenants=9,
         ticks=8,
@@ -89,8 +97,9 @@ def test_wal_corruption_small_scale(tmp_path):
 
 
 def test_mass_rehome_small_scale(tmp_path):
-    result = run_tenancy_soak(
-        plan="mass-rehome",
+    result = run_soak(
+        "tenancy",
+        "mass-rehome",
         seed=7,
         tenants=40,
         ticks=4,
@@ -106,7 +115,7 @@ def test_mass_rehome_small_scale(tmp_path):
 
 @pytest.mark.parametrize("plan", TENANCY_PLAN_NAMES)
 def test_full_scale_digest_is_pinned(plan, tmp_path):
-    result = run_tenancy_soak(plan=plan, seed=7, state_root=str(tmp_path))
+    result = run_soak("tenancy", plan, seed=7, state_root=str(tmp_path))
     assert result.ok, (result.failure, result.invariants)
     assert result.digest == PINNED_DIGESTS[plan]
     if plan == "mass-rehome":

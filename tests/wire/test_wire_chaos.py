@@ -1,28 +1,23 @@
-"""Wire-chaos soak tests: canonical timeline, small soaks, CLI.
+"""Wire-chaos soak tests: small soaks, pinned digests, CLI.
 
-The full pinned-digest plans run in CI (the ``wire-chaos-smoke`` job)
-and as the acceptance command; here the harness is exercised at test
-size — determinism across runs, the crash→evict→carry flow, and a
-live-fleet failover — plus the timeline canonicalisation rules the
-digests stand on.
+The full pinned-digest plans also run in CI (the soak-smoke job); here
+the wire family is exercised at test size — determinism across runs,
+the crash→evict→carry flow, and a live-fleet failover.  The timeline
+canonicalisation rules the digests stand on are tested with the
+harness's projection in tests/chaos/test_soak.py.
 """
 
 import io
 
 import pytest
 
+from repro.chaos.soak import run_soak
 from repro.chaos.wire_faults import (
     ClientCrash,
     WireChaosPlan,
     WireFaultParams,
 )
 from repro.cli import main
-from repro.wire.chaos import (
-    WIRE_TIMELINE_KINDS,
-    canonical_wire_timeline,
-    run_wire_chaos_soak,
-    wire_timeline_digest,
-)
 
 
 def run_cli(*argv):
@@ -31,58 +26,10 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-class TestCanonicalTimeline:
-    def test_filters_unregistered_kinds(self):
-        events = [
-            {"kind": "wire_chaos_fault", "t": 1.0, "detail": {"fault": "x"}},
-            {"kind": "wire_resync", "t": 2.0, "detail": {"member": "m"}},
-            {"kind": "span", "t": 3.0, "detail": {"ms": 4.2}},
-        ]
-        timeline = canonical_wire_timeline(events)
-        assert timeline == [
-            {"kind": "wire_chaos_fault", "detail": {"fault": "x"}}
-        ]
-
-    def test_drops_volatile_keys_and_basenames_paths(self):
-        events = [
-            {
-                "kind": "wire_client_evicted",
-                "t": 1.0,
-                "detail": {
-                    "member": 3,
-                    "error": "scheduler-worded noise",
-                    "trace": "deadbeef",
-                    "path": "/tmp/xyz123/wal.jsonl",
-                },
-            }
-        ]
-        (entry,) = canonical_wire_timeline(events)
-        assert entry["detail"] == {"member": 3, "path": "wal.jsonl"}
-
-    def test_sorted_not_sequenced(self):
-        """Receive-side fault applications land in scheduler order; the
-        canonical timeline must not depend on it."""
-        a = {"kind": "wire_chaos_fault", "t": 1.0, "detail": {"slot": 9}}
-        b = {"kind": "wire_chaos_fault", "t": 2.0, "detail": {"slot": 1}}
-        assert canonical_wire_timeline([a, b]) == canonical_wire_timeline(
-            [b, a]
-        )
-        assert wire_timeline_digest(
-            canonical_wire_timeline([a, b])
-        ) == wire_timeline_digest(canonical_wire_timeline([b, a]))
-
-    def test_client_side_fsm_events_are_excluded(self):
-        """Resync/rehome/stale-epoch counts are timing- and placement-
-        dependent — they must never enter the digest."""
-        for kind in ("wire_resync", "wire_rehomed", "wire_stale_epoch",
-                     "wire_register_giveup"):
-            assert kind not in WIRE_TIMELINE_KINDS
-
-
 class TestDatagramStormSmall:
     def run_small(self, seed=7):
-        return run_wire_chaos_soak(
-            "datagram-storm", seed=seed, clients=8, intervals=2
+        return run_soak(
+            "wire", "datagram-storm", seed=seed, clients=8, intervals=2
         )
 
     def test_invariants_green(self):
@@ -123,7 +70,7 @@ class TestClientCrashSmall:
     )
 
     def test_crashed_client_is_evicted_and_carried(self):
-        result = run_wire_chaos_soak(self.PLAN, seed=7)
+        result = run_soak("wire", self.PLAN, seed=7)
         assert result.failure is None, result.failure
         assert result.ok, result.to_dict()
         assert result.evictions == 1
@@ -133,8 +80,8 @@ class TestClientCrashSmall:
         assert "wire_client_evicted" in kinds
 
     def test_digest_stable(self):
-        first = run_wire_chaos_soak(self.PLAN, seed=7)
-        second = run_wire_chaos_soak(self.PLAN, seed=7)
+        first = run_soak("wire", self.PLAN, seed=7)
+        second = run_soak("wire", self.PLAN, seed=7)
         assert first.ok and second.ok
         assert first.digest == second.digest
 
@@ -157,7 +104,7 @@ class TestLeaderKillSmall:
     )
 
     def test_fleet_rehomes_to_promoted_leader(self):
-        result = run_wire_chaos_soak(self.PLAN, seed=7)
+        result = run_soak("wire", self.PLAN, seed=7)
         assert result.failure is None, result.failure
         assert result.ok, result.to_dict()
         assert result.promotions == 1
@@ -172,11 +119,11 @@ class TestLeaderKillSmall:
         from repro.errors import ChaosError
 
         with pytest.raises(ChaosError):
-            run_wire_chaos_soak(replace(self.PLAN, workers=0), seed=7)
+            run_soak("wire", replace(self.PLAN, workers=0), seed=7)
 
 
 #: The canonical wire-timeline digests at seed 7 — the same pins the CI
-#: ``wire-chaos-smoke`` job and docs/robustness.md carry.  A deliberate
+#: soak-smoke job and docs/robustness.md carry.  A deliberate
 #: behaviour change that moves one must update all three places.
 PINNED = {
     "datagram-storm":
@@ -190,18 +137,18 @@ PINNED = {
 
 class TestPinnedDigests:
     def test_datagram_storm(self):
-        result = run_wire_chaos_soak("datagram-storm", seed=7)
+        result = run_soak("wire", "datagram-storm", seed=7)
         assert result.ok, result.to_dict()
         assert result.digest == PINNED["datagram-storm"]
 
     def test_client_churn_crash(self):
-        result = run_wire_chaos_soak("client-churn-crash", seed=7)
+        result = run_soak("wire", "client-churn-crash", seed=7)
         assert result.ok, result.to_dict()
         assert result.evictions == 3
         assert result.digest == PINNED["client-churn-crash"]
 
     def test_leader_kill_live(self):
-        result = run_wire_chaos_soak("leader-kill-live", seed=7)
+        result = run_soak("wire", "leader-kill-live", seed=7)
         assert result.ok, result.to_dict()
         assert result.promotions == 1
         assert result.digest == PINNED["leader-kill-live"]
