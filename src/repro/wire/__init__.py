@@ -9,9 +9,11 @@ processes) and keeps every run a pure function of its seed:
 - :mod:`repro.wire.loss` — receiver-side Gilbert loss sampled at the
   frame's *slot* (virtual time), so injected loss ignores scheduling;
 - :mod:`repro.wire.client` / :mod:`repro.wire.server` — the asyncio
-  endpoints running the transport state machines;
+  endpoints running the transport state machines, and the receiver
+  shard that takes each multicast frame once per client process;
 - :mod:`repro.wire.delivery` — the daemon's ``wire`` delivery backend;
-- :mod:`repro.wire.worker` — multiprocessing client shards;
+- :mod:`repro.wire.worker` — worker processes hosting clients, one
+  receiver shard each;
 - :mod:`repro.wire.fleet` — the digest-pinned fleet runner behind
   ``python -m repro fleet``;
 - :mod:`repro.wire.chaos` — the survivability soak family behind
@@ -20,7 +22,7 @@ processes) and keeps every run a pure function of its seed:
   :mod:`repro.chaos.soak`.
 """
 
-from repro.wire.client import WireClient
+from repro.wire.client import ReceiverShard, WireClient
 from repro.wire.codec import (
     WIRE_HEADER_SIZE,
     FrameKind,
@@ -52,6 +54,7 @@ __all__ = [
     "FrameKind",
     "MemberLoss",
     "Participant",
+    "ReceiverShard",
     "WIRE_HEADER_SIZE",
     "WireClient",
     "WireDelivery",

@@ -5,6 +5,21 @@ connected to the server, a registration loop that retries until the
 server has the address, and per-interval receiver state driven by the
 frames defined in :mod:`repro.wire.codec`.
 
+The member's own socket carries the *member-addressed* traffic:
+``REGISTER`` and its ack, ``ANNOUNCE`` (it carries the per-member served
+flag), ``FEEDBACK`` and unicast USR frames.  The *group-addressed*
+frames, ``DATA`` and ``ROUND_END``, arrive on a :class:`ReceiverShard`:
+one socket per client process that decodes each frame (and its ENC
+header or PARITY packet) once and hands the same immutable objects to
+every hosted client's state machine — multicast's one-datagram-per-host
+delivery.  DATA and ROUND_END share the shard's socket because a socket
+is FIFO: on two sockets, a round's ROUND_END could overtake its DATA.
+Each hosted member still samples its own loss, dedups its own slots and
+runs its own crash and epoch checks, so placement never changes the
+protocol.  Under a datagram fault seam the server keeps every frame
+member-addressed, and the member's socket handles DATA and ROUND_END
+itself.
+
 The receive path mirrors the simulated user exactly — every ``DATA``
 frame feeds the same :class:`~repro.transport.user.UserTransport` state
 machine, and recovered encryptions are absorbed into a real
@@ -86,12 +101,30 @@ REGISTER_POLICY = RetryPolicy(
 #: the cycle into a busy loop.
 MIN_REGISTER_WAIT = 0.005
 
-#: Datagram burst a client socket is sized for: one whole multicast
-#: round arriving before the event loop gets back to this client.  The
-#: packet-size ceiling is deliberately generous — the client learns the
-#: real size only from traffic, after its socket already exists.
+#: Datagram burst a client or shard socket is sized for: one whole
+#: multicast round arriving before the event loop gets back to it.  The
+#: packet-size ceiling is deliberately generous — the receiver learns
+#: the real size only from traffic, after its socket already exists.
 DATA_FAN_IN = 256
 PACKET_SIZE_CEILING = 2048
+
+
+def parse_multicast(payload):
+    """Parse a multicast DATA payload: ``(EncHeader, FEC body)`` for an
+    ENC packet, ``(ParityPacket, None)`` for a PARITY packet.
+
+    Header only for ENC: the transport parses the body of the one ENC
+    packet that covers its member.  Both results are immutable, so a
+    receiver shard parses once and shares them among its members.
+    """
+    if packet_type_of(payload) is PacketType.ENC:
+        return decode_enc_header(payload), payload[FEC_PAYLOAD_OFFSET:]
+    packet = decode_packet(payload)
+    if packet.packet_type is not PacketType.PARITY:
+        raise WireError(
+            "multicast DATA frame carried %s" % packet.packet_type
+        )
+    return packet, None
 
 
 class _Session:
@@ -160,6 +193,111 @@ class _ClientProtocol(asyncio.DatagramProtocol):
         self.client._on_socket_error(exc)
 
 
+class ReceiverShard:
+    """One socket receiving the group-addressed frames of many clients.
+
+    Connected to the server like a client socket, so only the server's
+    datagrams arrive.  Each DATA or ROUND_END frame is decoded once and
+    handed to every hosted :class:`WireClient` (see the module docs).
+    Clients attach themselves in :meth:`WireClient.start` and detach in
+    :meth:`WireClient.close`; the server learns the shard's
+    :attr:`address` per member through ``WireServer.subscribe``.
+
+    **Gap accounting.**  The server sends an interval's DATA slots in
+    order, and one socket delivers them in order, so a slot skipped
+    between two consecutive DATA frames was dropped by the kernel — loss
+    the seeded chains did not decide, hitting every hosted member at
+    once.  Each skipped slot counts in :attr:`data_gaps` and
+    ``wire_data_gaps_total``.
+    """
+
+    def __init__(self, server_address, obs=NULL):
+        self.server_address = tuple(server_address)
+        self.obs = obs
+        #: member_index -> hosted WireClient
+        self.clients = {}
+        self.errors = []
+        self.decode_errors = 0
+        self.data_gaps = 0
+        self._interval = None
+        self._next_slot = 0
+        self._transport = None
+
+    async def start(self):
+        loop = asyncio.get_running_loop()
+        self._transport, _ = await loop.create_datagram_endpoint(
+            lambda: _ShardProtocol(self),
+            remote_addr=self.server_address,
+        )
+        request_kernel_buffers(
+            self._transport,
+            kernel_buffer_size(PACKET_SIZE_CEILING, DATA_FAN_IN),
+        )
+        return self
+
+    @property
+    def address(self):
+        """The shard socket's ``(host, port)`` — subscribe members here."""
+        if self._transport is None:
+            raise WireError("receiver shard not started")
+        return self._transport.get_extra_info("sockname")[:2]
+
+    async def close(self):
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+
+    def host(self, client):
+        self.clients[client.member_index] = client
+
+    def drop(self, client):
+        self.clients.pop(client.member_index, None)
+
+    def _on_datagram(self, data):
+        try:
+            frame = decode_frame(data)
+            parsed = None
+            if frame.kind is FrameKind.DATA:
+                if frame.round_no == UNICAST_ROUND:
+                    raise WireError("receiver shard got a unicast frame")
+                self._note_slot(frame)
+                parsed = parse_multicast(frame.payload)
+            elif frame.kind is not FrameKind.ROUND_END:
+                raise WireError(
+                    "receiver shard got member-addressed frame %s"
+                    % frame.kind.name
+                )
+        except PacketDecodeError as exc:
+            self.decode_errors += 1
+            self.obs.count("wire_decode_error_total", side="shard")
+            self.obs.emit("wire_decode_error", error=str(exc), side="shard")
+            return
+        except WireError as exc:  # a protocol violation: fail the interval
+            self.errors.append("%s: %s" % (type(exc).__name__, exc))
+            return
+        now = time.monotonic()
+        for client in self.clients.values():
+            client._on_group_frame(frame, parsed, now)
+
+    def _note_slot(self, frame):
+        if frame.interval != self._interval:
+            self._interval = frame.interval
+            self._next_slot = 0
+        skipped = frame.slot - self._next_slot
+        if skipped > 0:
+            self.data_gaps += skipped
+            self.obs.count("wire_data_gaps_total", by=skipped)
+        self._next_slot = max(self._next_slot, frame.slot + 1)
+
+
+class _ShardProtocol(asyncio.DatagramProtocol):
+    def __init__(self, shard):
+        self.shard = shard
+
+    def datagram_received(self, data, addr):
+        self.shard._on_datagram(data)
+
+
 class WireClient:
     """One member's endpoint on the wire plane.
 
@@ -184,13 +322,17 @@ class WireClient:
         resync_timeout=None,
         crash_at=None,
         register_policy=None,
+        shard=None,
     ):
         """``resync_timeout`` (seconds) arms the silence watchdog: after
         that long without any server datagram the client re-enters the
         REGISTER cycle (``None`` = off, the pre-chaos behaviour).
         ``crash_at`` is an optional ``(interval, round)`` at which this
         client goes silent forever — the chaos plans' deterministic
-        mid-interval death (round 0 = at the ANNOUNCE)."""
+        mid-interval death (round 0 = at the ANNOUNCE).  ``shard`` is
+        the :class:`ReceiverShard` this client joins while started
+        (``None``: group-addressed frames must come to its own
+        socket)."""
         self.name = name
         self.member_index = int(member_index)
         self.member = member
@@ -208,6 +350,7 @@ class WireClient:
         self.register_policy = (
             REGISTER_POLICY if register_policy is None else register_policy
         )
+        self.shard = shard
         self.cohort = cohort_of(self.member_index, loss_params.alpha)
         self.errors = []
         self.frames_received = 0
@@ -244,12 +387,16 @@ class WireClient:
             kernel_buffer_size(PACKET_SIZE_CEILING, DATA_FAN_IN),
         )
         self._last_rx = time.monotonic()
+        if self.shard is not None:
+            self.shard.host(self)
         self._register_task = loop.create_task(self._register_loop())
         if self.resync_timeout is not None:
             self._watchdog_task = loop.create_task(self._watchdog_loop())
         return self
 
     async def close(self):
+        if self.shard is not None:
+            self.shard.drop(self)
         for attr in ("_register_task", "_watchdog_task"):
             task = getattr(self, attr)
             if task is not None:
@@ -352,27 +499,33 @@ class WireClient:
 
     # -- receive path ------------------------------------------------------
 
+    def _heard(self, now):
+        """Any server datagram: the leader is alive, and registered us."""
+        self._last_rx = now
+        if self._registered is not None:
+            self._registered.set()
+
     def _on_datagram(self, data):
         if self.dead:
             return
-        self._last_rx = time.monotonic()
-        if self._registered is not None:
-            self._registered.set()
+        self._heard(time.monotonic())
+        self._guarded(self._on_frame, data)
+
+    def _on_group_frame(self, frame, parsed, now):
+        """A DATA (with its :func:`parse_multicast` result) or ROUND_END
+        frame handed over by this client's receiver shard."""
+        if self.dead:
+            return
+        self._heard(now)
+        self.frames_received += 1
+        if frame.kind is FrameKind.DATA:
+            self._guarded(self._on_data, frame, parsed)
+        else:
+            self._guarded(self._on_round_end, frame)
+
+    def _guarded(self, handler, *args):
         try:
-            frame = decode_frame(data)
-            self.frames_received += 1
-            if frame.kind is FrameKind.ANNOUNCE:
-                self._on_announce(frame)
-            elif frame.kind is FrameKind.DATA:
-                self._on_data(frame)
-            elif frame.kind is FrameKind.ROUND_END:
-                self._on_round_end(frame)
-            elif frame.kind is FrameKind.REGISTER:
-                self._on_register_ack(frame)
-            else:
-                raise WireError(
-                    "client received server-bound frame %s" % frame.kind
-                )
+            handler(*args)
         except PacketDecodeError as exc:
             # Garbage (bad envelope, corrupt payload) must not kill the
             # endpoint — counted and visible, never fatal.
@@ -383,6 +536,22 @@ class WireClient:
             )
         except Exception as exc:  # noqa: BLE001 - surfaced to the runner
             self.errors.append("%s: %s" % (type(exc).__name__, exc))
+
+    def _on_frame(self, data):
+        frame = decode_frame(data)
+        self.frames_received += 1
+        if frame.kind is FrameKind.ANNOUNCE:
+            self._on_announce(frame)
+        elif frame.kind is FrameKind.DATA:
+            self._on_data(frame)
+        elif frame.kind is FrameKind.ROUND_END:
+            self._on_round_end(frame)
+        elif frame.kind is FrameKind.REGISTER:
+            self._on_register_ack(frame)
+        else:
+            raise WireError(
+                "client received server-bound frame %s" % frame.kind
+            )
 
     def _on_register_ack(self, frame):
         """The server's REGISTER ack carries its epoch — the client's
@@ -480,7 +649,9 @@ class WireClient:
         self._send(session.announce_ack)
         self._trace_event("trace_announce", session)
 
-    def _on_data(self, frame):
+    def _on_data(self, frame, parsed=None):
+        """One DATA frame; ``parsed`` is its :func:`parse_multicast`
+        result when a shard already parsed it."""
         session = self._session
         if session is None or frame.interval != session.interval:
             return
@@ -500,20 +671,11 @@ class WireClient:
         if not session.saw_data:
             session.saw_data = True
             self._trace_event("trace_first_data", session, slot=frame.slot)
-        payload = frame.payload
-        if packet_type_of(payload) is PacketType.ENC:
-            # Header only: the transport parses the body of the one ENC
-            # packet that covers this member.
-            session.transport.on_enc(
-                decode_enc_header(payload), payload[FEC_PAYLOAD_OFFSET:]
-            )
-        else:
-            packet = decode_packet(payload)
-            if packet.packet_type is not PacketType.PARITY:
-                raise WireError(
-                    "multicast DATA frame carried %s" % packet.packet_type
-                )
+        packet, body = parsed or parse_multicast(frame.payload)
+        if body is None:
             session.transport.on_parity(packet)
+        else:
+            session.transport.on_enc(packet, body)
         self._after_progress(session)
 
     def _on_unicast(self, frame):
@@ -537,6 +699,8 @@ class WireClient:
         session = self._session
         if session is None or frame.interval != session.interval:
             return
+        if not session.served:
+            return  # a shard hands ROUND_END to every hosted member
         round_no = frame.round_no
         if round_no < 1 or round_no == UNICAST_ROUND:
             return
@@ -556,10 +720,10 @@ class WireClient:
                 self.dead = True  # scheduled mid-interval death
                 return
             nack = None
-            if session.served and not session.done:
+            if not session.done:
                 nack = session.transport.end_of_round()
                 self._after_progress(session)
-            elif session.served:
+            else:
                 # Keep the round counter honest while already done.
                 session.transport.end_of_round()
             wire = self._feedback_frame(round_no=next_round, nack=nack)

@@ -5,9 +5,9 @@
 ``deliver()`` interface as the simulated and loopback-thread backends.
 It owns a dedicated event-loop thread running one :class:`WireServer`
 and — in the default in-process mode — every member's
-:class:`WireClient`; each ``deliver()`` call is bridged with
-``run_coroutine_threadsafe`` and blocks until the interval has been
-served over the sockets.
+:class:`WireClient` plus the one :class:`ReceiverShard` they share;
+each ``deliver()`` call is bridged with ``run_coroutine_threadsafe``
+and blocks until the interval has been served over the sockets.
 
 Two properties the simulated backends cannot offer:
 
@@ -22,7 +22,8 @@ Two properties the simulated backends cannot offer:
   simulator bookkeeping.
 
 With ``workers > 0`` the clients run in spawned worker processes
-instead (:mod:`repro.wire.worker`); the daemon-side fleet must then be a
+instead (:mod:`repro.wire.worker`), one receiver shard per worker; the
+daemon-side fleet must then be a
 :class:`WireFleet`, whose agreement oracle is the key fingerprints the
 members reported over the wire — their real key state lives in the
 workers.
@@ -45,7 +46,7 @@ from repro.service.transports import (
 )
 from repro.transport.adaptive import ProactivityController
 from repro.util.rng import RandomSource
-from repro.wire.client import WireClient
+from repro.wire.client import ReceiverShard, WireClient
 from repro.wire.loss import cohort_of
 from repro.wire.server import Participant, WireServer
 
@@ -190,6 +191,7 @@ class WireDelivery(DeliveryBackend):
         self._thread = None
         self.server = None
         self._pool = None  # WorkerPool, worker mode only
+        self._shard = None  # ReceiverShard, in-process mode only
         self._clients = {}  # name -> WireClient (in-process mode)
         self._indices = {}  # name -> member_index (never reused)
         self._next_index = 0
@@ -200,6 +202,8 @@ class WireDelivery(DeliveryBackend):
         self._dead = set()
         #: canonical per-interval records — the fleet digest's input
         self.records = []
+        #: shard subscriptions a new server must learn (handoff only)
+        self._subscriptions = {}
         if handoff is not None:
             # Adopt a failed leader's live wire plane (see
             # :meth:`handoff`): same port so the clients' sockets keep
@@ -217,6 +221,7 @@ class WireDelivery(DeliveryBackend):
             self._calls = int(handoff["first_interval"])
             self.port = int(handoff["port"])
             self._dead = set(handoff.get("dead", ()))
+            self._subscriptions = dict(handoff["subscriptions"])
 
     @property
     def rho(self):
@@ -240,7 +245,13 @@ class WireDelivery(DeliveryBackend):
         )
         self._thread.start()
         self.server = self._run(self._start_server())
-        if self.workers and self._pool is None:
+        for index, address in self._subscriptions.items():
+            self.server.subscribe(index, address)
+        if not self.workers:
+            self._shard = self._run(
+                ReceiverShard(self.server.address, obs=self.obs).start()
+            )
+        elif self._pool is None:
             from repro.wire.worker import WorkerPool
 
             self._pool = WorkerPool(
@@ -305,11 +316,12 @@ class WireDelivery(DeliveryBackend):
                     for name in added
                 ]
             )
-        else:
-            for name in removed:
-                client = self._clients.pop(name)
-                self.server.forget(client.member_index)
-                self._run(client.close())
+            for name in added:
+                index = self._indices[name]
+                self.server.subscribe(index, self._pool.shard_of(index))
+        elif added or removed:
+            leavers = [self._clients.pop(name) for name in removed]
+            joiners = []
             for name in added:
                 client = WireClient(
                     name,
@@ -322,12 +334,24 @@ class WireDelivery(DeliveryBackend):
                     obs=self.obs,
                     resync_timeout=self.resync_timeout,
                     crash_at=self.crash_plan.get(name),
+                    shard=self._shard,
                 )
                 self._clients[name] = client
-                self._run(client.start())
+                joiners.append(client)
+            self._run(self._apply_roster(leavers, joiners))
         if added or removed:
             self.obs.gauge("wire_clients", len(wanted))
         return [self._indices[name] for name in sorted(wanted)]
+
+    async def _apply_roster(self, leavers, joiners):
+        """One loop hop per roster sync: close the leavers, start and
+        subscribe the joiners (indices were assigned by the caller)."""
+        for client in leavers:
+            self.server.forget(client.member_index)
+            await client.close()
+        for client in joiners:
+            await client.start()
+            self.server.subscribe(client.member_index, self._shard.address)
 
     # -- delivery ----------------------------------------------------------
 
@@ -366,6 +390,7 @@ class WireDelivery(DeliveryBackend):
         names_by_index = {
             index: name for name, index in self._indices.items()
         }
+        gaps_before = self._data_gaps()
         participants = [
             Participant(
                 member_index=self._indices[name],
@@ -387,6 +412,7 @@ class WireDelivery(DeliveryBackend):
             )
         )
         self._check_errors()
+        data_gaps = self._data_gaps() - gaps_before
 
         # Liveness casualties: members the server declared dead
         # mid-interval.  They leave this delivery as ``carried`` (the
@@ -494,6 +520,8 @@ class WireDelivery(DeliveryBackend):
             self.records[-1]["casualties"] = casualty_names
         detail = {
             "datagrams_sent": outcome.datagrams_sent,
+            "data_datagrams": outcome.data_datagrams,
+            "data_gaps": data_gaps,
             "data_dropped": dropped_total,
             "announce_retries": outcome.announce_retries,
             "feedback_retries": outcome.feedback_retries,
@@ -510,6 +538,8 @@ class WireDelivery(DeliveryBackend):
             served=len(ordered),
             unicast_served=unicast_served,
             dropped=dropped_total,
+            data_datagrams=outcome.data_datagrams,
+            data_gaps=data_gaps,
         )
         return DeliveryReport(
             mode="wire",
@@ -522,6 +552,13 @@ class WireDelivery(DeliveryBackend):
             carried=casualty_names,
             detail=detail,
         )
+
+    def _data_gaps(self):
+        """DATA slots the receiver shards saw skipped, so far (worker
+        mode: as of the pool's last ``check``)."""
+        if self._pool is not None:
+            return self._pool.data_gaps
+        return self._shard.data_gaps
 
     def _raise_if_workers_dead(self):
         """Raise :class:`WorkerCrashError` if any worker process died.
@@ -562,8 +599,9 @@ class WireDelivery(DeliveryBackend):
 
         Returns the adoption record a promoted standby passes to a new
         :class:`WireDelivery` as ``handoff=``: the worker pool (whose
-        processes — and their client sockets — outlive this backend),
-        the name→index map, the interval counter and the bound port.
+        processes — and their client and shard sockets — outlive this
+        backend), the name→index map, the interval counter, the bound
+        port and the shard subscriptions the new server must learn.
         The caller still ``close()``-s this backend afterwards, which
         frees the port for the successor to rebind; the pool is no
         longer ours, so ``close()`` leaves it running.
@@ -585,12 +623,15 @@ class WireDelivery(DeliveryBackend):
             "first_interval": self._calls,
             "port": int(self.server.address[1]),
             "dead": set(self._dead),
+            "subscriptions": self.server.subscriptions,
         }
 
     def _check_errors(self):
         """Surface anything the socket paths swallowed mid-delivery."""
         self._raise_if_workers_dead()
         errors = list(self.server.errors)
+        if self._shard is not None:
+            errors.extend("shard: %s" % error for error in self._shard.errors)
         for client in self._clients.values():
             errors.extend(
                 "%s: %s" % (client.name, error) for error in client.errors
@@ -611,9 +652,15 @@ class WireDelivery(DeliveryBackend):
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        for client in self._clients.values():
-            self._run(client.close(), timeout=10.0)
-        self._clients.clear()
+        if self._clients:
+            self._run(
+                self._apply_roster(list(self._clients.values()), []),
+                timeout=10.0,
+            )
+            self._clients.clear()
+        if self._shard is not None:
+            self._run(self._shard.close(), timeout=10.0)
+            self._shard = None
         if self.server is not None:
             self._run(self.server.close(), timeout=10.0)
             self.server = None

@@ -4,9 +4,22 @@
 intervals over it: an announce barrier, block-interleaved multicast
 rounds feeding the same :class:`~repro.transport.server.ServerTransport`
 scheduler as the simulator, a NACK aggregation window per round, and the
-unicast switch-over of §7.1.  Multicast is emulated the way the loopback
-endpoints do it — identical bytes unicast to every registered member
-from one socket.
+unicast switch-over of §7.1.
+
+Frames come in two address classes, the paper's split of multicast data
+and unicast feedback:
+
+- **group-addressed** — ``DATA`` and ``ROUND_END`` go once per
+  *receiver shard* (:class:`~repro.wire.client.ReceiverShard`, one
+  socket per client process) that hosts a target member, the way a
+  multicast datagram reaches each subscribed host once.  Members are
+  attached with :meth:`WireServer.subscribe`;
+- **member-addressed** — ``REGISTER`` acks, ``ANNOUNCE`` (it carries the
+  per-member served flag) and unicast USR frames go to the member's own
+  socket, and every ``FEEDBACK`` comes back from it.
+
+While a datagram fault injector is bound, every frame stays
+member-addressed: the seam's decisions are keyed per member.
 
 Reliability model: injected loss only ever applies to multicast ``DATA``
 frames (decided client-side from the frame's ``slot``), so every control
@@ -16,10 +29,15 @@ exchange converges by retransmission —
   not acked, and round 1 starts only when every participant has a
   session (a client that missed the announce would otherwise drop the
   whole round on the floor and break determinism);
-- each **round** resends ``ROUND_END`` to members whose feedback has
-  not arrived; clients answer retries from a cache, so a kernel-dropped
-  feedback datagram costs latency, never different protocol input;
+- each **round** resends ``ROUND_END`` to the shards of members whose
+  feedback has not arrived; clients answer retries from a cache (and the
+  window drops the duplicates of members that already reported), so a
+  kernel-dropped feedback datagram costs latency, never different
+  protocol input;
 - the **unicast phase** resends USR frames until every straggler acks.
+
+A kernel-dropped ``DATA`` frame is not retried: it is loss no seed
+decided, so receiver shards count it (``ReceiverShard.data_gaps``).
 
 The per-try wait is ``GroupConfig.nack_window_seconds`` — the window
 closes early the instant the last expected feedback lands.
@@ -54,10 +72,9 @@ from repro.wire.codec import (
 #: not transient loss.
 MAX_WINDOW_TRIES = 200
 
-#: Yield to the event loop after this many multicast datagram fan-outs
-#: so in-process clients drain their sockets before kernel receive
-#: buffers overflow (which would add *nondeterministic* loss on top of
-#: the seeded chains).
+#: Yield to the event loop after this many multicast slots so in-process
+#: receivers drain their sockets before kernel receive buffers overflow
+#: (which would add *nondeterministic* loss on top of the seeded chains).
 DEFAULT_PACE_EVERY = 4
 
 #: Worst-case simultaneous senders the server socket is sized for: a
@@ -97,6 +114,9 @@ class WireOutcome:
     feedback_retries: int = 0
     unicast_retries: int = 0
     datagrams_sent: int = 0
+    #: of ``datagrams_sent``, the multicast DATA frames (one per slot
+    #: and receiver shard, or per slot and member under a fault seam)
+    data_datagrams: int = 0
     #: member indices the liveness timeout declared dead this interval
     casualties: set = field(default_factory=set)
 
@@ -210,6 +230,7 @@ class WireServer:
         #: delivery layer to feed into the leave intake
         self.casualties = set()
         self._addresses = {}  # member_index -> (host, port)
+        self._shards = {}  # member_index -> receiver shard (host, port)
         self._windows = {}  # (interval, round_no) -> AggregationWindow
         self._registered = None  # asyncio.Event, created on start
         self._transport = None
@@ -243,9 +264,21 @@ class WireServer:
             self._transport.close()
             self._transport = None
 
+    def subscribe(self, member_index, address):
+        """Attach a member to the receiver shard at ``address``: its
+        group-addressed frames go there, shared with the shard's other
+        members."""
+        self._shards[int(member_index)] = tuple(address)
+
+    @property
+    def subscriptions(self):
+        """``{member_index: shard address}`` (a copy, for handoff)."""
+        return dict(self._shards)
+
     def forget(self, member_index):
-        """Drop an evicted member's address."""
+        """Drop an evicted member's address and subscription."""
         self._addresses.pop(int(member_index), None)
+        self._shards.pop(int(member_index), None)
 
     async def wait_registered(self, member_indices, timeout=30.0, abort=None):
         """Block until every index has announced an address.
@@ -361,6 +394,7 @@ class WireServer:
     # -- delivery ----------------------------------------------------------
 
     def _send_to(self, frames_by_index, member_indices, outcome):
+        """Member-addressed: each member's own frame to its own socket."""
         for member_index in member_indices:
             if member_index in self.casualties:
                 continue
@@ -372,6 +406,27 @@ class WireServer:
             self._transmit(
                 member_index, frames_by_index[member_index], address, outcome
             )
+
+    def _multicast(self, frame, targets, outcome):
+        """Group-addressed: ``frame`` once per receiver shard hosting a
+        live target.  Under a fault seam it stays member-addressed,
+        because the seam decides per member."""
+        if self.faults is not None:
+            self._send_to(dict.fromkeys(targets, frame), targets, outcome)
+            return
+        shards = set()
+        for member_index in targets:
+            if member_index in self.casualties:
+                continue
+            address = self._shards.get(member_index)
+            if address is None:
+                raise WireError(
+                    "no receiver shard for member index %d" % member_index
+                )
+            if address not in shards:
+                shards.add(address)
+                self._transport.sendto(frame, address)
+        outcome.datagrams_sent += len(shards)
 
     def _transmit(self, member_index, wire, address, outcome):
         """One datagram through the fault seam (the no-faults path is a
@@ -421,13 +476,14 @@ class WireServer:
                 member=member_index,
             )
 
-    async def _drive_window(
-        self, key, window, frames_by_index, outcome, what
-    ):
+    async def _drive_window(self, key, window, send, outcome, what):
         """Send-and-wait until ``window`` completes; returns the retries.
 
-        Each try (re)sends only to the members still missing, then waits
-        one aggregation window.  The wait returns the moment the last
+        Each try calls ``send(missing)`` with the members still missing,
+        then waits one aggregation window.  A group-addressed send
+        reaches each missing member's whole shard: members that already
+        reported answer from their caches and the window drops the
+        duplicates.  The wait returns the moment the last
         feedback lands, so a healthy fleet never pays the full cap.
         With a liveness budget set, members still missing after
         ``liveness_tries`` tries are evicted instead of stalling the
@@ -449,7 +505,7 @@ class WireServer:
                         "%d tries" % (what, window.missing, tries)
                     )
                 self._flush_faults(outcome)
-                self._send_to(frames_by_index, window.missing, outcome)
+                send(window.missing)
                 tries += 1
                 await window.wait(self.config.nack_window_seconds)
             return max(0, tries - 1)
@@ -470,10 +526,11 @@ class WireServer:
         """Run one rekey message over the wire; returns a WireOutcome.
 
         ``participants`` is the interval's roster of
-        :class:`Participant` — every entry must already be registered.
-        ``pace_seconds`` optionally sleeps between datagram fan-outs
+        :class:`Participant` — every entry must already be registered,
+        and every served one subscribed to a receiver shard.
+        ``pace_seconds`` optionally sleeps between multicast slots
         (worker mode, where clients drain in other processes);
-        ``pace_every`` bounds how many fan-outs run between event-loop
+        ``pace_every`` bounds how many slots run between event-loop
         yields in the default in-process mode.  ``trace_id`` is the
         interval's distributed-trace id: carried in the ANNOUNCE payload
         so every client (in-process or in a worker) tags its recovery
@@ -497,8 +554,8 @@ class WireServer:
             ),
         )
         outcome = WireOutcome(interval=interval)
-        served_indices = [p.member_index for p in served]
-        served_targets = [p.member_index for p in served]
+        # The served members' indices: every round's multicast targets.
+        targets = [p.member_index for p in served]
 
         # Announce barrier: nobody multicast-races a missing session.
         announce_payload = encode_announce(
@@ -516,7 +573,7 @@ class WireServer:
         outcome.announce_retries = await self._drive_window(
             (interval, 0),
             AggregationWindow(announce_frames),
-            announce_frames,
+            lambda missing: self._send_to(announce_frames, missing, outcome),
             outcome,
             what="interval %d announce" % interval,
         )
@@ -524,8 +581,7 @@ class WireServer:
             served = [
                 p for p in served if p.member_index not in outcome.casualties
             ]
-            served_indices = [p.member_index for p in served]
-            served_targets = list(served_indices)
+            targets = [p.member_index for p in served]
             if not served:
                 return outcome
         # ``mono`` anchors skew correction: the assembler aligns each
@@ -541,7 +597,6 @@ class WireServer:
         )
 
         slot = 0
-        pending = list(served)
         while True:
             planned = transport.plan_round()
             round_no = transport.rounds_completed
@@ -559,11 +614,9 @@ class WireServer:
                     slot=slot,
                     payload=payload,
                 )
-                self._send_to(
-                    dict.fromkeys(served_targets, frame),
-                    served_targets,
-                    outcome,
-                )
+                sent = outcome.datagrams_sent
+                self._multicast(frame, targets, outcome)
+                outcome.data_datagrams += outcome.datagrams_sent - sent
                 slot += 1
                 if pace_seconds:
                     await asyncio.sleep(pace_seconds)
@@ -573,11 +626,11 @@ class WireServer:
             end_frame = encode_frame(
                 FrameKind.ROUND_END, interval, round_no=round_no
             )
-            window = AggregationWindow(served_indices)
+            window = AggregationWindow(targets)
             retries = await self._drive_window(
                 (interval, round_no),
                 window,
-                dict.fromkeys(served_indices, end_frame),
+                lambda missing: self._multicast(end_frame, missing, outcome),
                 outcome,
                 what="interval %d round %d" % (interval, round_no),
             )
@@ -594,8 +647,7 @@ class WireServer:
                     for p in served
                     if p.member_index not in outcome.casualties
                 ]
-                served_indices = [p.member_index for p in served]
-                served_targets = list(served_indices)
+                targets = [p.member_index for p in served]
                 if not served:
                     return outcome
             pending = [
@@ -656,7 +708,7 @@ class WireServer:
         outcome.unicast_retries = await self._drive_window(
             (interval, UNICAST_ROUND),
             window,
-            usr_frames,
+            lambda missing: self._send_to(usr_frames, missing, outcome),
             outcome,
             what="interval %d unicast" % interval,
         )

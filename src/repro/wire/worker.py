@@ -1,16 +1,20 @@
 """Worker processes hosting wire clients (multi-process fleet mode).
 
 One worker process = one asyncio loop running a slice of the client
-fleet.  The parent (:class:`~repro.wire.delivery.WireDelivery`) talks to
-each worker over a :mod:`multiprocessing` pipe with four commands:
+fleet behind one :class:`~repro.wire.client.ReceiverShard`.  On start
+the worker sends ``("shard", address)`` up its pipe, so the parent can
+subscribe the worker's members to that socket.  The parent
+(:class:`~repro.wire.delivery.WireDelivery`) then talks to each worker
+over a :mod:`multiprocessing` pipe with these commands:
 
 - ``("add", [spec, ...])`` — build clients from serialised member state
   (name, index, user id, degree, path keys) and start them; each client
   registers itself with the server over UDP, so the parent's
   ``wait_registered`` barrier is the only synchronisation needed;
 - ``("remove", [name, ...])`` — close clients of evicted members;
-- ``("check", None)`` — reply ``("errors", [...])`` with everything the
-  clients' socket paths recorded, so the parent can fail loudly;
+- ``("check", None)`` — reply ``("errors", ([...], data_gaps))`` with
+  everything the clients' and the shard's socket paths recorded, so the
+  parent can fail loudly, and the shard's gap count;
 - ``("stats", None)`` — reply ``("stats", [(name, dict), ...])`` with
   each client's resync-FSM counters (see ``WireClient.stats``), so the
   failover harness can audit epochs across process boundaries;
@@ -35,6 +39,9 @@ import multiprocessing
 import os
 
 from repro.errors import WireError, WorkerCrashError
+
+#: Seconds a spawned worker may take to import and report its shard.
+START_TIMEOUT = 60.0
 
 
 def worker_main(conn, server_address, loss, seed, spacing_seconds,
@@ -69,7 +76,7 @@ def worker_main(conn, server_address, loss, seed, spacing_seconds,
 async def _worker_loop(conn, server_address, loss, seed, spacing_seconds,
                        obs=None, resync_timeout=None):
     from repro.obs.recorder import NULL
-    from repro.wire.client import WireClient
+    from repro.wire.client import ReceiverShard, WireClient
 
     if obs is None:
         obs = NULL
@@ -78,6 +85,8 @@ async def _worker_loop(conn, server_address, loss, seed, spacing_seconds,
     clients = {}
     errors = []
     stop = asyncio.Event()
+    shard = await ReceiverShard(server_address, obs=obs).start()
+    conn.send(("shard", shard.address))
 
     async def add_client(spec):
         try:
@@ -96,6 +105,7 @@ async def _worker_loop(conn, server_address, loss, seed, spacing_seconds,
                 obs=obs,
                 resync_timeout=resync_timeout,
                 crash_at=crash_at,
+                shard=shard,
             )
             clients[name] = client
             await client.start()
@@ -113,7 +123,8 @@ async def _worker_loop(conn, server_address, loss, seed, spacing_seconds,
             await client.close()
 
     def collect_errors():
-        found = list(errors)
+        found = list(errors) + ["shard: %s" % e for e in shard.errors]
+        del shard.errors[:]
         for client in clients.values():
             found.extend(
                 "%s: %s" % (client.name, error) for error in client.errors
@@ -133,7 +144,7 @@ async def _worker_loop(conn, server_address, loss, seed, spacing_seconds,
                     for name in payload:
                         loop.create_task(remove_client(name))
                 elif op == "check":
-                    conn.send(("errors", collect_errors()))
+                    conn.send(("errors", (collect_errors(), shard.data_gaps)))
                 elif op == "stats":
                     conn.send(
                         (
@@ -157,6 +168,7 @@ async def _worker_loop(conn, server_address, loss, seed, spacing_seconds,
         loop.remove_reader(conn.fileno())
         for client in list(clients.values()):
             await client.close()
+        await shard.close()
         conn.close()
 
 
@@ -211,6 +223,21 @@ class WorkerPool:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(process)
+        #: DATA slots the workers' shards saw skipped, as of the last
+        #: :meth:`check`
+        self.data_gaps = 0
+        #: per worker slot, its receiver shard's ``(host, port)``
+        self.shard_addresses = []
+        try:
+            for slot in range(len(self._procs)):
+                self.shard_addresses.append(
+                    tuple(
+                        self._reply(slot, "start", "shard", START_TIMEOUT)
+                    )
+                )
+        except Exception:
+            self.close()
+            raise
 
     @property
     def n_workers(self):
@@ -219,6 +246,10 @@ class WorkerPool:
     def _slot_of(self, member_index):
         # Deterministic placement; a member stays on one worker for life.
         return int(member_index) % len(self._conns)
+
+    def shard_of(self, member_index):
+        """The receiver shard address hosting ``member_index``."""
+        return self.shard_addresses[self._slot_of(member_index)]
 
     def add(self, specs):
         by_slot = {}
@@ -256,40 +287,50 @@ class WorkerPool:
         """
         replies = []
         for slot, conn in enumerate(self._conns):
-            process = self._procs[slot]
-
-            def crashed():
-                raise WorkerCrashError(
-                    "worker %d crashed (exit code %r) during %s"
-                    % (slot, process.exitcode, op)
-                )
-
-            if not process.is_alive():
-                crashed()
+            if not self._procs[slot].is_alive():
+                self._crashed(slot, op)
             try:
                 conn.send((op, None))
             except (OSError, BrokenPipeError):
-                crashed()
-            if not conn.poll(timeout):
-                if not process.is_alive():
-                    crashed()
-                raise WireError(
-                    "worker %d did not answer a %s within %.1fs"
-                    % (slot, op, timeout)
-                )
-            kind, payload = conn.recv()
-            if kind != expect:
-                raise WireError(
-                    "worker %d answered %r to a %s" % (slot, kind, op)
-                )
-            replies.append(payload)
+                self._crashed(slot, op)
+            replies.append(self._reply(slot, op, expect, timeout))
         return replies
 
+    def _reply(self, slot, op, expect, timeout):
+        """Worker ``slot``'s next ``(expect, payload)``; returns payload."""
+        if not self._conns[slot].poll(timeout):
+            if not self._procs[slot].is_alive():
+                self._crashed(slot, op)
+            raise WireError(
+                "worker %d did not answer a %s within %.1fs"
+                % (slot, op, timeout)
+            )
+        try:
+            kind, payload = self._conns[slot].recv()
+        except EOFError:
+            self._crashed(slot, op)
+        if kind != expect:
+            raise WireError(
+                "worker %d answered %r to a %s" % (slot, kind, op)
+            )
+        return payload
+
+    def _crashed(self, slot, op):
+        self._procs[slot].join(timeout=1.0)
+        raise WorkerCrashError(
+            "worker %d crashed (exit code %r) during %s"
+            % (slot, self._procs[slot].exitcode, op)
+        )
+
     def check(self, timeout=10.0):
-        """Collect every error the workers' clients recorded so far."""
+        """Collect every error the workers' clients recorded so far (and
+        refresh :attr:`data_gaps`)."""
         errors = []
-        for payload in self._request("check", "errors", timeout):
-            errors.extend(payload)
+        data_gaps = 0
+        for found, gaps in self._request("check", "errors", timeout):
+            errors.extend(found)
+            data_gaps += gaps
+        self.data_gaps = data_gaps
         return errors
 
     def stats(self, timeout=10.0):
@@ -314,5 +355,6 @@ class WorkerPool:
             conn.close()
         self._conns = []
         self._procs = []
+        self.shard_addresses = []
         self.names = set()
         self._where = {}

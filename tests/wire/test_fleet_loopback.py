@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import GroupConfig
+from repro.obs.events import read_events
 from repro.service.transports import make_backend
 from repro.wire.delivery import WireDelivery
 from repro.wire.fleet import FLEET_PLANS, resolve_plan, run_fleet
@@ -24,6 +25,15 @@ from repro.wire.fleet import FLEET_PLANS, resolve_plan, run_fleet
 #: sha256 of the canonical interval records for (smoke, seed=7).
 SMOKE_SEED7_DIGEST = (
     "fd1662c94da939c26609b9ac90930b865423f08c7e4699348b6a8662d75e186f"
+)
+#: (sharded, seed=5, 12 clients, 2 intervals) — worker-side shards.
+SHARDED_SEED5_DIGEST = (
+    "1bf3d40541c4622ff9431e0c77e8d5c325fae820c7541a74beaa50e2366abbd6"
+)
+#: (standard, seed=7): 512 clients behind one shard, so one datagram
+#: feeds hundreds of member state machines.
+STANDARD_SEED7_DIGEST = (
+    "653c63c11b15e817cbb62d49a3173a25bd3e4f53f02c5363f6377923b80ffa29"
 )
 
 
@@ -33,9 +43,42 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def observed_fleet(tmp_path_factory, plan, **kwargs):
+    """``(result, wire_delivery_complete details)`` of one fleet run."""
+    path = tmp_path_factory.mktemp("fleet") / "events.jsonl"
+    result = run_fleet(plan, obs_path=str(path), **kwargs)
+    completes = [
+        event["detail"]
+        for event in read_events(str(path))
+        if event["kind"] == "wire_delivery_complete"
+    ]
+    return result, completes
+
+
+def assert_data_once_per_shard(result, completes, shards):
+    """Each interval's DATA datagrams = DATA slots sent x shards."""
+    assert len(completes) == len(result.records)
+    for record, complete in zip(result.records, completes):
+        slots = sum(record["packets_per_round"])
+        assert slots > 0
+        assert complete["data_datagrams"] == slots * shards
+
+
+@pytest.fixture(scope="module")
+def smoke7(tmp_path_factory):
+    return observed_fleet(tmp_path_factory, "smoke", seed=7)
+
+
+@pytest.fixture(scope="module")
+def sharded5(tmp_path_factory):
+    return observed_fleet(
+        tmp_path_factory, "sharded", seed=5, clients=12, intervals=2
+    )
+
+
 class TestSmokeFleet:
-    def test_all_invariants_green_and_digest_pinned(self):
-        result = run_fleet("smoke", seed=7)
+    def test_all_invariants_green_and_digest_pinned(self, smoke7):
+        result, _ = smoke7
         assert result.failure is None, result.failure
         assert result.ok, result.to_dict()
         assert result.intervals_completed == 3
@@ -53,9 +96,26 @@ class TestSmokeFleet:
             assert stats["recovery_ms"]["p99"] >= stats["recovery_ms"]["p50"]
             assert stats["recovery_ms"]["p50"] > 0.0
 
-    def test_loss_actually_bites(self):
-        result = run_fleet("smoke", seed=7)
+    def test_loss_actually_bites(self, smoke7):
+        result, _ = smoke7
         assert sum(record["dropped"] for record in result.records) > 0
+
+    def test_data_sent_once_per_shard(self, smoke7):
+        # In-process: one receiver shard, so one datagram per DATA slot
+        # however many members are served.
+        assert_data_once_per_shard(*smoke7, shards=1)
+
+    def test_no_kernel_dropped_data(self, smoke7):
+        _, completes = smoke7
+        assert [c["data_gaps"] for c in completes] == [0, 0, 0]
+
+
+class TestScale:
+    def test_standard_plan_digest_pinned(self):
+        result = run_fleet("standard", seed=7)
+        assert result.failure is None, result.failure
+        assert result.ok, result.to_dict()
+        assert result.digest == STANDARD_SEED7_DIGEST
 
 
 class TestDeterminism:
@@ -73,21 +133,26 @@ class TestDeterminism:
 
 
 class TestWorkerMode:
-    def test_sharded_fleet_agrees(self):
-        result = run_fleet("sharded", seed=5, clients=12, intervals=2)
+    def test_sharded_fleet_agrees(self, sharded5):
+        result, completes = sharded5
         assert result.failure is None, result.failure
         assert result.ok, result.to_dict()
         assert result.workers == 2
+        assert result.digest == SHARDED_SEED5_DIGEST
+        assert [c["data_gaps"] for c in completes] == [0, 0]
 
-    def test_worker_digest_matches_in_process(self):
+    def test_worker_digest_matches_in_process(self, sharded5):
         # Process placement must be invisible to the protocol: the same
         # (seed, clients, intervals) digests identically with clients
         # in-process and sharded over workers.
-        sharded = run_fleet("sharded", seed=5, clients=12, intervals=2)
+        sharded, _ = sharded5
         local = run_fleet("sharded", seed=5, clients=12, intervals=2,
                           workers=0)
         assert sharded.ok and local.ok
         assert sharded.digest == local.digest
+
+    def test_data_sent_once_per_worker_shard(self, sharded5):
+        assert_data_once_per_shard(*sharded5, shards=2)
 
 
 class TestHeavyLoss:
