@@ -77,6 +77,11 @@ class TwoStateMarkovLoss:
             mean_good = self.burst_scale_ms * (1.0 - self.p) * _MS
             self._rate_leave_loss = 1.0 / mean_loss
             self._rate_leave_good = 1.0 / mean_good
+        #: exact float gap -> (P(loss | good), P(loss | loss)), shared by
+        #: every stepper of this model.  Walks on a fixed slot grid see a
+        #: handful of distinct gaps; each is computed once, by the same
+        #: call the uncached walk makes.
+        self._transitions = {}
 
     @property
     def stationary_loss_rate(self):
@@ -169,10 +174,7 @@ class _MarkovStepper:
         self._model = model
         self._rng = rng
         self._last_time = None
-        #: exact float gap -> (P(loss | good), P(loss | loss)).  Walks
-        #: on a fixed slot grid see a handful of distinct gaps; each is
-        #: computed once, by the same call the uncached walk makes.
-        self._transitions = {}
+        self._transitions = model._transitions
         if model.p == 0.0:
             self._lost = False
         elif model.p == 1.0:

@@ -14,11 +14,16 @@ header or PARITY packet) once and hands the same immutable objects to
 every hosted client's state machine — multicast's one-datagram-per-host
 delivery.  DATA and ROUND_END share the shard's socket because a socket
 is FIFO: on two sockets, a round's ROUND_END could overtake its DATA.
-Each hosted member still samples its own loss, dedups its own slots and
-runs its own crash and epoch checks, so placement never changes the
-protocol.  Under a datagram fault seam the server keeps every frame
-member-addressed, and the member's socket handles DATA and ROUND_END
-itself.
+The shard also does the work its members share: it decodes an ENC
+frame's full packet once, for the first hosted member it covers, and
+hands the same :class:`~repro.rekey.packets.EncPacket` to every other
+covered member; and it builds the interval's shared-uplink loss chain
+once (:class:`~repro.wire.loss.SharedUplink`) rather than once per
+member.  Each hosted member still samples its own receiver loss, dedups
+its own slots and runs its own crash and epoch checks, so placement
+never changes the protocol.  Under a datagram fault seam the server
+keeps every frame member-addressed, and the member's socket handles
+DATA and ROUND_END itself.
 
 The receive path mirrors the simulated user exactly — every ``DATA``
 frame feeds the same :class:`~repro.transport.user.UserTransport` state
@@ -61,6 +66,7 @@ from repro.obs.recorder import NULL
 from repro.obs.trace import format_trace
 from repro.rekey.packets import (
     FEC_PAYLOAD_OFFSET,
+    EncPacket,
     PacketType,
     decode_enc_header,
     decode_packet,
@@ -82,7 +88,7 @@ from repro.wire.codec import (
     kernel_buffer_size,
     request_kernel_buffers,
 )
-from repro.wire.loss import MemberLoss, cohort_of
+from repro.wire.loss import MemberLoss, SharedUplink, cohort_of
 
 #: The REGISTER resend schedule: bounded attempts with full-jitter
 #: backoff (replacing the old fixed 50 ms forever-loop).  Exhaustion
@@ -125,6 +131,28 @@ def parse_multicast(payload):
             "multicast DATA frame carried %s" % packet.packet_type
         )
     return packet, None
+
+
+class CoveringPacket:
+    """One ENC DATA frame's full packet, decoded at most once.
+
+    A receiver shard makes one per ENC frame and every hosted member the
+    frame's header covers reads :meth:`get`: the first decodes, the rest
+    share the same immutable :class:`~repro.rekey.packets.EncPacket`.
+    It is bound to the frame's own bytes, so two different payloads can
+    never share a decode.
+    """
+
+    __slots__ = ("_wire", "_packet")
+
+    def __init__(self, wire):
+        self._wire = wire
+        self._packet = None
+
+    def get(self):
+        if self._packet is None:
+            self._packet = EncPacket.decode(self._wire)
+        return self._packet
 
 
 class _Session:
@@ -198,7 +226,8 @@ class ReceiverShard:
 
     Connected to the server like a client socket, so only the server's
     datagrams arrive.  Each DATA or ROUND_END frame is decoded once and
-    handed to every hosted :class:`WireClient` (see the module docs).
+    handed to every hosted :class:`WireClient` (see the module docs),
+    with a :class:`CoveringPacket` for an ENC frame's full packet.
     Clients attach themselves in :meth:`WireClient.start` and detach in
     :meth:`WireClient.close`; the server learns the shard's
     :attr:`address` per member through ``WireServer.subscribe``.
@@ -209,6 +238,10 @@ class ReceiverShard:
     the seeded chains did not decide, hitting every hosted member at
     once.  Each skipped slot counts in :attr:`data_gaps` and
     ``wire_data_gaps_total``.
+
+    **Shared loss.**  :meth:`uplink` hands every hosted member the same
+    :class:`~repro.wire.loss.SharedUplink` for an interval, so the
+    source chain is walked once per interval, not once per member.
     """
 
     def __init__(self, server_address, obs=NULL):
@@ -221,6 +254,7 @@ class ReceiverShard:
         self.data_gaps = 0
         self._interval = None
         self._next_slot = 0
+        self._uplink = None
         self._transport = None
 
     async def start(self):
@@ -253,15 +287,29 @@ class ReceiverShard:
     def drop(self, client):
         self.clients.pop(client.member_index, None)
 
+    def uplink(self, params, interval, seed, spacing_seconds):
+        """The interval's :class:`~repro.wire.loss.SharedUplink`, built
+        once for every hosted member asking with the same arguments."""
+        uplink = self._uplink
+        if uplink is None or uplink.key != SharedUplink.key_for(
+            params, interval, seed, spacing_seconds
+        ):
+            uplink = self._uplink = SharedUplink(
+                params, interval, seed, spacing_seconds
+            )
+        return uplink
+
     def _on_datagram(self, data):
         try:
             frame = decode_frame(data)
-            parsed = None
+            parsed = covering = None
             if frame.kind is FrameKind.DATA:
                 if frame.round_no == UNICAST_ROUND:
                     raise WireError("receiver shard got a unicast frame")
                 self._note_slot(frame)
                 parsed = parse_multicast(frame.payload)
+                if parsed[1] is not None:
+                    covering = CoveringPacket(frame.payload)
             elif frame.kind is not FrameKind.ROUND_END:
                 raise WireError(
                     "receiver shard got member-addressed frame %s"
@@ -277,7 +325,7 @@ class ReceiverShard:
             return
         now = time.monotonic()
         for client in self.clients.values():
-            client._on_group_frame(frame, parsed, now)
+            client._on_group_frame(frame, parsed, covering, now)
 
     def _note_slot(self, frame):
         if frame.interval != self._interval:
@@ -511,15 +559,16 @@ class WireClient:
         self._heard(time.monotonic())
         self._guarded(self._on_frame, data)
 
-    def _on_group_frame(self, frame, parsed, now):
-        """A DATA (with its :func:`parse_multicast` result) or ROUND_END
-        frame handed over by this client's receiver shard."""
+    def _on_group_frame(self, frame, parsed, covering, now):
+        """A DATA (with its :func:`parse_multicast` result and, for ENC,
+        its shared :class:`CoveringPacket`) or ROUND_END frame handed
+        over by this client's receiver shard."""
         if self.dead:
             return
         self._heard(now)
         self.frames_received += 1
         if frame.kind is FrameKind.DATA:
-            self._guarded(self._on_data, frame, parsed)
+            self._guarded(self._on_data, frame, parsed, covering)
         else:
             self._guarded(self._on_round_end, frame)
 
@@ -637,21 +686,31 @@ class WireClient:
                 n_blocks=announce.n_blocks,
                 message_id=announce.message_id,
             )
+            uplink = None
+            if self.shard is not None:
+                uplink = self.shard.uplink(
+                    self.loss_params,
+                    frame.interval,
+                    self.seed,
+                    self.spacing_seconds,
+                )
             session.loss = MemberLoss(
                 self.loss_params,
                 self.member_index,
                 frame.interval,
                 self.seed,
                 self.spacing_seconds,
+                uplink=uplink,
             )
         self._session = session
         session.announce_ack = self._feedback_frame(round_no=0)
         self._send(session.announce_ack)
         self._trace_event("trace_announce", session)
 
-    def _on_data(self, frame, parsed=None):
+    def _on_data(self, frame, parsed=None, covering=None):
         """One DATA frame; ``parsed`` is its :func:`parse_multicast`
-        result when a shard already parsed it."""
+        result and ``covering`` its :class:`CoveringPacket` when a shard
+        already parsed it."""
         session = self._session
         if session is None or frame.interval != session.interval:
             return
@@ -672,10 +731,15 @@ class WireClient:
             session.saw_data = True
             self._trace_event("trace_first_data", session, slot=frame.slot)
         packet, body = parsed or parse_multicast(frame.payload)
+        transport = session.transport
         if body is None:
-            session.transport.on_parity(packet)
+            transport.on_parity(packet)
         else:
-            session.transport.on_enc(packet, body)
+            if covering is not None and packet.covers_user(
+                transport.user_id
+            ):
+                packet = covering.get()
+            transport.on_enc(packet, body)
         self._after_progress(session)
 
     def _on_unicast(self, frame):

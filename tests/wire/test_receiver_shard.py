@@ -7,6 +7,7 @@ the same behaviour end to end.
 """
 
 import copy
+import random
 
 import pytest
 
@@ -14,26 +15,38 @@ from repro.chaos.wire_faults import SendPlan
 from repro.core.config import GroupConfig
 from repro.core.server import GroupKeyServer
 from repro.errors import WireError
+from repro.rekey.packets import (
+    ENC_HEADER_SIZE,
+    ENCRYPTION_ENTRY_SIZE,
+    EncPacket,
+)
 from repro.service.members import MemberFleet
 from repro.sim.topology import LossParameters
 from repro.wire.client import ReceiverShard, WireClient
 from repro.wire.codec import FrameKind, encode_announce, encode_frame
+from repro.wire.loss import MemberLoss
 from repro.wire.server import WireOutcome, WireServer
 
 #: Bernoulli loss so a few slots of a short message already bite.
 LOSS = LossParameters(
     alpha=0.5, p_high=0.4, p_low=0.1, p_source=0.0, bursty=False
 )
+LOSSLESS = LossParameters(
+    alpha=0.0, p_high=0.0, p_low=0.0, p_source=0.0, bursty=False
+)
+#: ENC packets of six encryptions: a few members per covering packet.
+SMALL_PACKETS = dict(packet_size=ENC_HEADER_SIZE + 6 * ENCRYPTION_ENTRY_SIZE)
 
 
-def rekeyed_group(n=8):
+def rekeyed_group(n=8, leavers=("m00",), **config):
     server = GroupKeyServer(
         ["m%02d" % i for i in range(n)],
-        config=GroupConfig(block_size=4, seed=3),
+        config=GroupConfig(block_size=4, seed=3, **config),
     )
     fleet = MemberFleet.register_all(server)
-    server.request_leave("m00")
-    fleet.evict("m00")
+    for name in leavers:
+        server.request_leave(name)
+        fleet.evict(name)
     _, message = server.rekey()
     return server, fleet, message
 
@@ -59,13 +72,13 @@ def announce(server, message, interval=1, served=True):
     )
 
 
-def make_client(member, index, shard=None):
+def make_client(member, index, shard=None, loss=LOSS):
     client = WireClient(
         "c%d" % index,
         index,
         member,
         ("127.0.0.1", 1),
-        loss_params=LOSS,
+        loss_params=loss,
         seed=11,
         spacing_seconds=0.01,
         shard=shard,
@@ -213,3 +226,168 @@ class TestMulticast:
             ("127.0.0.1", 7001),
             ("127.0.0.1", 7002),
         ]
+
+
+def small_packet_group():
+    """32 members, ENC packets of six encryptions, announced to one
+    lossless shard: several members share each covering packet."""
+    server, fleet, message = rekeyed_group(
+        32, leavers=("m00", "m05", "m17"), **SMALL_PACKETS
+    )
+    shard = ReceiverShard(("127.0.0.1", 1))
+    clients = [
+        make_client(fleet.members[name], i, shard, loss=LOSSLESS)
+        for i, name in enumerate(sorted(fleet.members))
+    ]
+    for client in clients:
+        client._on_datagram(announce(server, message))
+    return server, message, shard, clients
+
+
+def covered_by(packet, clients):
+    return [
+        c for c in clients if packet.covers_user(c._session.transport.user_id)
+    ]
+
+
+def spy_on_decode(monkeypatch):
+    decoded = []
+    decode = EncPacket.decode.__func__
+
+    def spy(cls, data):
+        packet = decode(cls, data)
+        decoded.append(packet)
+        return packet
+
+    monkeypatch.setattr(EncPacket, "decode", classmethod(spy))
+    return decoded
+
+
+class TestSharedDecode:
+    def test_one_decode_per_covering_frame(self, monkeypatch):
+        """The shard materialises a covering ENC packet once; every
+        covered member holds that same object and gets the group key."""
+        server, message, shard, clients = small_packet_group()
+        packet = message.enc_packets()[1]
+        covered = covered_by(packet, clients)
+        assert 3 <= len(covered) < len(clients)
+        decoded = spy_on_decode(monkeypatch)
+        shard._on_datagram(data_frames(message)[1])
+        assert decoded == [packet]
+        for client in clients:
+            specific = client._session.transport.specific_packet
+            if client in covered:
+                assert specific is decoded[0]
+                assert client.member.group_key == server.group_key
+            else:
+                assert specific is None
+        assert all(c.errors == [] for c in clients)
+
+    def test_each_frame_gets_its_own_decode(self, monkeypatch):
+        server, message, shard, clients = small_packet_group()
+        decoded = spy_on_decode(monkeypatch)
+        frames = data_frames(message)
+        packets = message.enc_packets()
+        for frame in frames[: len(packets)]:
+            shard._on_datagram(frame)
+        assert decoded == list(packets)
+        for client in clients:
+            assert client.member.group_key == server.group_key
+
+
+class TestSharedUplink:
+    @pytest.mark.parametrize("bursty", [True, False])
+    def test_shared_uplink_equals_a_private_one(self, bursty):
+        """Members reading the shard's source chain lose exactly the
+        slots, and count exactly the drops, of members built alone —
+        whatever order each member asks for its slots in."""
+        params = LossParameters(
+            alpha=0.25, p_high=0.3, p_low=0.05, p_source=0.2, bursty=bursty
+        )
+        seed, spacing, n_slots = 11, 0.01, 96
+        shard = ReceiverShard(("127.0.0.1", 1))
+        rng = random.Random(5)
+        for interval in (1, 2, 3):
+            shared = [
+                MemberLoss(
+                    params,
+                    index,
+                    interval,
+                    seed,
+                    spacing,
+                    uplink=shard.uplink(params, interval, seed, spacing),
+                )
+                for index in range(64)
+            ]
+            alone = [
+                MemberLoss(params, index, interval, seed, spacing)
+                for index in range(64)
+            ]
+            # One source chain for the interval, not one per member.
+            uplink = shard.uplink(params, interval, seed, spacing)
+            assert all(loss._source is uplink.source for loss in shared)
+            orders = [rng.sample(range(n_slots), n_slots) for _ in shared]
+            for step in range(n_slots):
+                for ours, theirs, order in zip(shared, alone, orders):
+                    slot = order[step]
+                    assert ours.lost(slot) == theirs.lost(slot)
+            assert [loss.dropped for loss in shared] == [
+                loss.dropped for loss in alone
+            ]
+            assert any(uplink.source.lost(s) for s in range(n_slots))
+
+    def test_a_new_interval_gets_a_new_chain(self):
+        shard = ReceiverShard(("127.0.0.1", 1))
+        first = shard.uplink(LOSS, 1, 11, 0.01)
+        assert shard.uplink(LOSS, 1, 11, 0.01) is first
+        assert shard.uplink(LOSS, 2, 11, 0.01) is not first
+        assert shard.uplink(LOSS, 2, 12, 0.01).key == (LOSS, 2, 12, 0.01)
+
+    def test_member_refuses_another_intervals_uplink(self):
+        shard = ReceiverShard(("127.0.0.1", 1))
+        with pytest.raises(WireError, match="another interval"):
+            MemberLoss(
+                LOSS, 3, 2, 11, 0.01, uplink=shard.uplink(LOSS, 1, 11, 0.01)
+            )
+
+
+def corrupt_ciphertexts(frame_payload):
+    """The ENC packet with one byte of every ciphertext flipped: it still
+    parses, but no encryption in it decrypts."""
+    wire = bytearray(frame_payload)
+    for entry in range(len(EncPacket.decode(frame_payload).encryptions)):
+        wire[ENC_HEADER_SIZE + entry * ENCRYPTION_ENTRY_SIZE + 2] ^= 0xFF
+    return bytes(wire)
+
+
+class TestNoCrossMemberPoisoning:
+    @pytest.mark.parametrize("clean_via", ["shard", "socket"])
+    def test_corrupt_copy_stays_with_its_member(self, clean_via):
+        """Under a fault seam one member's socket gets a corrupted but
+        parseable copy of a slot.  That member keeps its own decode; the
+        clean copy, on the shard or on another member's socket, is
+        decoded from its own bytes and yields the group key."""
+        server, message, shard, clients = small_packet_group()
+        packet = message.enc_packets()[1]
+        clean_payload = packet.encode(message.packet_size)
+        clean, poisoned = covered_by(packet, clients)[:2]
+        bad_payload = corrupt_ciphertexts(clean_payload)
+        poisoned._on_datagram(
+            encode_frame(
+                FrameKind.DATA, 1, round_no=1, slot=1, payload=bad_payload
+            )
+        )
+        good = encode_frame(
+            FrameKind.DATA, 1, round_no=1, slot=1, payload=clean_payload
+        )
+        if clean_via == "shard":
+            shard._on_datagram(good)
+        else:
+            clean._on_datagram(good)
+        ours = clean._session.transport.specific_packet
+        theirs = poisoned._session.transport.specific_packet
+        assert ours == packet
+        assert theirs == EncPacket.decode(bad_payload) != packet
+        assert clean.member.group_key == server.group_key
+        assert poisoned.member.group_key != server.group_key
+        assert clean.errors == poisoned.errors == []
