@@ -1,4 +1,5 @@
-"""End-to-end observability smoke test (the CI ``obs-smoke`` job).
+"""End-to-end observability smoke test (the ``obs`` entry of the CI
+``smoke`` job).
 
 Launches ``python -m repro serve`` as a real subprocess with the full
 observability surface on — an ephemeral ``--metrics-port`` and an

@@ -1,5 +1,5 @@
-"""End-to-end distributed-tracing smoke test (the CI ``trace-smoke``
-job).
+"""End-to-end distributed-tracing smoke test (the ``trace`` entry of the
+CI ``smoke`` job).
 
 Runs ``python -m repro fleet --plan smoke --workers 2 --obs-dir`` as a
 real subprocess — three rekey intervals over loopback UDP with the 48

@@ -42,6 +42,14 @@ heterogeneous groups on one deadline-aware scheduler with per-tenant
 WAL/snapshot namespacing under ``--state-dir`` (see
 ``docs/tenancy.md``).
 
+Every ``serve`` role (standalone, ``--role leader``, ``--role standby``,
+``--tenants``) runs through :func:`_cmd_serve` over the role table
+:data:`_SERVE_ROLES`: the flags' config, backend and churn, the obs bus
+and metrics endpoint, the table, the exit codes (0 = done or an
+injected crash, 1 = fenced out or a failed check, 2 = configuration
+error) and the teardown are written once; a row holds only its role's
+boot, rows and health line.
+
 The four soak commands (``chaos-soak``, ``ha-soak``,
 ``wire-chaos-soak``, ``tenancy-soak``) are one table,
 :data:`_SOAK_COMMANDS`, over the soak families of the one harness
@@ -63,6 +71,8 @@ from dataclasses import dataclass
 
 
 def _build_parser():
+    from repro.service import CRASH_POINTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -157,8 +167,7 @@ def _build_parser():
     )
     serve.add_argument(
         "--crash-point",
-        choices=["mid-requests", "pre-rekey", "post-rekey",
-                 "post-delivery", "post-snapshot"],
+        choices=CRASH_POINTS,
         default="post-rekey",
     )
     serve.add_argument(
@@ -426,290 +435,414 @@ def _cmd_analyze(args, out):
     return 0
 
 
-def _serve_tenants(args, out):
-    """``serve --tenants N``: the multi-group daemon on one scheduler."""
+class _Serve:
+    """One ``serve`` run: its flags, its output, the
+    :class:`contextlib.ExitStack` that closes whatever it opens, and the
+    parts every role builds from the flags."""
+
+    def __init__(self, args, out, cleanup):
+        from repro.obs.recorder import NULL
+
+        self.args, self.out, self.cleanup = args, out, cleanup
+        #: intervals still to run (a promoted standby runs the rest)
+        self.intervals = args.intervals
+        #: called after each interval, before its row is printed
+        self.on_interval = None
+        self.obs = NULL
+        if args.obs_file is not None or args.metrics_port is not None:
+            from repro.obs import EventBus, Recorder
+
+            bus = EventBus(path=args.obs_file)
+            cleanup.callback(bus.close)
+            self.obs = Recorder(bus=bus)
+
+    def say(self, line):
+        print(line, file=self.out)
+
+    def churn(self):
+        from repro.service import make_driver
+
+        args = self.args
+        return make_driver(
+            args.churn, alpha=args.alpha, trace_path=args.trace_file
+        )
+
+    def backend(self, config):
+        from repro.service import make_backend
+
+        args = self.args
+        backend = make_backend(args.transport, config, seed=config.seed + 1,
+                               host=args.bind, port=args.port)
+        if hasattr(backend, "close"):
+            self.cleanup.callback(backend.close)
+        return backend
+
+    def group(self):
+        """The single-group config, and the keyword arguments that boot,
+        recover or promote a daemon over it."""
+        from repro.core.config import GroupConfig
+        from repro.service import CrashPlan, DaemonConfig
+
+        args = self.args
+        config = GroupConfig(block_size=5, seed=args.seed)
+        service = DaemonConfig(
+            state_dir=args.state_dir,
+            interval_seconds=args.interval_seconds,
+            deadline_rounds=args.deadline_rounds,
+            deadline_policy=args.deadline_policy,
+            crash_plan=None if args.crash_at is None
+            else CrashPlan(args.crash_at, args.crash_point),
+        )
+        return config, dict(backend=self.backend(config), churn=self.churn(),
+                            service=service, seed=args.seed, obs=self.obs)
+
+
+def _start_group(serve, config, parts, **ha):
+    """Boot the single-group daemon fresh, or recover it (``--resume``)."""
+    from repro.service import RekeyDaemon
+
+    args = serve.args
+    if args.resume:
+        daemon = serve.cleanup.enter_context(RekeyDaemon.recover(
+            args.state_dir, config=config, **parts, **ha
+        ))
+        serve.say(
+            "recovered: %d members at interval %d, %d request(s) replayed"
+            % (daemon.server.n_users, daemon.server.intervals_processed,
+               daemon.metrics.counters["requests_replayed"])
+        )
+        return daemon
+    daemon = serve.cleanup.enter_context(RekeyDaemon.start_new(
+        ["member-%03d" % i for i in range(args.members)],
+        config=config, **parts, **ha
+    ))
+    serve.say(
+        "serving a %d-member group (%s transport, %s churn, %s engine%s)"
+        % (daemon.server.n_users, args.transport, args.churn, config.engine,
+           ", durable" if args.state_dir else "")
+    )
+    return daemon
+
+
+def _lease(serve):
+    """This node's handle on the pair's lease file in ``--state-dir``."""
+    import os
+
+    from repro.ha.lease import Lease
+
+    args = serve.args
+    # The lease file is written before the daemon gets a chance to
+    # create the directory.
+    os.makedirs(args.state_dir, exist_ok=True)
+    return Lease(os.path.join(args.state_dir, "lease.json"), args.node_id,
+                 ttl=args.lease_ttl, obs=serve.obs)
+
+
+def _boot_leader(serve):
+    """The durable daemon, fenced by the lease, streaming its WAL."""
+    from repro.ha.replication import LeaderPublisher, ReplicationServer
+
+    args = serve.args
+    config, parts = serve.group()
+    lease = _lease(serve)
+    epoch = lease.acquire()
+    daemon = _start_group(serve, config, parts, epoch=epoch, fence=lease)
+    serve.obs.emit("ha_role", node=args.node_id, role="leader", epoch=epoch)
+    publisher = daemon.attach_replication(
+        LeaderPublisher(epoch, wal=daemon.wal, obs=daemon.obs)
+    )
+
+    def on_subscribe(sink, payload):
+        # Bootstrap under the daemon lock: the snapshot and the stream
+        # position must name the same instant.
+        with daemon._lock:
+            publisher.subscribe(
+                sink,
+                since_seq=int(payload.get("since_seq", 0)),
+                server=daemon.server,
+            )
+
+    replication = ReplicationServer(on_subscribe, port=args.replication_port)
+    serve.cleanup.callback(replication.close)
+    serve.say(
+        "leader %r: epoch %d, %d members, replicating on port %d"
+        % (args.node_id, epoch, daemon.server.n_users, replication.port)
+    )
+
+    def renew_and_heartbeat():
+        lease.renew()
+        publisher.heartbeat()
+
+    serve.on_interval = renew_and_heartbeat
+    return daemon
+
+
+def _boot_standby(serve):
+    """Tail the leader; promote if its lease lapses before the target."""
+    import time
+
+    from repro.errors import HaError, ReplicationError
+    from repro.ha.replication import ReplicationClient
+    from repro.ha.standby import StandbyReplica, promote
+
+    args = serve.args
+    config, parts = serve.group()
+    lease = _lease(serve)
+    host, _, port = args.peer.partition(":")
+    replica = StandbyReplica(config=config, node_id=args.node_id,
+                             obs=serve.obs)
+    client = ReplicationClient(host, int(port or 0), args.node_id,
+                               obs=serve.obs)
+    serve.cleanup.callback(client.close)
+    try:
+        client.connect()
+    except OSError as error:
+        serve.say("error: cannot reach leader at %s: %s" % (args.peer, error))
+        return 2
+    serve.obs.emit("ha_role", node=args.node_id, role="standby", epoch=0)
+    serve.say("standby %r: following %s, target %d interval(s)"
+              % (args.node_id, args.peer, args.intervals))
+
+    def caught_up():
+        return (replica.server is not None
+                and replica.server.intervals_processed >= args.intervals)
+
+    while not caught_up():
+        if not client.connected:
+            # A finished or dead leader stops renewing, so the lease
+            # lapses; until then, keep trying to rejoin.
+            if lease.expired():
+                break
+            try:
+                client.connect(since_seq=replica.applied_seq + 1)
+            except OSError:
+                time.sleep(0.2)
+            continue
+        payloads = client.poll(0.5)
+        if payloads:
+            replica.apply_frames(payloads)
+        elif payloads is None:
+            client.close()  # disconnected; reconnect or promote
+    if caught_up():
+        # The final commit's digest frame trails its WAL record; give it
+        # a moment to arrive before reporting convergence.
+        for _ in range(10):
+            if replica.digest_ok is not None:
+                break
+            payloads = client.poll(0.2)
+            if not payloads:
+                break
+            replica.apply_frames(payloads)
+        digest = {True: "ok", False: "MISMATCH", None: "unverified"}
+        serve.say("standby caught up: interval %d, lag %d, digest %s"
+                  % (replica.server.intervals_processed, replica.lag(),
+                     digest[replica.digest_ok]))
+        return 0 if replica.digest_ok is not False else 1
+    # The leader is gone and its lease has lapsed: take over.
+    try:
+        daemon = promote(replica, args.state_dir, lease, **parts)
+    except (HaError, ReplicationError) as error:
+        serve.say("cannot promote: %s" % error)
+        return 1
+    serve.cleanup.enter_context(daemon)
+    done = daemon.server.intervals_processed
+    serve.say("promoted to leader: epoch %d at interval %d"
+              % (daemon.epoch, done))
+    serve.intervals = max(0, args.intervals - done)
+    return daemon
+
+
+def _refuse_tenants(args):
+    if args.role != "standalone":
+        return ("error: --tenants runs standalone (bulk failover is the "
+                "tenancy-soak mass-rehome plan; see docs/tenancy.md)")
+    if args.metrics_port is not None:
+        return "error: --metrics-port is not supported with --tenants"
+    if args.transport not in ("direct", "sim"):
+        return "error: --tenants supports the direct and sim transports"
+    return None
+
+
+def _boot_tenants(serve):
+    """``--tenants N``: the multi-group daemon on one scheduler."""
     import tempfile
 
-    from repro.errors import ReproError, ServiceError, TenancyError
-    from repro.service import make_backend, make_driver
     from repro.tenancy import MultiGroupDaemon, make_fleet
 
-    if args.role != "standalone":
-        print(
-            "error: --tenants runs standalone (bulk failover is the "
-            "tenancy-soak mass-rehome plan; see docs/tenancy.md)",
-            file=out,
-        )
-        return 2
-    if args.metrics_port is not None:
-        print("error: --metrics-port is not supported with --tenants",
-              file=out)
-        return 2
-    if args.transport not in ("direct", "sim"):
-        print(
-            "error: --tenants supports the direct and sim transports",
-            file=out,
-        )
-        return 2
-    obs = bus = None
-    if args.obs_file is not None:
-        from repro.obs import EventBus, Recorder
-
-        bus = EventBus(path=args.obs_file)
-        obs = Recorder(bus=bus)
+    args = serve.args
     state_root = args.state_dir or tempfile.mkdtemp(prefix="repro-tenants-")
-    try:
-        registry = make_fleet(args.tenants, seed=args.seed)
-        churn = {
-            spec.name: make_driver(
-                args.churn, alpha=args.alpha, trace_path=args.trace_file
-            )
-            for spec in registry
-        }
-        backend_factory = None
-        if args.transport == "sim":
-            backend_factory = lambda spec: make_backend(
-                "sim", spec.config, seed=spec.config.seed + 1
-            )
-        common = dict(
-            churn=churn,
-            budget=args.tick_budget,
-            solo_fraction=args.solo_fraction,
-            backend_factory=backend_factory,
-            obs=obs,
-        )
-        if args.resume:
-            daemon = MultiGroupDaemon.recover_all(state_root, **common)
-            print(
-                "recovered %d tenant(s) from %s"
-                % (len(daemon.registry), state_root),
-                file=out,
-            )
-        else:
-            daemon = MultiGroupDaemon.start_new(
-                registry, state_root, **common
-            )
-            print(
-                "serving %d tenant group(s) under %s (%s transport, "
-                "%s churn%s)"
-                % (
-                    len(registry),
-                    state_root,
-                    args.transport,
-                    args.churn,
-                    ", budget %d/tick" % args.tick_budget
-                    if args.tick_budget
-                    else "",
-                ),
-                file=out,
-            )
-    except (ServiceError, TenancyError, ReproError) as error:
-        print("error: %s" % error, file=out)
-        if bus is not None:
-            bus.close()
-        return 2
-    try:
-        for _ in range(args.intervals):
-            plan = daemon.tick()
-            print(
-                "tick %3d: ran %d, deferred %d, quarantined %d, cost %d"
-                % (
-                    plan.tick,
-                    len(plan.run),
-                    len(plan.deferred),
-                    len(daemon.quarantined_names()),
-                    plan.cost_total,
-                ),
-                file=out,
-            )
-    finally:
-        daemon.close()
-        if bus is not None:
-            bus.close()
-    health = daemon.health()
-    broken = daemon.check_agreement()
-    print(
-        "health: %s (%d tenants, %d intervals, %d quarantined)"
-        % (
-            health["status"],
-            health["tenants"],
-            health["intervals_total"],
-            len(health["quarantined"]),
-        ),
-        file=out,
+    registry = make_fleet(args.tenants, seed=args.seed)
+    common = dict(
+        churn={spec.name: serve.churn() for spec in registry},
+        budget=args.tick_budget,
+        solo_fraction=args.solo_fraction,
+        backend_factory=lambda spec: serve.backend(spec.config),
+        obs=serve.obs,
     )
-    if args.json:
-        import json
-
-        print(json.dumps(health, indent=2, sort_keys=True), file=out)
-    if args.obs_file:
-        print("wrote obs events to %s" % args.obs_file, file=out)
-    if broken:
-        print(
-            "key agreement broken in tenant(s): %s" % ", ".join(broken),
-            file=out,
+    if args.resume:
+        daemon = serve.cleanup.enter_context(
+            MultiGroupDaemon.recover_all(state_root, **common)
         )
+        serve.say("recovered %d tenant(s) from %s"
+                  % (len(daemon.registry), state_root))
+        return daemon
+    daemon = serve.cleanup.enter_context(
+        MultiGroupDaemon.start_new(registry, state_root, **common)
+    )
+    serve.say(
+        "serving %d tenant group(s) under %s (%s transport, %s churn%s)"
+        % (len(registry), state_root, args.transport, args.churn,
+           ", budget %d/tick" % args.tick_budget if args.tick_budget else "")
+    )
+    return daemon
+
+
+def _run_table(serve, daemon):
+    """The per-interval table while the group daemon runs."""
+    from repro.service import ServiceMetrics
+
+    serve.say(ServiceMetrics.TABLE_HEADER)
+
+    def on_interval(record):
+        if serve.on_interval is not None:
+            serve.on_interval()
+        serve.say(ServiceMetrics.format_row(record))
+
+    daemon.run(serve.intervals, on_interval=on_interval)
+    return 0
+
+
+def _run_ticks(serve, daemon):
+    """One row per scheduler tick, then the per-tenant agreement check."""
+    for _ in range(serve.intervals):
+        plan = daemon.tick()
+        serve.say("tick %3d: ran %d, deferred %d, quarantined %d, cost %d"
+                  % (plan.tick, len(plan.run), len(plan.deferred),
+                     len(daemon.quarantined_names()), plan.cost_total))
+    broken = daemon.check_agreement()
+    if broken:
+        serve.say("key agreement broken in tenant(s): %s" % ", ".join(broken))
         return 1
     return 0
 
 
+def _health_ledger(daemon):
+    import json
+
+    return json.dumps(daemon.health(), indent=2, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class _ServeRole:
+    """One ``serve`` role: only what :func:`_cmd_serve` cannot share."""
+
+    #: ``refuse(args)``: why these flags cannot run the role, or None
+    refuse: object
+    #: ``boot(serve)``: the daemon to run, or an exit code when the role
+    #: is done without one (a standby that caught up)
+    boot: object
+    #: ``health(report)``: the closing line, from ``daemon.health()``
+    health: object
+    #: ``run(serve, daemon)``: run while printing rows; the exit code
+    run: object = _run_table
+    #: ``ledger(daemon)``: the ``--json`` dump
+    ledger: object = lambda daemon: daemon.metrics.to_json(indent=2)
+
+
+_SERVE_ROLES = {
+    "standalone": _ServeRole(
+        lambda args: None,
+        lambda serve: _start_group(serve, *serve.group()),
+        lambda h: "health: %s (%d members, %d intervals, "
+        "%d deadline miss(es))" % (h["status"], h["members"],
+                                   h["intervals_processed"],
+                                   h["deadline_misses"]),
+    ),
+    "leader": _ServeRole(
+        lambda args: None if args.state_dir else (
+            "--role leader needs --state-dir "
+            "(the shared WAL/snapshot/lease directory)"
+        ),
+        _boot_leader,
+        lambda h: "health: %s (role %s, epoch %d, %d followers, "
+        "%d intervals)" % (h["status"], h["ha"]["role"], h["ha"]["epoch"],
+                           h["ha"]["replication"]["followers"],
+                           h["intervals_processed"]),
+    ),
+    "standby": _ServeRole(
+        lambda args: None if args.state_dir and args.peer else (
+            "--role standby needs --state-dir and --peer HOST:PORT"
+        ),
+        _boot_standby,
+        lambda h: "health: %s (role %s, epoch %d, %d intervals)"
+        % (h["status"], h["ha"]["role"], h["ha"]["epoch"],
+           h["intervals_processed"]),
+    ),
+    "tenants": _ServeRole(
+        _refuse_tenants,
+        _boot_tenants,
+        lambda h: "health: %s (%d tenants, %d intervals, %d quarantined)"
+        % (h["status"], h["tenants"], h["intervals_total"],
+           len(h["quarantined"])),
+        run=_run_ticks,
+        ledger=_health_ledger,
+    ),
+}
+
+
 def _cmd_serve(args, out):
-    if args.tenants is not None:
-        return _serve_tenants(args, out)
-    if args.role != "standalone":
-        if args.node_id is None:
-            args.node_id = args.role
-        from repro.ha.cli import run_leader, run_standby
+    """``serve``: one runner for every role in :data:`_SERVE_ROLES`."""
+    import contextlib
 
-        if args.role == "leader":
-            return run_leader(args, out)
-        return run_standby(args, out)
-    from repro.core.config import GroupConfig
-    from repro.errors import ServiceError
-    from repro.service import (
-        CrashPlan,
-        DaemonConfig,
-        DaemonCrash,
-        RekeyDaemon,
-        ServiceMetrics,
-        make_backend,
-        make_driver,
-    )
+    from repro.errors import ReproError, StaleEpochError
+    from repro.service import DaemonCrash
 
-    config = GroupConfig(block_size=5, seed=args.seed)
-    service = DaemonConfig(
-        state_dir=args.state_dir,
-        interval_seconds=args.interval_seconds,
-        deadline_rounds=args.deadline_rounds,
-        deadline_policy=args.deadline_policy,
-        crash_plan=(
-            CrashPlan(args.crash_at, args.crash_point)
-            if args.crash_at is not None
-            else None
-        ),
-    )
-    try:
-        backend = make_backend(
-            args.transport,
-            config,
-            seed=args.seed + 1,
-            host=args.bind,
-            port=args.port,
-        )
-        churn = make_driver(
-            args.churn, alpha=args.alpha, trace_path=args.trace_file
-        )
-    except ServiceError as error:
-        print("error: %s" % error, file=out)
+    role = _SERVE_ROLES["tenants" if args.tenants is not None else args.role]
+    refusal = role.refuse(args)
+    if refusal is None and args.resume and not args.state_dir:
+        refusal = "--resume needs --state-dir"
+    if refusal is not None:
+        print(refusal, file=out)
         return 2
-    obs = bus = None
-    if args.obs_file is not None or args.metrics_port is not None:
-        from repro.obs import EventBus, Recorder
-
-        bus = EventBus(path=args.obs_file)
-        obs = Recorder(bus=bus)
-    if args.resume:
-        if not args.state_dir:
-            print("--resume needs --state-dir", file=out)
-            return 2
+    if args.node_id is None:
+        args.node_id = args.role
+    with contextlib.ExitStack() as cleanup:
+        serve = _Serve(args, out, cleanup)
         try:
-            daemon = RekeyDaemon.recover(
-                args.state_dir,
-                config=config,
-                backend=backend,
-                churn=churn,
-                service=service,
-                seed=args.seed,
-                obs=obs,
-            )
-        except ServiceError as error:
-            print("error: %s" % error, file=out)
+            daemon = role.boot(serve)
+        except ReproError as error:
+            serve.say("error: %s" % error)
             return 2
-        print(
-            "recovered: %d members at interval %d, %d request(s) replayed"
-            % (
-                daemon.server.n_users,
-                daemon.server.intervals_processed,
-                daemon.metrics.counters["requests_replayed"],
-            ),
-            file=out,
-        )
-    else:
-        daemon = RekeyDaemon.start_new(
-            ["member-%03d" % i for i in range(args.members)],
-            config=config,
-            backend=backend,
-            churn=churn,
-            service=service,
-            seed=args.seed,
-            obs=obs,
-        )
-        print(
-            "serving a %d-member group (%s transport, %s churn, "
-            "%s engine%s)"
-            % (
-                daemon.server.n_users,
-                args.transport,
-                args.churn,
-                config.engine,
-                ", durable" if args.state_dir else "",
-            ),
-            file=out,
-        )
-    scrape = None
-    if args.metrics_port is not None:
-        from repro.obs.httpd import MetricsServer
+        if isinstance(daemon, int):
+            return daemon
+        if args.metrics_port is not None:
+            from repro.obs.httpd import MetricsServer
 
-        scrape = MetricsServer.for_daemon(
-            daemon, port=args.metrics_port
-        ).start()
-        print("metrics: %s/metrics  health: %s/healthz"
-              % (scrape.url, scrape.url), file=out)
-    print(ServiceMetrics.TABLE_HEADER, file=out)
-
-    def _print_row(record):
-        print(ServiceMetrics.format_row(record), file=out)
-
-    exit_code = 0
-    try:
-        daemon.run(args.intervals, on_interval=_print_row)
-    except DaemonCrash as crash:
-        print("daemon crashed: %s" % crash, file=out)
-        if args.state_dir:
-            print(
+            scrape = MetricsServer.for_daemon(
+                daemon, port=args.metrics_port
+            ).start()
+            cleanup.callback(scrape.stop)
+            serve.say("metrics: %s/metrics  health: %s/healthz"
+                      % (scrape.url, scrape.url))
+        try:
+            exit_code = role.run(serve, daemon)
+        except DaemonCrash as crash:
+            serve.say("daemon crashed: %s" % crash)
+            serve.say(
                 "state survives in %s; rerun with --resume to recover"
-                % args.state_dir,
-                file=out,
+                % args.state_dir if args.state_dir
+                else "no --state-dir was set: nothing survives this crash"
             )
-        else:
-            print(
-                "no --state-dir was set: nothing survives this crash",
-                file=out,
-            )
-        exit_code = 0 if args.crash_at is not None else 1
-    finally:
-        if scrape is not None:
-            scrape.stop()
-        daemon.close()
-        if hasattr(backend, "close"):
-            backend.close()
-        if bus is not None:
-            bus.close()
-    health = daemon.health()
-    print(
-        "health: %s (%d members, %d intervals, %d deadline miss(es))"
-        % (
-            health["status"],
-            health["members"],
-            health["intervals_processed"],
-            health["deadline_misses"],
-        ),
-        file=out,
-    )
+            exit_code = 0 if args.crash_at is not None else 1
+        except StaleEpochError as error:
+            # A standby promoted over us: stop writing, immediately.
+            serve.say("fenced out: %s" % error)
+            exit_code = 1
+    serve.say(role.health(daemon.health()))
     if args.json:
-        print(daemon.metrics.to_json(indent=2), file=out)
+        serve.say(role.ledger(daemon))
     if args.obs_file:
-        print("wrote obs events to %s" % args.obs_file, file=out)
+        serve.say("wrote obs events to %s" % args.obs_file)
     return exit_code
 
 

@@ -27,7 +27,7 @@ deterministic :class:`~repro.ha.replication.DirectLink`
 Determinism: the same ``(plan, seed)`` drives the same churn, the same
 delivery losses, and the same orchestration schedule, so the run's
 chaos/HA event subsequence canonicalises to a stable digest — pinned in
-``docs/ha.md`` and checked by the CI soak-smoke job, exactly like the
+``docs/ha.md`` and checked by the CI smoke job, exactly like the
 single-node soak digests.
 """
 

@@ -14,19 +14,21 @@ frames verify continuously, not just at promotion time.
 next epoch — every write the old leader might still attempt is fenced
 from this instant), wrap the replayed server in a
 :class:`~repro.service.daemon.RekeyDaemon` bound to the shared state
-directory, and resync the member fleet exactly the way crash recovery
-does.  A replica whose last digest check failed refuses to promote:
-promoting a diverged replica would split the key space silently, the
-one failure mode worse than staying down.
+directory, and resume service exactly the way crash recovery does
+(:meth:`~repro.service.daemon.RekeyDaemon.take_over`).  A replica
+whose last digest check failed refuses to promote: promoting a
+diverged replica would split the key space silently, the one failure
+mode worse than staying down.
 """
 
 from __future__ import annotations
 
 from repro.chaos.seams import SYSTEM_CLOCK
 from repro.core.server import GroupKeyServer
-from repro.errors import HaError, ReplicationError, ReproError
+from repro.errors import HaError, ReplicationError
 from repro.ha.digest import server_digest
 from repro.obs.recorder import NULL
+from repro.service.wal import REQUEST_OPS, replay_request
 
 
 class StandbyReplica:
@@ -109,17 +111,8 @@ class StandbyReplica:
             # over the identically queued requests.
             if self.server.intervals_processed == interval:
                 self.server.rekey()
-        elif op in ("join", "leave"):
-            try:
-                if op == "join":
-                    self.server.request_join(record["user"])
-                else:
-                    self.server.request_leave(record["user"])
-            except ReproError:
-                # Mirrors recovery's tolerance: a join/leave pair nets
-                # out to a cancellation on the leader too, so the queues
-                # still converge.
-                pass
+        elif op in REQUEST_OPS:
+            replay_request(self.server, record)
         else:
             raise ReplicationError("unknown WAL op %r in stream" % (op,))
         self.applied_seq = seq
@@ -214,21 +207,10 @@ def promote(replica, state_dir, lease, backend=None, fleet=None,
         epoch=epoch,
         fence=lease,
     )
-    # Requests replayed from the stream but not yet committed must be
-    # consumed by a churn-free replay interval, exactly as recovery
-    # does after a crash (see RekeyDaemon.recover).
-    daemon._replay_interval = any(replica.server.pending_requests)
-    # Fleet resync, mirroring recovery: members are remote and did not
-    # die with the leader, but a pre-crash joiner may be pending again
-    # and carried-over members may hold stale keys.
-    for name in sorted(set(daemon.fleet.members) - replica.server.users):
-        daemon.fleet.forget(name)
-    for name in sorted(replica.server.users - set(daemon.fleet.members)):
-        daemon.fleet.register(replica.server, name)
-        daemon.metrics.bump("members_resynced")
-    for name in daemon.fleet.out_of_sync(replica.server):
-        daemon.fleet.register(replica.server, name)
-        daemon.metrics.bump("members_resynced")
+    # Requests replayed from the stream but not yet committed are
+    # consumed by a churn-free replay interval, and the fleet is
+    # resynced, exactly as after a crash.
+    daemon.take_over()
     obs.emit(
         "ha_promote",
         node=replica.node_id,

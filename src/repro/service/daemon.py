@@ -65,6 +65,12 @@ from repro.service.churn import ChurnEvents, NoChurn
 from repro.service.health import IN_DEADLINE, IntervalMetrics, ServiceMetrics
 from repro.service.members import MemberFleet
 from repro.service.transports import UNICAST_CUTOVER, DirectDelivery
+from repro.service.wal import (
+    WriteAheadLog,
+    quarantine_path,
+    queue_request,
+    replay_request,
+)
 from repro.util.retry import RetryPolicy
 from repro.util.rng import RandomSource
 
@@ -279,8 +285,6 @@ class RekeyDaemon:
         if self.service.state_dir is not None:
             import os
 
-            from repro.service.wal import WriteAheadLog
-
             state_dir = os.fspath(self.service.state_dir)
             os.makedirs(state_dir, exist_ok=True)
             # Quarantine (not abort) on a corrupt log: startup always
@@ -408,43 +412,12 @@ class RekeyDaemon:
         )
         daemon.metrics.bump("recoveries")
         daemon.metrics.bump("snapshot_fallbacks", snapshot_fallbacks)
-        replayed = rejected = 0
-        for record in daemon.wal.pending_requests(server.intervals_processed):
-            try:
-                if record["op"] == "join":
-                    server.request_join(record["user"])
-                else:
-                    server.request_leave(record["user"])
-                replayed += 1
-            except ReproError:
-                # e.g. a leave whose join it cancels was itself replayed
-                # into a cancellation — the pair nets out; or a duplicate
-                # from an overlapping trace.  Never fatal on replay.
-                rejected += 1
+        pending = daemon.wal.pending_requests(server.intervals_processed)
+        replayed = sum(replay_request(server, record) for record in pending)
+        rejected = len(pending) - replayed
         daemon.metrics.bump("requests_replayed", replayed)
         daemon.metrics.bump("requests_rejected", rejected)
-        # The crashed interval may already have *delivered* before dying
-        # (post-delivery crash): members then hold the keys of a rekey
-        # the snapshot never saw.  Key derivation is deterministic in
-        # (seed, node id, version) but NOT in the request set — mixing
-        # fresh churn into the re-run would mint the *same* key bytes
-        # for a different eviction set, handing the current group key to
-        # users the crashed delivery already served.  So the next
-        # interval replays the logged requests only; churn resumes after.
-        daemon._replay_interval = any(server.pending_requests)
-        if resync_members:
-            # A joiner registered just before the crash is in the fleet
-            # but not yet in the recovered tree (its join was replayed
-            # and is pending again) — it re-registers when that join is
-            # processed, so drop its stale state now.
-            for name in sorted(set(daemon.fleet.members) - server.users):
-                daemon.fleet.forget(name)
-            for name in sorted(server.users - set(daemon.fleet.members)):
-                daemon.fleet.register(server, name)
-                daemon.metrics.bump("members_resynced")
-            for name in daemon.fleet.out_of_sync(server):
-                daemon.fleet.register(server, name)
-                daemon.metrics.bump("members_resynced")
+        daemon.take_over(resync_members)
         daemon.obs.emit(
             "recovery",
             interval=server.intervals_processed,
@@ -453,6 +426,40 @@ class RekeyDaemon:
             replay_interval=daemon._replay_interval,
         )
         return daemon
+
+    def take_over(self, resync_members=True):
+        """Resume service over a server rebuilt from the durable log.
+
+        Crash recovery and a standby's promotion both end here, once the
+        logged requests are queued again.  The crashed interval may
+        already have *delivered* before dying (post-delivery crash):
+        members then hold the keys of a rekey the snapshot never saw.
+        Key derivation is deterministic in (seed, node id, version) but
+        NOT in the request set — mixing fresh churn into the re-run would
+        mint the *same* key bytes for a different eviction set, handing
+        the current group key to users the crashed delivery already
+        served.  So the next interval replays the logged requests only;
+        churn resumes after.
+
+        With ``resync_members``, the member fleet (remote in reality: it
+        did not die with the server) is brought back in line: a joiner
+        registered just before the crash is in the fleet but not yet in
+        the rebuilt tree (its join is pending again) — it re-registers
+        when that join is processed, so its stale state is dropped now;
+        missing and out-of-sync members re-register.
+        """
+        server, fleet = self.server, self.fleet
+        self._replay_interval = any(server.pending_requests)
+        if not resync_members:
+            return
+        for name in sorted(set(fleet.members) - server.users):
+            fleet.forget(name)
+        for name in sorted(server.users - set(fleet.members)):
+            fleet.register(server, name)
+            self.metrics.bump("members_resynced")
+        for name in fleet.out_of_sync(server):
+            fleet.register(server, name)
+            self.metrics.bump("members_resynced")
 
     @classmethod
     def _load_snapshot_ladder(cls, primary, candidates, config, obs, fs):
@@ -473,7 +480,6 @@ class RekeyDaemon:
         """
         from repro.errors import KeyTreeError
         from repro.keytree.persistence import load_server
-        from repro.service.wal import quarantine_path
 
         import os
 
@@ -546,10 +552,7 @@ class RekeyDaemon:
     def _submit(self, op, name):
         with self._lock:
             interval = self.server.intervals_processed
-            if op == "join":
-                self.server.request_join(name)
-            else:
-                self.server.request_leave(name)
+            queue_request(self.server, op, name)
             if self.wal is not None:
                 try:
                     self.wal.append_request(op, name, interval)

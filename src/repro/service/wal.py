@@ -57,7 +57,7 @@ import os
 import zlib
 
 from repro.chaos.seams import REAL_FILESYSTEM, SYSTEM_CLOCK
-from repro.errors import StaleEpochError, WalError
+from repro.errors import ReproError, StaleEpochError, WalError
 from repro.obs.recorder import NULL
 from repro.util.retry import RetryPolicy
 
@@ -191,6 +191,30 @@ def quarantine_path(path, fs=None):
     while fs.exists("%s.corrupt-%d" % (path, n)):
         n += 1
     return "%s.corrupt-%d" % (path, n)
+
+
+def queue_request(server, op, user):
+    """Queue one ``join``/``leave`` on ``server`` for its next rekey."""
+    if op == "join":
+        server.request_join(user)
+    else:
+        server.request_leave(user)
+
+
+def replay_request(server, record):
+    """Re-queue a logged request; ``False`` when the server refuses it.
+
+    A refusal is never fatal on replay: a leave whose join it cancels
+    may itself have been replayed into a cancellation (the pair nets
+    out, on the writer too), or an overlapping trace repeats a request.
+    Crash recovery and the standby's stream replay share this rule, so
+    both rebuild the writer's request queue exactly.
+    """
+    try:
+        queue_request(server, record["op"], record["user"])
+    except ReproError:
+        return False
+    return True
 
 
 class WriteAheadLog:

@@ -37,7 +37,7 @@ the *set* is a pure function of ``(plan, seed)``.  Client-side FSM
 events (resyncs, rehomes, stale-epoch refusals) are deliberately
 excluded: their counts depend on real-time pacing and worker placement.
 The digests are pinned in ``docs/robustness.md`` and checked by the CI
-soak-smoke job.
+smoke job.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ STANDARD_SEED7_DIGEST = (
 )
 
 #: sha256 of the canonical fault timelines of the other plans at seed 7
-#: (docs/robustness.md and the CI soak-smoke job carry the same pins)
+#: (docs/robustness.md and the CI smoke job carry the same pins)
 PINNED = {
     "io-storm": (
         "fbaa38210ed4e66ad3e716b2ce1d79ee84c46b70767ab9e90f81ef14fe4c46be"

@@ -1,6 +1,6 @@
 """Wire-chaos soak tests: small soaks, pinned digests, CLI.
 
-The full pinned-digest plans also run in CI (the soak-smoke job); here
+The full pinned-digest plans also run in CI (the smoke job); here
 the wire family is exercised at test size — determinism across runs,
 the crash→evict→carry flow, and a live-fleet failover.  The timeline
 canonicalisation rules the digests stand on are tested with the
@@ -123,7 +123,7 @@ class TestLeaderKillSmall:
 
 
 #: The canonical wire-timeline digests at seed 7 — the same pins the CI
-#: soak-smoke job and docs/robustness.md carry.  A deliberate
+#: smoke job and docs/robustness.md carry.  A deliberate
 #: behaviour change that moves one must update all three places.
 PINNED = {
     "datagram-storm":
