@@ -25,6 +25,17 @@ from repro.service import (
 )
 
 
+class OverheardDelivery(SessionDelivery):
+    """The sim transport, keeping each rekey message it delivers so the
+    example can hand it to departed members too."""
+
+    last_message = None
+
+    def deliver(self, message, fleet, **kwargs):
+        self.last_message = message
+        return super().deliver(message, fleet, **kwargs)
+
+
 def banner(text):
     print()
     print("=" * 72)
@@ -67,7 +78,7 @@ def main():
     recovered = RekeyDaemon.recover(
         state_dir,
         config=config,
-        backend=SessionDelivery(config, seed=13),
+        backend=OverheardDelivery(config, seed=13),
         fleet=daemon.fleet,
         churn=churn,
         service=DaemonConfig(state_dir=state_dir),
@@ -87,9 +98,21 @@ def main():
 
     banner("Phase 3 — soak on; verify agreement and lockout")
     print(ServiceMetrics.TABLE_HEADER)
-    recovered.run(4, on_interval=lambda r: print(
-        ServiceMetrics.format_row(r)))
-    recovered.fleet.check_agreement(recovered.server)  # raises on breach
+    departed = []  # evicted members' own key states: they keep listening
+    for _ in range(4):
+        before = dict(recovered.fleet.members)
+        recovered.backend.last_message = None
+        print(ServiceMetrics.format_row(recovered.run_interval()))
+        departed += [
+            member for name, member in before.items()
+            if recovered.fleet.members.get(name) is not member
+        ]
+        if recovered.backend.last_message is not None:
+            for member in departed:
+                member.overhear(recovered.backend.last_message)
+    # raises if a member is stale or the secrecy ledger found a breach
+    recovered.fleet.check_agreement(recovered.server)
+    assert all(m.group_key != recovered.server.group_key for m in departed)
     print()
     print(
         "agreement: all %d members hold group key %s"
@@ -99,8 +122,8 @@ def main():
         )
     )
     print(
-        "lockout:   none of the %d evicted members do"
-        % len(recovered.fleet.former_members)
+        "lockout:   none of the %d evicted members do, each handed every "
+        "rekey message since it left" % len(departed)
     )
     health = recovered.health()
     print(

@@ -41,11 +41,19 @@ def main():
     per_interval = max(1, int(args.churn * args.subscribers))
     total_requests = 0
 
+    lapsed = []  # lapsed subscribers' own key states: they keep listening
     for interval in range(args.intervals):
         n_lapse = int(rng.integers(per_interval // 2, per_interval + 1))
         n_new = int(rng.integers(per_interval // 2, per_interval + 1))
         total_requests += n_lapse + n_new
+        before = dict(group.members)
         message = group.churn(n_new, n_lapse, rng=rng, lossy=True)
+        lapsed += [
+            member for name, member in before.items()
+            if group.members.get(name) is not member
+        ]
+        for member in lapsed:
+            member.overhear(message)
         report = group.last_delivery
         counts, seconds = group.server.meter.snapshot()
         print(
@@ -78,7 +86,8 @@ def main():
         member.group_key == group.server.group_key
         for member in group.members.values()
     )
-    lapsed = list(group.former_members.values())
+    # Every lapsed subscriber overheard every rekey message since it
+    # lapsed, and none reaches the current group key.
     assert all(m.group_key != group.server.group_key for m in lapsed)
     print(
         "\ninvariants hold: %d active subscribers keyed, "

@@ -26,6 +26,7 @@ def main():
         print("  %-6s holds keys for nodes %s" % (name, member.path_ids))
 
     # dave leaves; erin joins.  Requests queue up during the interval...
+    dave = group.members["dave"]  # dave's own key state, kept after he goes
     group.leave("dave")
     group.join("erin")
 
@@ -42,10 +43,10 @@ def main():
     )
     print("new group key:", group.server.group_key.fingerprint())
 
-    # Forward secrecy: dave's stale keys do not match the new group key.
-    dave = group.former_members["dave"]
-    assert dave.group_key != group.server.group_key
-    print("dave's stale view:", dave.group_key.fingerprint(), "(locked out)")
+    # Forward secrecy: dave overhears the whole rekey message and still
+    # cannot reach the new group key.
+    assert dave.overhear(message) != group.server.group_key
+    print("dave's view:      ", dave.group_key.fingerprint(), "(locked out)")
 
     # erin is a first-class member now.
     assert group.members["erin"].group_key == group.server.group_key

@@ -312,13 +312,21 @@ def _cmd_demo(args, out):
     )
     print("created %r" % group, file=out)
     print("group key: %s" % group.server.group_key.fingerprint(), file=out)
+    departed = []
     for interval in range(args.intervals):
-        group.churn(
+        before = dict(group.members)
+        message = group.churn(
             int(rng.integers(1, 4)),
             int(rng.integers(1, 4)),
             rng=rng,
             lossy=args.lossy,
         )
+        departed += [
+            member for name, member in before.items()
+            if group.members.get(name) is not member
+        ]
+        for member in departed:  # each overhears every later message
+            member.overhear(message)
         report = group.last_delivery
         detail = ""
         if report is not None:
@@ -342,10 +350,7 @@ def _cmd_demo(args, out):
         for member in group.members.values()
     )
     print("all members agree on the group key: %s" % agree, file=out)
-    locked = all(
-        member.group_key != group.server.group_key
-        for member in group.former_members.values()
-    )
+    locked = all(m.group_key != group.server.group_key for m in departed)
     print("all departed members locked out: %s" % locked, file=out)
     return 0 if agree and locked else 1
 

@@ -17,9 +17,12 @@ Decryption uses the real toy cipher, so a wrong or stale key *fails*
 from __future__ import annotations
 
 from repro.crypto.cipher import XorStreamCipher
-from repro.errors import CryptoError, TransportError
+from repro.errors import CryptoError, ReproError, TransportError
 from repro.keytree import ids as idmath
 from repro.util.validation import check_non_negative
+
+#: Without a meter the cipher holds no state, so every member shares one.
+_CIPHER = XorStreamCipher()
 
 
 class GroupMember:
@@ -36,7 +39,6 @@ class GroupMember:
             raise TransportError(
                 "registration state lacks the individual key"
             )
-        self._cipher = XorStreamCipher()
         self._signer = signer
 
     @classmethod
@@ -129,7 +131,7 @@ class GroupMember:
                 )
             parent_id = (child_id - 1) // self.degree
             try:
-                new_key = self._cipher.decrypt_key(
+                new_key = _CIPHER.decrypt_key(
                     encrypted, child_key, node_id=parent_id
                 )
             except CryptoError:
@@ -137,6 +139,19 @@ class GroupMember:
                 # child key: e.g. a Replace-labelled sibling's slot.
                 continue
             self.path_keys[parent_id] = new_key
+
+    def overhear(self, message):
+        """Absorb all of ``message``, as an eavesdropper would, stopping at
+        the first key it lacks; returns the group key it then holds."""
+        if message.encryption_map:
+            try:
+                self.absorb_encryptions(
+                    list(message.encryption_map.values()),
+                    max_kid=message.max_kid,
+                )
+            except ReproError:
+                pass
+        return self.group_key
 
     def verify_signature(self, payload, signature):
         """Verify the server's signature over a rekey message."""

@@ -270,6 +270,11 @@ class KeyTree:
         """Current key at ``node_id`` (``None`` in keyless mode)."""
         return self.node(node_id).key
 
+    def key_at(self, node_id):
+        """Current key at ``node_id``, or ``None`` where no node is."""
+        node = self._nodes.get(node_id)
+        return None if node is None else node.key
+
     def version_of(self, node_id):
         """Current key version at ``node_id``."""
         return self.node(node_id).version

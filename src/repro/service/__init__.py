@@ -14,7 +14,9 @@ The paper's analysis is per-interval; this package runs the key server
   of :mod:`repro.wire`) with per-interval deadlines and recorded
   degradation decisions;
 - :mod:`repro.service.members` — the in-process member population that
-  survives daemon crashes and checks agreement/lockout invariants;
+  survives daemon crashes, runs each interval's membership step, and
+  checks agreement plus the secrecy ledger (forward and backward
+  secrecy on key material);
 - :mod:`repro.service.group` — :class:`SecureGroup`, the one-process
   facade: a key server, its :class:`MemberFleet` and these backends;
 - :mod:`repro.service.health` — per-interval metrics ledger, JSON

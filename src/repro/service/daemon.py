@@ -453,7 +453,7 @@ class RekeyDaemon:
         if not resync_members:
             return
         for name in sorted(set(fleet.members) - server.users):
-            fleet.forget(name)
+            fleet.evict(name)
         for name in sorted(server.users - set(fleet.members)):
             fleet.register(server, name)
             self.metrics.bump("members_resynced")
@@ -656,25 +656,26 @@ class RekeyDaemon:
             rejected = self._split_accept(events, interval)
         self._maybe_crash(interval, "pre-rekey")
 
-        joins, leaves = self.server.pending_requests
-        t_mark = time.perf_counter()
-        with obs.span("daemon.rekey"):
-            batch, message = self.server.rekey()
-        marking_ms = (time.perf_counter() - t_mark) * 1e3
-        if obs.enabled:
-            obs.emit(
-                "marking_complete",
-                joins=len(joins),
-                leaves=len(leaves),
-                n_encryptions=batch.n_encryptions if batch else 0,
-                marking_ms=round(marking_ms, 3),
-            )
-        self._maybe_crash(interval, "post-rekey")
+        marking_ms = 0.0
 
-        for name in leaves:
-            self.fleet.evict(name)
-        for name in joins:
-            self.fleet.register(self.server, name)
+        def rekey(joins, leaves):
+            nonlocal marking_ms
+            t_mark = time.perf_counter()
+            with obs.span("daemon.rekey"):
+                batch, message = self.server.rekey()
+            marking_ms = (time.perf_counter() - t_mark) * 1e3
+            if obs.enabled:
+                obs.emit(
+                    "marking_complete",
+                    joins=len(joins),
+                    leaves=len(leaves),
+                    n_encryptions=batch.n_encryptions,
+                    marking_ms=round(marking_ms, 3),
+                )
+            self._maybe_crash(interval, "post-rekey")
+            return batch, message
+
+        joins, leaves, batch, message = self.fleet.rekey(self.server, rekey)
 
         report = None
         policy = self.service.deadline_policy

@@ -11,7 +11,9 @@ adapted across intervals).
 
 Invariant after every delivered rekey, checked by
 :meth:`MemberFleet.check_agreement`: every current member holds the
-server's group key and no former member does.
+server's group key, and the fleet's secrecy ledger finds no key the
+departed coalition can still reach and no joiner key older than its
+join.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ class SecureGroup:
         return self.fleet.members
 
     @property
-    def former_members(self):
-        """Members who left; kept to assert forward secrecy."""
-        return self.fleet.former_members
-
-    @property
     def n_members(self):
         return self.fleet.n_members
 
@@ -73,12 +70,7 @@ class SecureGroup:
 
         Returns the rekey message (possibly empty).
         """
-        joins, leaves = self.server.pending_requests
-        _, message = self.server.rekey()
-        for name in leaves:
-            self.fleet.evict(name)
-        for name in joins:
-            self.fleet.register(self.server, name)
+        message = self.fleet.rekey(self.server)[3]
         if message.is_empty:
             self.last_delivery = None
             return message

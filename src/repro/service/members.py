@@ -2,28 +2,142 @@
 
 A real deployment has members on remote hosts; their key state lives
 with *them* and survives any key-server crash.  :class:`MemberFleet`
-models exactly that: it owns the :class:`~repro.core.member.GroupMember`
-objects, persists across daemon restarts in tests and soaks, and is the
-oracle for the system's two security invariants —
+models exactly that: it owns the current members'
+:class:`~repro.core.member.GroupMember` objects, persists across daemon
+restarts in tests and soaks, runs each interval's membership step and
+checks the system's two security invariants —
 
 - **agreement**: after a delivered rekey, every current member's group
   key equals the server's;
-- **lockout**: every evicted member's group key differs from the
-  server's (forward secrecy), forever after its eviction interval.
+- **secrecy**: its :class:`SecrecyLedger` finds no tree key the
+  departed members can reach and no joiner key older than its join.
+
+Evicted members are dropped: the ledger reads only the server's tree
+and the rekey message.
 """
 
 from __future__ import annotations
 
+import types
+import weakref
+
 from repro.core.member import GroupMember
-from repro.errors import ServiceError
+from repro.crypto.cipher import XorStreamCipher
+from repro.errors import CryptoError, ServiceError
+from repro.keytree.ids import ROOT_ID
+
+_CIPHER = XorStreamCipher()
+
+
+class SecrecyLedger:
+    """Forward and backward secrecy, checked on key material.
+
+    - **Forward.** The coalition of departed members starts from each
+      leaver's path keys as the tree held them just before its eviction
+      interval; an edge ``{k_parent}k_child`` of the rekey message whose
+      child key it holds hands it the parent key.  After the interval no
+      key it holds may still be a tree key, the root least of all.
+    - **Backward.** Every key on a joiner's path differs from the key
+      that node held before the join interval.
+
+    Keys are compared as material, never through the marker's labels.
+    Memory is O(tree): the tree's keys as the last interval left them,
+    plus coalition keys still in the tree (none while secrecy holds).
+    The message is read only once a key has leaked.
+    """
+
+    def __init__(self):
+        #: node ID -> key the departed coalition holds that is a tree key
+        self.coalition = {}
+        #: what the last interval breached (empty while secrecy holds)
+        self.breaches = []
+        self._keys = {}  # node ID -> tree key when the last interval closed
+        self._synced = (None, None)  # (weakref to that tree, interval)
+
+    def __len__(self):
+        return len(self._keys) + len(self.coalition)
+
+    def capture(self, server, leaves):
+        """The leavers' path keys, read just before ``server.rekey()``."""
+        tree = server.tree
+        if self._synced != (weakref.ref(tree), server.intervals_processed):
+            # A new or rebuilt server (recovery, promotion, re-home), or
+            # one rekeyed outside this ledger: re-read its keys once.
+            self._keys = {n: tree.key_at(n) for n in tree.node_ids()}
+        return {n: tree.key_at(n) for n in _paths(tree, leaves)}
+
+    def settle(self, server, batch, message, path_keys, joins):
+        """Judge the interval ``server.rekey()`` just closed."""
+        tree = server.tree
+        before, coalition = self._keys, self.coalition
+        coalition.update(path_keys)
+        joined = _paths(tree, joins)
+        backward, leaked = [], {}
+        for node_id in joined.union(
+            coalition, batch.subtree.updated_knode_ids, batch.moved.values()
+        ):
+            now = tree.key_at(node_id)
+            if now is None:
+                before.pop(node_id, None)
+                continue
+            old = before.get(node_id)
+            kept = old is not None and old == now
+            if kept and node_id in joined:
+                backward.append(node_id)
+            held = coalition.get(node_id)  # mostly ``old`` itself
+            if held is not None and (kept if held is old else held == now):
+                leaked[node_id] = now
+            before[node_id] = now
+        if leaked and message.encryption_map:
+            # Read the message bottom-up as the coalition would.
+            for child_id, encrypted in message.encryption_map.items():
+                if child_id in coalition:
+                    parent_id = (child_id - 1) // tree.degree
+                    try:
+                        coalition[parent_id] = _CIPHER.decrypt_key(
+                            encrypted, coalition[child_id], node_id=parent_id
+                        )
+                    except CryptoError:
+                        pass
+            leaked = {
+                n: k for n, k in coalition.items() if tree.key_at(n) == k
+            }
+        self.coalition = leaked
+        self.breaches = [
+            "a joiner holds node %d's key from before its join" % n
+            for n in sorted(backward)
+        ] + [
+            "departed members hold node %d's current key" % n
+            for n in sorted(leaked)
+        ]
+        self._synced = (weakref.ref(tree), server.intervals_processed)
+
+
+def _paths(tree, names):
+    """The IDs of every node on the paths of ``names``."""
+    seen = set()
+    for name in names:
+        node_id = tree.user_node_id(name)
+        while node_id not in seen:
+            seen.add(node_id)
+            if node_id == ROOT_ID:
+                break
+            node_id = (node_id - 1) // tree.degree
+    return seen
 
 
 class MemberFleet:
-    """The population of live (and former) member key states."""
+    """The population of live member key states, and its secrecy ledger."""
+
+    #: Always empty and read-only: kept for the end-to-end benchmark's
+    #: ``former_members`` row until ROADMAP item 8 drops it.
+    former_members = types.MappingProxyType({})
+
+    stale_error = "members lack the current group key: %r"
 
     def __init__(self):
         self.members = {}  # name -> GroupMember
-        self.former_members = {}  # name -> GroupMember at eviction time
+        self.ledger = SecrecyLedger()
 
     @classmethod
     def register_all(cls, server):
@@ -47,25 +161,26 @@ class MemberFleet:
         which is what the SSL registration channel would do.
         """
         self.members[name] = GroupMember.register(server, name)
-        self.former_members.pop(name, None)
         return self.members[name]
 
     def evict(self, name):
-        """Move ``name`` to the former-member ledger (idempotent)."""
-        member = self.members.pop(name, None)
-        if member is not None:
-            self.former_members[name] = member
-
-    def forget(self, name):
-        """Drop ``name`` entirely — no former-member entry (idempotent).
-
-        For members a recovered or promoted server never committed (a
-        pre-crash joiner whose request is pending again): the member
-        registers fresh when the replay interval re-processes the join,
-        so neither ledger should count it meanwhile.
-        """
+        """Drop ``name``'s member state (idempotent)."""
         self.members.pop(name, None)
-        self.former_members.pop(name, None)
+
+    def rekey(self, server, run=None):
+        """One interval's membership step; returns ``(joins, leaves,
+        batch, message)``.  ``run(joins, leaves)`` may stand in for
+        ``server.rekey()`` (the daemon wraps its span, event and
+        post-rekey crash point around it)."""
+        joins, leaves = server.pending_requests
+        path_keys = self.ledger.capture(server, leaves)
+        batch, message = run(joins, leaves) if run else server.rekey()
+        for name in leaves:
+            self.evict(name)
+        for name in joins:
+            self.register(server, name)
+        self.ledger.settle(server, batch, message, path_keys, joins)
+        return joins, leaves, batch, message
 
     def by_user_id(self):
         """Map current u-node IDs to members (after relocation)."""
@@ -91,26 +206,15 @@ class MemberFleet:
 
     def check_agreement(self, server, exclude=()):
         """Raise :class:`ServiceError` unless all (non-excluded) members
-        hold the server's group key and all former members do not."""
+        hold the server's group key and the secrecy ledger is clean."""
         excluded = set(exclude)
         stale = [n for n in self.out_of_sync(server) if n not in excluded]
         if stale:
+            raise ServiceError(self.stale_error % (stale,))
+        if self.ledger.breaches:
             raise ServiceError(
-                "members lack the current group key: %r" % (stale,)
-            )
-        expected = server.group_key
-        leaked = sorted(
-            name
-            for name, member in self.former_members.items()
-            if member.group_key == expected
-        )
-        if leaked:
-            raise ServiceError(
-                "evicted members hold the current group key: %r" % (leaked,)
+                "secrecy ledger: %s" % "; ".join(self.ledger.breaches)
             )
 
     def __repr__(self):
-        return "MemberFleet(members=%d, former=%d)" % (
-            len(self.members),
-            len(self.former_members),
-        )
+        return "MemberFleet(members=%d)" % len(self.members)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import threading
 
-from repro.errors import ServiceError, WireError, WorkerCrashError
+from repro.errors import WireError, WorkerCrashError
 from repro.obs.trace import current_trace_id
 from repro.service.members import MemberFleet
 from repro.service.transports import (
@@ -64,36 +64,30 @@ class WireFleet(MemberFleet):
 
     In worker mode the members' real key state lives in other processes;
     the daemon-side :class:`GroupMember` objects stop absorbing keys
-    after registration.  This fleet therefore checks the two security
-    invariants against the group-key fingerprints the members *reported
-    over the wire* (12 hex chars of BLAKE2b, same as
-    ``SymmetricKey.fingerprint``) — which is also how a real operator
-    would audit agreement across remote members.
+    after registration.  This fleet therefore checks agreement against
+    the group-key fingerprints the members *reported over the wire* (12
+    hex chars of BLAKE2b, same as ``SymmetricKey.fingerprint``) — which
+    is also how a real operator would audit agreement across remote
+    members.  Secrecy needs no member state at all: the inherited
+    ledger reads the server's tree and the rekey message.
     """
+
+    stale_error = "members reported stale group keys over the wire: %r"
 
     def __init__(self):
         super().__init__()
         #: name -> last group-key fingerprint the member reported (or
         #: held at registration, which the registration channel knows)
         self.wire_fingerprints = {}
-        self.former_fingerprints = {}
 
     def register(self, server, name):
         member = super().register(server, name)
         self.wire_fingerprints[name] = server.group_key.fingerprint()
-        self.former_fingerprints.pop(name, None)
         return member
 
     def evict(self, name):
         super().evict(name)
-        fingerprint = self.wire_fingerprints.pop(name, None)
-        if fingerprint is not None:
-            self.former_fingerprints[name] = fingerprint
-
-    def forget(self, name):
-        super().forget(name)
         self.wire_fingerprints.pop(name, None)
-        self.former_fingerprints.pop(name, None)
 
     def note_fingerprint(self, name, fingerprint):
         """Record a member's wire-reported group-key fingerprint."""
@@ -107,26 +101,6 @@ class WireFleet(MemberFleet):
             for name, fingerprint in self.wire_fingerprints.items()
             if fingerprint != expected
         )
-
-    def check_agreement(self, server, exclude=()):
-        excluded = set(exclude)
-        stale = [n for n in self.out_of_sync(server) if n not in excluded]
-        if stale:
-            raise ServiceError(
-                "members reported stale group keys over the wire: %r"
-                % (stale,)
-            )
-        expected = server.group_key.fingerprint()
-        leaked = sorted(
-            name
-            for name, fingerprint in self.former_fingerprints.items()
-            if fingerprint == expected
-        )
-        if leaked:
-            raise ServiceError(
-                "evicted members reported the current group key: %r"
-                % (leaked,)
-            )
 
 
 class WireDelivery(DeliveryBackend):

@@ -42,19 +42,28 @@ class TestLifecycle:
 
     def test_former_member_is_locked_out(self):
         group = make_group()
+        former = group.members["m1"]
         group.leave("m1")
-        group.rekey()
-        former = group.former_members["m1"]
+        message = group.rekey()
+        former.overhear(message)  # the whole message, as an eavesdropper
         assert former.group_key != group.server.group_key
+        assert group.fleet.ledger.breaches == []
+        assert group.fleet.ledger.coalition == {}
 
     def test_rejoined_member_leaves_the_former_ledger(self):
         group = make_group()
+        former = group.members["m1"]
         group.leave("m1")
         group.rekey()
         group.join("m1")
         group.rekey()
         assert "m1" in group.members
-        assert "m1" not in group.former_members
+        rejoined = group.members["m1"]
+        assert rejoined.group_key == group.server.group_key
+        for node_id, key in rejoined.path_keys.items():
+            assert key != former.path_keys.get(node_id), node_id
+        assert group.fleet.ledger.breaches == []
+        assert group.fleet.ledger.coalition == {}
 
     def test_empty_interval(self):
         group = make_group()
@@ -128,11 +137,18 @@ class TestChurn:
     def test_every_former_member_locked_out_after_churn(self):
         group = make_group(n=27)
         rng = np.random.default_rng(8)
+        departed = []  # each evictee's own key state, taken before it left
         for _ in range(8):
-            group.churn(2, 3, rng=rng)
+            before = dict(group.members)
+            message = group.churn(2, 3, rng=rng)
+            departed += [
+                member for name, member in before.items()
+                if group.members.get(name) is not member
+            ]
+            for member in departed:
+                member.overhear(message)
+            assert group.fleet.ledger.breaches == []
         current = group.server.group_key
-        assert group.former_members
-        assert all(
-            member.group_key != current
-            for member in group.former_members.values()
-        )
+        assert departed
+        assert all(member.group_key != current for member in departed)
+        assert group.fleet.ledger.coalition == {}

@@ -56,14 +56,15 @@ class TestChurnClamping:
 class TestRejoin:
     def test_departed_member_can_rejoin_with_fresh_keys(self):
         group = make_group()
+        former = group.members["m3"]
         group.leave("m3")
-        group.rekey()
-        stale = group.former_members["m3"].group_key
+        stale = former.overhear(group.rekey())
         group.join("m3")
         group.rekey()
         fresh = group.members["m3"].group_key
         assert fresh == group.server.group_key
         assert fresh != stale
+        assert group.fleet.ledger.breaches == []
 
     def test_rejoin_cannot_read_the_gap(self):
         """Keys from the eviction interval never reach the rejoiner."""

@@ -6,7 +6,9 @@ lossy-rekey against a model of expected membership, asserting after
 every step:
 
 - the key tree's structural invariants hold;
-- current members (and only they) can produce the group key;
+- current members (and only they) can produce the group key: every
+  departed member, handed each later rekey message, stays locked out,
+  and the secrecy ledger finds no breach;
 - the group key changes across any interval with membership changes
   and stays put across empty intervals.
 """
@@ -30,7 +32,8 @@ class SecureGroupMachine(RuleBasedStateMachine):
         super().__init__()
         self.group = None
         self.expected_members = set()
-        self.expected_departed = set()
+        self.departed = []  # departed members' own key states
+        self.departing = {}
         self.counter = 0
         self.pending_joins = []
         self.pending_leaves = []
@@ -62,15 +65,18 @@ class SecureGroupMachine(RuleBasedStateMachine):
         name = data.draw(st.sampled_from(candidates))
         self.group.leave(name)
         self.pending_leaves.append(name)
+        self.departing[name] = self.group.members[name]
 
     @rule(lossy=st.booleans())
     def rekey(self, lossy):
         key_before = self.group.server.group_key
         changed = bool(self.pending_joins or self.pending_leaves)
-        self.group.rekey(lossy=lossy)
+        message = self.group.rekey(lossy=lossy)
         self.expected_members |= set(self.pending_joins)
         self.expected_members -= set(self.pending_leaves)
-        self.expected_departed |= set(self.pending_leaves)
+        self.departed += [self.departing.pop(n) for n in self.pending_leaves]
+        for member in self.departed:
+            member.overhear(message)
         self.pending_joins = []
         self.pending_leaves = []
         key_after = self.group.server.group_key
@@ -106,10 +112,10 @@ class SecureGroupMachine(RuleBasedStateMachine):
         if self.group is None:
             return
         current = self.group.server.group_key
-        for name in self.expected_departed:
-            former = self.group.former_members.get(name)
-            if former is not None:
-                assert former.group_key != current, name
+        for former in self.departed:
+            assert former.group_key != current, former.name
+        ledger = self.group.fleet.ledger
+        assert ledger.breaches == [] and ledger.coalition == {}
 
 
 SecureGroupMachine.TestCase.settings = settings(

@@ -22,6 +22,7 @@ from repro.service import (
     SessionDelivery,
 )
 from repro.service.members import MemberFleet
+from tests.service.marker_mutants import mutate
 
 
 def small_config(**overrides):
@@ -79,14 +80,22 @@ class TestSoak:
 class LoopDifferential(DirectDelivery):
     """Indexed direct delivery checked against the original loop.
 
-    Every live member, and every former member whose stale ID still
-    relocates under this ``maxKID``, is delivered to; copies of the same
+    Every live member, and every departed member whose stale ID still
+    relocates under this ``maxKID``, is delivered to: the backend keeps
+    each member it sees leave the fleet and hands it every later packet,
+    as an eavesdropper on the multicast gets them.  Copies of the same
     members go through the members x packets loop the index replaced,
     and both populations must end with identical key states.
     """
 
     def __init__(self):
         self.uncovered = 0
+        self.departed = {}  # name -> the member state it left with
+        self._seen = {}
+
+    def watch(self, fleet):
+        """Start from ``fleet``'s members, so no departure is missed."""
+        self._seen = dict(fleet.members)
 
     @staticmethod
     def relocatable(member, max_kid):
@@ -97,10 +106,16 @@ class LoopDifferential(DirectDelivery):
         return True
 
     def deliver(self, message, fleet, deadline_rounds=2, policy="unicast"):
+        self.departed.update(
+            (name, member)
+            for name, member in self._seen.items()
+            if fleet.members.get(name) is not member
+        )
+        self.watch(fleet)
         population = MemberFleet()
         population.members = {
             name: member
-            for name, member in fleet.former_members.items()
+            for name, member in self.departed.items()
             if self.relocatable(member, message.max_kid)
         }
         population.members.update(fleet.members)
@@ -127,21 +142,30 @@ class TestDirectDelivery:
         daemon = make_daemon(
             n=40, backend=backend, churn=PoissonChurn(alpha=0.3)
         )
+        backend.watch(daemon.fleet)
         daemon.run(8)
         daemon.fleet.check_agreement(daemon.server)
         # Members no packet covers (former members here) still relocate.
         assert backend.uncovered > 0
+        assert backend.departed
+        assert all(
+            member.group_key != daemon.server.group_key
+            for member in backend.departed.values()
+        )
 
 
 class TestSubmitApi:
     def test_submit_then_interval(self):
         daemon = make_daemon(churn=NoChurn())
+        departing = daemon.fleet.members["m03"]
         daemon.submit_join("newcomer")
         daemon.submit_leave("m03")
         record = daemon.run_interval()
         assert record.n_joins == 1 and record.n_leaves == 1
         assert "newcomer" in daemon.fleet.members
-        assert "m03" in daemon.fleet.former_members
+        assert "m03" not in daemon.fleet.members
+        assert departing.group_key != daemon.server.group_key
+        assert daemon.fleet.ledger.breaches == []
         daemon.fleet.check_agreement(daemon.server)
 
     def test_submit_validation(self):
@@ -255,9 +279,11 @@ class TestMetricsSurface:
     def test_invariant_violation_raises(self):
         daemon = make_daemon(churn=NoChurn())
         daemon.submit_leave("m00")
-        # Sabotage: resurrect the evictee's member object post-rekey.
-        daemon.run_interval()
-        evicted = daemon.fleet.former_members["m00"]
-        evicted.path_keys[0] = daemon.server.group_key
+        # Sabotage: a marker that leaves the evictee's parent key in
+        # place; every member still agrees, so only secrecy can fail.
+        mutate(daemon.server, "skip")
+        with pytest.raises(ServiceError, match="secrecy ledger"):
+            daemon.run_interval()
+        assert daemon.fleet.out_of_sync(daemon.server) == []
         with pytest.raises(ServiceError):
             daemon.fleet.check_agreement(daemon.server)

@@ -9,9 +9,11 @@ the key server — so recovery must bring the restored server back into
 agreement with their key state:
 
 - every current member ends the next interval holding the server's
-  group key (agreement / backward secrecy for joiners);
-- every evicted member does not (lockout / forward secrecy), whether
-  its eviction was consumed by a snapshot or replayed from the WAL.
+  group key (agreement);
+- the fleet's secrecy ledger stays clean: the departed coalition
+  reaches no current tree key (forward secrecy) and no joiner holds a
+  key from before its join (backward secrecy), whether an eviction was
+  consumed by a snapshot or replayed from the WAL.
 """
 
 import shutil
