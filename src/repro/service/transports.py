@@ -69,6 +69,38 @@ class DeliveryReport:
     detail: dict = field(default_factory=dict)
 
 
+def rho_controller(config, rng):
+    """The cross-interval ``AdjustRho`` controller a backend carries,
+    started from the group's ρ, numNACK and ``rho_max``."""
+    return ProactivityController(
+        k=config.block_size,
+        rho=config.rho,
+        num_nack=config.num_nack,
+        rng=rng,
+        rho_max=config.rho_max,
+    )
+
+
+def step_rho(controller, first_round_requests, obs):
+    """One ``AdjustRho`` step on an interval's first-round requests; a
+    step that hits ``rho_max`` emits ``rho_clamped``."""
+    controller.update(first_round_requests)
+    if controller.last_rho_clamped and obs.enabled:
+        obs.emit(
+            "rho_clamped", rho=controller.rho, rho_max=controller.rho_max
+        )
+
+
+def verdict(carried, unicast_served):
+    """The interval's degradation decision: stragglers carried over,
+    else cut over to unicast, else everyone served in the deadline."""
+    if carried:
+        return CARRY_OVER
+    if unicast_served:
+        return UNICAST_CUTOVER
+    return IN_DEADLINE
+
+
 class DeliveryBackend:
     """Interface: deliver ``message`` to ``fleet``, honouring a deadline."""
 
@@ -133,17 +165,9 @@ class SessionDelivery(DeliveryBackend):
         #: absorption; otherwise the array plane (repro.fastpath) —
         #: identical output either way, held together by tests/fastpath
         self.engine = config.engine
-        self.controller = ProactivityController(
-            k=config.block_size,
-            rho=config.rho,
-            num_nack=config.num_nack,
-            rng=self._random_source.generator(),
-            rho_max=getattr(config, "rho_max", None),
+        self.controller = rho_controller(
+            config, self._random_source.generator()
         )
-
-    @property
-    def rho(self):
-        return self.controller.rho
 
     def deliver(self, message, fleet, deadline_rounds=2, policy="unicast"):
         topology = MulticastTopology(
@@ -173,13 +197,7 @@ class SessionDelivery(DeliveryBackend):
         stats = session.run()
         if self.adapt_rho:
             # Shortfall magnitudes are not surfaced; see module docstring.
-            self.controller.update([1] * stats.first_round_nacks)
-            if self.controller.last_rho_clamped and self.obs.enabled:
-                self.obs.emit(
-                    "rho_clamped",
-                    rho=self.controller.rho,
-                    rho_max=self.controller.rho_max,
-                )
+            step_rho(self.controller, [1] * stats.first_round_nacks, self.obs)
 
         absorber = None
         if self.engine != "python":
@@ -225,18 +243,10 @@ class SessionDelivery(DeliveryBackend):
                     encryptions, max_kid=message.max_kid
                 )
 
-        if carried:
-            decision = CARRY_OVER
-            unicast_served = 0
-        elif stats.unicast.users_served:
-            decision = UNICAST_CUTOVER
-            unicast_served = stats.unicast.users_served
-        else:
-            decision = IN_DEADLINE
-            unicast_served = 0
+        unicast_served = 0 if carried else stats.unicast.users_served
         return DeliveryReport(
             mode="session",
-            decision=decision,
+            decision=verdict(carried, unicast_served),
             rho=rho,
             multicast_rounds=stats.n_multicast_rounds,
             first_round_nacks=stats.first_round_nacks,

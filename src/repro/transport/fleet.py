@@ -37,6 +37,7 @@ from repro.transport.metrics import (
     SequenceStats,
     UnicastStats,
 )
+from repro.transport.server import MAX_ROUNDS
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
 
@@ -142,7 +143,6 @@ class FleetConfig:
     adapt_num_nack: bool = False
     unicast_duplicate_interval_ms: float = 50.0
     max_unicast_attempts: int = 40
-    max_rounds_safety: int = 64
     packet_size: int = DEFAULT_ENC_PACKET_SIZE
     #: False sends each block's packets back to back instead of
     #: round-robin across blocks — the ablation of §5.1's interleaving.
@@ -206,7 +206,7 @@ class FleetSimulator:
 
         while True:
             round_index += 1
-            if round_index > config.max_rounds_safety:
+            if round_index > MAX_ROUNDS:
                 raise TransportError(
                     "round cap exceeded: protocol is not converging"
                 )

@@ -3,18 +3,26 @@
 :class:`ServerTransport` drives one rekey message through multicast
 rounds and the unicast switch-over.  It is deliberately free of any
 network code: it *plans* packet emissions (returning packet objects with
-relative send times) and *consumes* NACKs; the session layer moves the
-packets through the simulated topology.
+relative send times) and *consumes* NACKs.  The simulated session and
+the UDP wire plane move the packets, and both ask
+:meth:`ServerTransport.end_round` what follows each round.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.errors import TransportError
 from repro.rekey.packets import FEC_PAYLOAD_OFFSET
 from repro.transport.adaptive import proactive_parity_count
 from repro.util.validation import check_non_negative, check_positive
+
+#: Round verdicts of :meth:`ServerTransport.end_round`.
+DONE = "done"
+NEXT_ROUND = "next-round"
+UNICAST = "unicast"
+
+#: A run still multicasting after this many rounds is not converging
+#: (only a multicast-only run can get this far): it raises instead.
+MAX_ROUNDS = 64
 
 
 class UnicastPolicy:
@@ -181,19 +189,13 @@ class ServerTransport:
             )
 
     def finish_round(self, nacks):
-        """Close the round with the NACKs that arrived; returns their count."""
+        """Register the NACKs that arrived in this round."""
         for nack in nacks:
             self.accept_nack(nack)
         if self._round == 1:
             self._first_round_requests = [
                 nack.max_requested for nack in nacks
             ]
-        return len(nacks)
-
-    @property
-    def pending_parity_next_round(self):
-        """PARITY packets the next multicast round would send."""
-        return sum(self._amax)
 
     def should_switch_to_unicast(self, pending_user_ids):
         """Apply the unicast policy given who is still unserved."""
@@ -204,10 +206,35 @@ class ServerTransport:
                 usr_bytes += len(
                     self.message.usr_packet(user_id).encode()
                 ) + 8  # UDP header, per §7.1
-        parity_bytes = self.pending_parity_next_round * self.message.packet_size
+        parity_bytes = sum(self._amax) * self.message.packet_size
         return self.unicast_policy.should_switch(
             self._round, usr_bytes, parity_bytes
         )
+
+    def end_round(self, nacks, pending_user_ids, multicast_only=False):
+        """Close the round with its NACKs and say what follows (§7.1).
+
+        ``pending_user_ids`` are the users still without their keys.
+        Returns :data:`DONE` when nobody is pending, :data:`UNICAST`
+        when the stragglers switch to unicast (at the policy's deadline,
+        or when no parity is left to send them) and :data:`NEXT_ROUND`
+        otherwise.  A multicast-only run never switches; a run still
+        multicasting after :data:`MAX_ROUNDS` raises
+        :class:`~repro.errors.TransportError`.
+        """
+        self.finish_round(nacks)
+        if not pending_user_ids:
+            return DONE
+        if not multicast_only and (
+            not any(self._amax)
+            or self.should_switch_to_unicast(pending_user_ids)
+        ):
+            return UNICAST
+        if self._round >= MAX_ROUNDS:
+            raise TransportError(
+                "round cap exceeded: protocol is not converging"
+            )
+        return NEXT_ROUND
 
     def usr_packet_for(self, user_id):
         """The unicast packet for one user."""

@@ -4,7 +4,10 @@
 :class:`~repro.transport.server.ServerTransport` through a
 :class:`~repro.sim.topology.MulticastTopology` into
 :class:`~repro.transport.user.UserTransport` state machines, round by
-round, then runs the unicast mop-up.  It is the reference
+round, then runs the unicast mop-up.  Whether another round follows or
+the stragglers switch to unicast is
+:meth:`~repro.transport.server.ServerTransport.end_round`'s decision,
+the same rule the wire plane follows.  It is the reference
 implementation: exact wire formats, real FEC decoding, real block-ID
 estimation.  (For 4096-user parameter sweeps use the vectorised
 :mod:`~repro.transport.fleet` — equivalence is tested.)
@@ -26,7 +29,12 @@ from repro.fec.rse import RSECoder
 from repro.obs.recorder import NULL
 from repro.rekey.packets import PacketType
 from repro.transport.metrics import MessageStats, RoundStats, UnicastStats
-from repro.transport.server import ServerTransport, UnicastPolicy
+from repro.transport.server import (
+    NEXT_ROUND,
+    UNICAST,
+    ServerTransport,
+    UnicastPolicy,
+)
 from repro.transport.user import UserTransport
 from repro.util.rng import spawn_rng
 from repro.util.validation import check_positive
@@ -44,13 +52,6 @@ class SessionConfig:
     compare_usr_bytes: bool = False
     unicast_duplicate_interval_ms: float = 50.0
     max_unicast_attempts: int = 30
-    max_rounds_safety: int = 64
-
-    def make_policy(self):
-        return UnicastPolicy(
-            max_multicast_rounds=self.max_multicast_rounds,
-            compare_usr_bytes=self.compare_usr_bytes,
-        )
 
 
 class RekeySession:
@@ -101,7 +102,10 @@ class RekeySession:
             message,
             rho=self.config.rho,
             sending_interval_ms=self.config.sending_interval_ms,
-            unicast_policy=self.config.make_policy(),
+            unicast_policy=UnicastPolicy(
+                max_multicast_rounds=self.config.max_multicast_rounds,
+                compare_usr_bytes=self.config.compare_usr_bytes,
+            ),
         )
         if coder is None:
             coder = RSECoder(message.k)
@@ -150,15 +154,12 @@ class RekeySession:
             blocks=self.message.n_blocks,
             rho=self.config.rho,
         )
-        while True:
+        verdict = NEXT_ROUND
+        while verdict == NEXT_ROUND:
             with self.obs.span("session.round") as round_span:
                 planned = self.server.plan_round()
                 round_index = self.server.rounds_completed
                 round_span.note(round=round_index, packets=len(planned))
-                if round_index > self.config.max_rounds_safety:
-                    raise TransportError(
-                        "round cap exceeded: protocol is not converging"
-                    )
                 self._emit(
                     "round_planned",
                     clock,
@@ -180,20 +181,17 @@ class RekeySession:
                                 after=len(mangled),
                             )
                         nacks = mangled
-                self.server.finish_round(nacks)
+                # A round carries ENC and PARITY packets only.
+                n_enc = sum(
+                    1
+                    for p in planned
+                    if p.packet.packet_type is PacketType.ENC
+                )
                 stats.rounds.append(
                     RoundStats(
                         round_index=round_index,
-                        enc_packets_sent=sum(
-                            1
-                            for p in planned
-                            if p.packet.packet_type is PacketType.ENC
-                        ),
-                        parity_packets_sent=sum(
-                            1
-                            for p in planned
-                            if p.packet.packet_type is PacketType.PARITY
-                        ),
+                        enc_packets_sent=n_enc,
+                        parity_packets_sent=len(planned) - n_enc,
                         nacks_received=len(nacks),
                         users_recovered_total=self._n_done(),
                     )
@@ -206,19 +204,15 @@ class RekeySession:
                     recovered=self._n_done(),
                 )
             pending = self._pending_users()
-            if not pending:
-                break
-            if not self.config.multicast_only:
-                if self.server.should_switch_to_unicast(pending):
-                    self._emit(
-                        "unicast_start", clock, pending=len(pending)
-                    )
-                    with self.obs.span(
-                        "session.unicast", pending=len(pending)
-                    ):
-                        self._run_unicast(pending, clock, stats.unicast)
-                    break
-            clock += self.config.round_gap_ms * 1e-3
+            verdict = self.server.end_round(
+                nacks, pending, multicast_only=self.config.multicast_only
+            )
+            if verdict == NEXT_ROUND:
+                clock += self.config.round_gap_ms * 1e-3
+        if verdict == UNICAST:
+            self._emit("unicast_start", clock, pending=len(pending))
+            with self.obs.span("session.unicast", pending=len(pending)):
+                self._run_unicast(pending, clock, stats.unicast)
         stats.user_rounds = self._user_rounds()
         self._emit(
             "session_complete",

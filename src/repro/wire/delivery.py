@@ -38,13 +38,12 @@ from repro.errors import WireError, WorkerCrashError
 from repro.obs.trace import current_trace_id
 from repro.service.members import MemberFleet
 from repro.service.transports import (
-    CARRY_OVER,
-    IN_DEADLINE,
-    UNICAST_CUTOVER,
     DeliveryBackend,
     DeliveryReport,
+    rho_controller,
+    step_rho,
+    verdict,
 )
-from repro.transport.adaptive import ProactivityController
 from repro.util.rng import RandomSource
 from repro.wire.client import ReceiverShard, WireClient
 from repro.wire.loss import cohort_of
@@ -114,7 +113,6 @@ class WireDelivery(DeliveryBackend):
         port=0,
         workers=0,
         pace_seconds=None,
-        adapt_rho=True,
         obs_dir=None,
         resync_timeout=None,
         epoch=0,
@@ -135,7 +133,6 @@ class WireDelivery(DeliveryBackend):
         if pace_defaulted:
             pace_seconds = WORKER_PACE_SECONDS if self.workers else 0.0
         self.pace_seconds = float(pace_seconds)
-        self.adapt_rho = bool(adapt_rho)
         #: client silence watchdog (seconds); None disables resync
         self.resync_timeout = resync_timeout
         #: HA fencing token stamped on ANNOUNCE and REGISTER acks.
@@ -154,12 +151,8 @@ class WireDelivery(DeliveryBackend):
         #: registration-barrier deadline per delivery
         self.register_timeout = float(register_timeout)
         self._seed = config.seed if seed is None else int(seed)
-        self.controller = ProactivityController(
-            k=config.block_size,
-            rho=config.rho,
-            num_nack=config.num_nack,
-            rng=RandomSource(self._seed).generator(),
-            rho_max=getattr(config, "rho_max", None),
+        self.controller = rho_controller(
+            config, RandomSource(self._seed).generator()
         )
         self._loop = None
         self._thread = None
@@ -196,10 +189,6 @@ class WireDelivery(DeliveryBackend):
             self.port = int(handoff["port"])
             self._dead = set(handoff.get("dead", ()))
             self._subscriptions = dict(handoff["subscriptions"])
-
-    @property
-    def rho(self):
-        return self.controller.rho
 
     @property
     def dead_members(self):
@@ -414,14 +403,7 @@ class WireDelivery(DeliveryBackend):
             raise WireError(
                 "wire delivery left members unserved: %r" % (not_done,)
             )
-        if self.adapt_rho:
-            self.controller.update(outcome.first_round_requests)
-            if self.controller.last_rho_clamped and self.obs.enabled:
-                self.obs.emit(
-                    "rho_clamped",
-                    rho=self.controller.rho,
-                    rho_max=self.controller.rho_max,
-                )
+        step_rho(self.controller, outcome.first_round_requests, self.obs)
 
         ordered = sorted(i for i in results if i not in outcome.casualties)
         recovery_rounds = [results[i].recovery_round for i in ordered]
@@ -461,12 +443,6 @@ class WireDelivery(DeliveryBackend):
             )
 
         unicast_served = len(outcome.unicast_user_ids)
-        if casualty_names:
-            decision = CARRY_OVER
-        elif unicast_served:
-            decision = UNICAST_CUTOVER
-        else:
-            decision = IN_DEADLINE
         self.records.append(
             {
                 "interval": interval,
@@ -517,7 +493,7 @@ class WireDelivery(DeliveryBackend):
         )
         return DeliveryReport(
             mode="wire",
-            decision=decision,
+            decision=verdict(casualty_names, unicast_served),
             rho=rho,
             multicast_rounds=outcome.rounds,
             first_round_nacks=len(outcome.first_round_requests),

@@ -4,7 +4,9 @@
 intervals over it: an announce barrier, block-interleaved multicast
 rounds feeding the same :class:`~repro.transport.server.ServerTransport`
 scheduler as the simulator, a NACK aggregation window per round, and the
-unicast switch-over of §7.1.
+unicast switch-over of §7.1.  What follows each round is
+:meth:`~repro.transport.server.ServerTransport.end_round`'s decision,
+the same rule the simulated session follows.
 
 Frames come in two address classes, the paper's split of multicast data
 and unicast feedback:
@@ -53,7 +55,12 @@ from repro.errors import WireDecodeError, WireError
 from repro.obs.recorder import NULL
 from repro.obs.trace import format_trace
 from repro.rekey.packets import PacketType
-from repro.transport.server import ServerTransport, UnicastPolicy
+from repro.transport.server import (
+    NEXT_ROUND,
+    UNICAST,
+    ServerTransport,
+    UnicastPolicy,
+)
 from repro.wire.codec import (
     UNICAST_ROUND,
     FrameKind,
@@ -119,6 +126,11 @@ class WireOutcome:
     data_datagrams: int = 0
     #: member indices the liveness timeout declared dead this interval
     casualties: set = field(default_factory=set)
+
+    def survivors(self, participants):
+        """``participants`` less this interval's casualties."""
+        casualties = self.casualties
+        return [p for p in participants if p.member_index not in casualties]
 
 
 class AggregationWindow:
@@ -520,7 +532,6 @@ class WireServer:
         rho=1.0,
         deadline_rounds=None,
         pace_seconds=0.0,
-        pace_every=DEFAULT_PACE_EVERY,
         trace_id=0,
     ):
         """Run one rekey message over the wire; returns a WireOutcome.
@@ -529,9 +540,9 @@ class WireServer:
         :class:`Participant` — every entry must already be registered,
         and every served one subscribed to a receiver shard.
         ``pace_seconds`` optionally sleeps between multicast slots
-        (worker mode, where clients drain in other processes);
-        ``pace_every`` bounds how many slots run between event-loop
-        yields in the default in-process mode.  ``trace_id`` is the
+        (worker mode, where clients drain in other processes); the
+        default in-process mode yields to the event loop every
+        :data:`DEFAULT_PACE_EVERY` slots.  ``trace_id`` is the
         interval's distributed-trace id: carried in the ANNOUNCE payload
         so every client (in-process or in a worker) tags its recovery
         milestones with it.
@@ -554,8 +565,6 @@ class WireServer:
             ),
         )
         outcome = WireOutcome(interval=interval)
-        # The served members' indices: every round's multicast targets.
-        targets = [p.member_index for p in served]
 
         # Announce barrier: nobody multicast-races a missing session.
         announce_payload = encode_announce(
@@ -577,13 +586,9 @@ class WireServer:
             outcome,
             what="interval %d announce" % interval,
         )
-        if outcome.casualties:
-            served = [
-                p for p in served if p.member_index not in outcome.casualties
-            ]
-            targets = [p.member_index for p in served]
-            if not served:
-                return outcome
+        served = outcome.survivors(served)
+        if not served:
+            return outcome
         # ``mono`` anchors skew correction: the assembler aligns each
         # worker stream's monotonic clock against this barrier instant.
         self.obs.emit(
@@ -597,10 +602,12 @@ class WireServer:
         )
 
         slot = 0
-        while True:
+        verdict = NEXT_ROUND
+        while verdict == NEXT_ROUND:
+            # The served members' indices: this round's multicast targets.
+            targets = [p.member_index for p in served]
             planned = transport.plan_round()
             round_no = transport.rounds_completed
-            outcome.rounds = round_no
             for scheduled in planned:
                 packet = scheduled.packet
                 if packet.packet_type is PacketType.ENC:
@@ -620,7 +627,7 @@ class WireServer:
                 slot += 1
                 if pace_seconds:
                     await asyncio.sleep(pace_seconds)
-                elif slot % pace_every == 0:
+                elif slot % DEFAULT_PACE_EVERY == 0:
                     await asyncio.sleep(0)
 
             end_frame = encode_frame(
@@ -635,33 +642,23 @@ class WireServer:
                 what="interval %d round %d" % (interval, round_no),
             )
             outcome.feedback_retries += retries
-            transport.finish_round(window.nacks)
-            if round_no == 1:
-                outcome.first_round_requests = sorted(
-                    nack.max_requested for nack in window.nacks
-                )
             outcome.results.update(window.reported)
-            if outcome.casualties:
-                served = [
-                    p
-                    for p in served
-                    if p.member_index not in outcome.casualties
-                ]
-                targets = [p.member_index for p in served]
-                if not served:
-                    return outcome
+            served = outcome.survivors(served)
             pending = [
                 p
                 for p in served
                 if not window.reported[p.member_index].done
             ]
+            verdict = transport.end_round(
+                window.nacks, [p.user_id for p in pending]
+            )
+            if not served:
+                break
             outcome.round_stats.append(
                 {
                     "round": round_no,
                     "packets": len(planned),
                     "nacks": len(window.nacks),
-                    "pending": len(pending),
-                    "feedback_retries": retries,
                 }
             )
             self.obs.emit(
@@ -679,18 +676,10 @@ class WireServer:
                 nacks=len(window.nacks),
                 pending=len(pending),
             )
-            if not pending:
-                break
-            if (
-                transport.should_switch_to_unicast(
-                    [p.user_id for p in pending]
-                )
-                or transport.pending_parity_next_round == 0
-            ):
-                await self._unicast_phase(
-                    transport, interval, pending, outcome
-                )
-                break
+        outcome.rounds = transport.rounds_completed
+        outcome.first_round_requests = sorted(transport.first_round_requests)
+        if verdict == UNICAST:
+            await self._unicast_phase(transport, interval, pending, outcome)
         return outcome
 
     async def _unicast_phase(self, transport, interval, pending, outcome):
@@ -713,10 +702,7 @@ class WireServer:
             what="interval %d unicast" % interval,
         )
         outcome.results.update(window.reported)
-        if outcome.casualties:
-            pending = [
-                p for p in pending if p.member_index not in outcome.casualties
-            ]
+        pending = outcome.survivors(pending)
         outcome.unicast_user_ids = sorted(p.user_id for p in pending)
         self.obs.emit(
             "wire_unicast",

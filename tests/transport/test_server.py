@@ -8,7 +8,14 @@ from repro.errors import TransportError
 from repro.keytree import KeyTree, MarkingAlgorithm
 from repro.rekey import RekeyMessageBuilder
 from repro.rekey.packets import NackPacket, NackRequest, PacketType
-from repro.transport.server import ServerTransport, UnicastPolicy
+from repro.transport.server import (
+    DONE,
+    MAX_ROUNDS,
+    NEXT_ROUND,
+    UNICAST,
+    ServerTransport,
+    UnicastPolicy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +188,60 @@ class TestUnicastPolicy:
         user_id = next(iter(message.needs_by_user))
         usr = server.usr_packet_for(user_id)
         assert usr.user_id == user_id
+
+
+class TestEndRound:
+    @staticmethod
+    def server(message, max_multicast_rounds=2):
+        return ServerTransport(
+            message,
+            rho=1.0,
+            unicast_policy=UnicastPolicy(
+                max_multicast_rounds=max_multicast_rounds,
+                compare_usr_bytes=False,
+            ),
+        )
+
+    def test_done_when_nobody_is_pending(self, message):
+        server = self.server(message)
+        server.plan_round()
+        assert server.end_round([], []) == DONE
+
+    def test_next_round_while_parity_is_requested(self, message):
+        server = self.server(message)
+        server.plan_round()
+        assert server.end_round([nack(message, 10, (0, 2))], [10]) == (
+            NEXT_ROUND
+        )
+        assert server.first_round_requests == [2]
+
+    def test_unicast_at_the_deadline(self, message):
+        server = self.server(message)
+        server.plan_round()
+        server.end_round([nack(message, 10, (0, 2))], [10])
+        server.plan_round()
+        assert server.end_round([nack(message, 10, (0, 1))], [10]) == (
+            UNICAST
+        )
+
+    def test_unicast_when_no_parity_is_requested(self, message):
+        server = self.server(message)
+        server.plan_round()
+        assert server.end_round([], [10]) == UNICAST
+
+    def test_multicast_only_never_switches(self, message):
+        server = self.server(message)
+        for _ in range(3):
+            server.plan_round()
+            assert server.end_round([], [10], multicast_only=True) == (
+                NEXT_ROUND
+            )
+
+    def test_round_cap_raises(self, message):
+        server = self.server(message)
+        for _ in range(MAX_ROUNDS - 1):
+            server.plan_round()
+            server.end_round([], [10], multicast_only=True)
+        server.plan_round()
+        with pytest.raises(TransportError):
+            server.end_round([], [10], multicast_only=True)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.crypto import KeyFactory
 from repro.errors import TransportError
+from repro.fastpath.session import ArrayRekeySession
 from repro.keytree import KeyTree, MarkingAlgorithm
 from repro.rekey import RekeyMessageBuilder
 from repro.sim import LossParameters, MulticastTopology, build_paper_topology
@@ -23,15 +24,19 @@ def make_message(n=256, d=4, n_leave=64, k=10, seed=0, message_id=1):
     return tree, message
 
 
-def run_session(message, config, loss=None, seed=0):
+def run_session(
+    message, config, loss=None, seed=0, session_class=RekeySession,
+    chaos=None,
+):
     loss = loss or LossParameters()
     topology = MulticastTopology(
         len(message.needs_by_user),
         params=loss,
         random_source=RandomSource(seed),
     )
-    session = RekeySession(
-        message, topology, config, rng=np.random.default_rng(seed + 1)
+    session = session_class(
+        message, topology, config, rng=np.random.default_rng(seed + 1),
+        chaos=chaos,
     )
     stats = session.run()
     return session, stats
@@ -152,3 +157,33 @@ class TestSessionValidation:
         _, stats_b = run_session(message, SessionConfig(rho=1.0), seed=21)
         assert np.array_equal(stats_a.user_rounds, stats_b.user_rounds)
         assert stats_a.bandwidth_overhead == stats_b.bandwidth_overhead
+
+
+class DropFirstRoundNacks:
+    """Feedback fault: every round-1 NACK is lost on the way back."""
+
+    def mangle_nacks(self, session, round_index, nacks):
+        return [] if round_index == 1 else nacks
+
+
+class TestNoParityLeft:
+    @pytest.mark.parametrize(
+        "session_class", [RekeySession, ArrayRekeySession]
+    )
+    def test_cuts_over_when_no_parity_is_requested(self, session_class):
+        """With no NACK to answer there is no parity to multicast, so the
+        stragglers switch to unicast after round 1 (as the wire does)
+        instead of sitting through an empty round 2."""
+        _, message = make_message(seed=3)
+        session, stats = run_session(
+            message,
+            SessionConfig(rho=1.0, max_multicast_rounds=2),
+            loss=LossParameters(alpha=0.5, p_high=0.45),
+            seed=11,
+            session_class=session_class,
+            chaos=DropFirstRoundNacks(),
+        )
+        assert stats.first_round_nacks == 0
+        assert stats.n_multicast_rounds == 1
+        assert stats.unicast.users_served > 0
+        assert all(user.done for user in session.users.values())
