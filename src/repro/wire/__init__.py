@@ -10,7 +10,8 @@ processes) and keeps every run a pure function of its seed:
   frame's *slot* (virtual time), so injected loss ignores scheduling;
 - :mod:`repro.wire.client` / :mod:`repro.wire.server` — the asyncio
   endpoints running the transport state machines, and the receiver
-  shard that takes each multicast frame once per client process;
+  shard that speaks for its client process both ways: each multicast
+  frame in once, one FEEDBACK table per round out;
 - :mod:`repro.wire.delivery` — the daemon's ``wire`` delivery backend;
 - :mod:`repro.wire.worker` — worker processes hosting clients, one
   receiver shard each;

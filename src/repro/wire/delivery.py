@@ -471,6 +471,7 @@ class WireDelivery(DeliveryBackend):
         detail = {
             "datagrams_sent": outcome.datagrams_sent,
             "data_datagrams": outcome.data_datagrams,
+            "feedback_datagrams": outcome.feedback_datagrams,
             "data_gaps": data_gaps,
             "data_dropped": dropped_total,
             "announce_retries": outcome.announce_retries,
@@ -489,6 +490,7 @@ class WireDelivery(DeliveryBackend):
             unicast_served=unicast_served,
             dropped=dropped_total,
             data_datagrams=outcome.data_datagrams,
+            feedback_datagrams=outcome.feedback_datagrams,
             data_gaps=data_gaps,
         )
         return DeliveryReport(

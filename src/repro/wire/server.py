@@ -11,31 +11,40 @@ the same rule the simulated session follows.
 Frames come in two address classes, the paper's split of multicast data
 and unicast feedback:
 
-- **group-addressed** — ``DATA`` and ``ROUND_END`` go once per
-  *receiver shard* (:class:`~repro.wire.client.ReceiverShard`, one
-  socket per client process) that hosts a target member, the way a
-  multicast datagram reaches each subscribed host once.  Members are
-  attached with :meth:`WireServer.subscribe`;
-- **member-addressed** — ``REGISTER`` acks, ``ANNOUNCE`` (it carries the
-  per-member served flag) and unicast USR frames go to the member's own
-  socket, and every ``FEEDBACK`` comes back from it.
+- **shard-addressed** — ``DATA``, ``ROUND_END`` and the interval's
+  ``SHARD_ANNOUNCE`` (the ANNOUNCE plus the shard's roster of member
+  indices and served bits) go once per *receiver shard*
+  (:class:`~repro.wire.client.ReceiverShard`, one socket per client
+  process) that hosts a target member, the way a multicast datagram
+  reaches each subscribed host once.  The shard answers each with one
+  ``SHARD_FEEDBACK`` table of per-member entries, a few datagrams at
+  most, and every entry is offered to the round's per-member
+  :class:`AggregationWindow`.  Members are attached with
+  :meth:`WireServer.subscribe`;
+- **member-addressed** — ``REGISTER`` acks and the unicast USR frames
+  go to the member's own socket, and each USR ack (a ``FEEDBACK``)
+  comes back from it.
 
 While a datagram fault injector is bound, every frame stays
-member-addressed: the seam's decisions are keyed per member.
+member-addressed (``ANNOUNCE``, ``DATA``, ``ROUND_END`` and every
+member's own ``FEEDBACK``): the seam's decisions are keyed per member.
 
 Reliability model: injected loss only ever applies to multicast ``DATA``
 frames (decided client-side from the frame's ``slot``), so every control
 exchange converges by retransmission —
 
-- the **announce barrier** resends ``ANNOUNCE`` to members that have
-  not acked, and round 1 starts only when every participant has a
-  session (a client that missed the announce would otherwise drop the
-  whole round on the floor and break determinism);
+- the **announce barrier** resends the ANNOUNCE to the shards (or
+  members) of members that have not acked, and round 1 starts only when
+  every participant has a session (a client that missed the announce
+  would otherwise drop the whole round on the floor and break
+  determinism);
 - each **round** resends ``ROUND_END`` to the shards of members whose
-  feedback has not arrived; clients answer retries from a cache (and the
-  window drops the duplicates of members that already reported), so a
-  kernel-dropped feedback datagram costs latency, never different
-  protocol input;
+  feedback has not arrived; shards and clients answer retries from a
+  cache (and the window drops the duplicates of members that already
+  reported), so a kernel-dropped feedback datagram costs latency, never
+  different protocol input.  A member that died is absent from its
+  shard's table, so the window retries it until the liveness budget
+  evicts it;
 - the **unicast phase** resends USR frames until every straggler acks.
 
 A kernel-dropped ``DATA`` frame is not retried: it is loss no seed
@@ -67,9 +76,11 @@ from repro.wire.codec import (
     decode_feedback,
     decode_frame,
     decode_register,
+    decode_shard_feedback,
     encode_announce,
     encode_frame,
     encode_register,
+    encode_shard_announce,
     kernel_buffer_size,
     request_kernel_buffers,
 )
@@ -84,10 +95,11 @@ MAX_WINDOW_TRIES = 200
 #: (which would add *nondeterministic* loss on top of the seeded chains).
 DEFAULT_PACE_EVERY = 4
 
-#: Worst-case simultaneous senders the server socket is sized for: a
-#: ROUND_END makes every client answer at once, so this is the largest
-#: fleet the buffers absorb without kernel drops (which only cost
-#: retry latency, never protocol input).
+#: Worst-case simultaneous senders the server socket is sized for: under
+#: a fault seam a ROUND_END makes every client answer at once (a shard
+#: answers with a few datagrams), so this is the largest such fleet the
+#: buffers absorb without kernel drops (which only cost retry latency,
+#: never protocol input).
 DEFAULT_FAN_IN = 2048
 
 
@@ -124,6 +136,9 @@ class WireOutcome:
     #: of ``datagrams_sent``, the multicast DATA frames (one per slot
     #: and receiver shard, or per slot and member under a fault seam)
     data_datagrams: int = 0
+    #: FEEDBACK datagrams (shard tables or members' own) that reached
+    #: one of this interval's windows, announce acks included
+    feedback_datagrams: int = 0
     #: member indices the liveness timeout declared dead this interval
     casualties: set = field(default_factory=set)
 
@@ -131,6 +146,10 @@ class WireOutcome:
         """``participants`` less this interval's casualties."""
         casualties = self.casualties
         return [p for p in participants if p.member_index not in casualties]
+
+
+def _one_feedback(payload):
+    return [decode_feedback(payload)]
 
 
 class AggregationWindow:
@@ -146,6 +165,8 @@ class AggregationWindow:
         self.expected = frozenset(int(i) for i in expected)
         self.reported = {}
         self.nacks = []
+        #: FEEDBACK datagrams that reached this window
+        self.datagrams = 0
         self._complete = asyncio.Event()
         if not self.expected:
             self._complete.set()
@@ -278,7 +299,7 @@ class WireServer:
 
     def subscribe(self, member_index, address):
         """Attach a member to the receiver shard at ``address``: its
-        group-addressed frames go there, shared with the shard's other
+        shard-addressed frames go there, shared with the shard's other
         members."""
         self._shards[int(member_index)] = tuple(address)
 
@@ -338,7 +359,9 @@ class WireServer:
             if frame.kind is FrameKind.REGISTER:
                 self._on_register(frame, addr)
             elif frame.kind is FrameKind.FEEDBACK:
-                self._on_feedback(frame)
+                self._on_feedback(frame, _one_feedback)
+            elif frame.kind is FrameKind.SHARD_FEEDBACK:
+                self._on_feedback(frame, decode_shard_feedback)
             # Anything else is a client-bound kind echoed back; ignore.
         except Exception as exc:  # noqa: BLE001 - surfaced to the runner
             self.errors.append("%s: %s" % (type(exc).__name__, exc))
@@ -377,31 +400,41 @@ class WireServer:
             addr,
         )
 
-    def _on_feedback(self, frame):
+    def _on_feedback(self, frame, decode):
+        """A member's FEEDBACK or a shard's table of them, as ``decode``
+        lists them: each entry is offered to the frame's window."""
         try:
-            feedback = decode_feedback(frame.payload)
+            feedbacks = decode(frame.payload)
         except WireDecodeError as exc:
             self._count_decode_error(exc)
             return
-        if self.epoch and feedback.epoch != self.epoch:
-            # End-to-end fencing: a report minted against another
-            # leader's epoch never enters an aggregation window.
-            self.stale_epoch_feedback += 1
-            self.obs.count("wire_stale_epoch_total", side="server")
-            self.obs.emit(
-                "wire_stale_epoch",
-                side="server",
-                member=feedback.member_index,
-                epoch=feedback.epoch,
-                current=self.epoch,
-                interval=frame.interval,
-            )
+        fresh = [f for f in feedbacks if self._epoch_ok(f, frame.interval)]
+        if not fresh:
             return
         window = self._windows.get((frame.interval, frame.round_no))
         if window is None:
             self.stale_feedback += 1
             return
-        window.offer(feedback.member_index, feedback)
+        window.datagrams += 1
+        for feedback in fresh:
+            window.offer(feedback.member_index, feedback)
+
+    def _epoch_ok(self, feedback, interval):
+        if not self.epoch or feedback.epoch == self.epoch:
+            return True
+        # End-to-end fencing: a report minted against another leader's
+        # epoch never enters an aggregation window.
+        self.stale_epoch_feedback += 1
+        self.obs.count("wire_stale_epoch_total", side="server")
+        self.obs.emit(
+            "wire_stale_epoch",
+            side="server",
+            member=feedback.member_index,
+            epoch=feedback.epoch,
+            current=self.epoch,
+            interval=interval,
+        )
+        return False
 
     # -- delivery ----------------------------------------------------------
 
@@ -419,26 +452,36 @@ class WireServer:
                 member_index, frames_by_index[member_index], address, outcome
             )
 
-    def _multicast(self, frame, targets, outcome):
+    def _multicast(self, frame, targets, outcome, shards=None):
         """Group-addressed: ``frame`` once per receiver shard hosting a
-        live target.  Under a fault seam it stays member-addressed,
+        live target (``shards``: those addresses, when the caller has
+        them already).  Under a fault seam it stays member-addressed,
         because the seam decides per member."""
         if self.faults is not None:
             self._send_to(dict.fromkeys(targets, frame), targets, outcome)
             return
-        shards = set()
-        for member_index in targets:
-            if member_index in self.casualties:
-                continue
-            address = self._shards.get(member_index)
-            if address is None:
-                raise WireError(
-                    "no receiver shard for member index %d" % member_index
-                )
-            if address not in shards:
-                shards.add(address)
-                self._transport.sendto(frame, address)
+        if shards is None:
+            shards = self._shards_of(targets)
+        for address in shards:
+            self._transport.sendto(frame, address)
         outcome.datagrams_sent += len(shards)
+
+    def _shard_of(self, member_index):
+        address = self._shards.get(member_index)
+        if address is None:
+            raise WireError(
+                "no receiver shard for member index %d" % member_index
+            )
+        return address
+
+    def _shards_of(self, member_indices):
+        """The receiver shards hosting the live ``member_indices``."""
+        casualties = self.casualties
+        return {
+            self._shard_of(member_index)
+            for member_index in member_indices
+            if member_index not in casualties
+        }
 
     def _transmit(self, member_index, wire, address, outcome):
         """One datagram through the fault seam (the no-faults path is a
@@ -488,14 +531,52 @@ class WireServer:
                 member=member_index,
             )
 
+    def _announcer(self, interval, participants, payload, outcome):
+        """The announce barrier's ``send(missing)``: each missing
+        member's shard gets its ``SHARD_ANNOUNCE`` (the ANNOUNCE
+        ``payload`` and the shard's whole roster) — or, under a fault
+        seam, each missing member its own ANNOUNCE, served flag in
+        ``slot``."""
+        if self.faults is not None:
+            frames = {
+                p.member_index: encode_frame(
+                    FrameKind.ANNOUNCE,
+                    interval,
+                    slot=1 if p.served else 0,
+                    payload=payload,
+                )
+                for p in participants
+            }
+            return lambda missing: self._send_to(frames, missing, outcome)
+        rosters = {}
+        for p in participants:
+            rosters.setdefault(self._shard_of(p.member_index), []).append(
+                (p.member_index, p.served)
+            )
+        announces = {
+            address: [
+                encode_frame(FrameKind.SHARD_ANNOUNCE, interval, payload=part)
+                for part in encode_shard_announce(payload, roster)
+            ]
+            for address, roster in rosters.items()
+        }
+
+        def send(missing):
+            for address in self._shards_of(missing):
+                for wire in announces[address]:
+                    self._transport.sendto(wire, address)
+                    outcome.datagrams_sent += 1
+
+        return send
+
     async def _drive_window(self, key, window, send, outcome, what):
         """Send-and-wait until ``window`` completes; returns the retries.
 
         Each try calls ``send(missing)`` with the members still missing,
-        then waits one aggregation window.  A group-addressed send
-        reaches each missing member's whole shard: members that already
-        reported answer from their caches and the window drops the
-        duplicates.  The wait returns the moment the last
+        then waits one aggregation window.  A shard-addressed send
+        reaches each missing member's whole shard, which answers from
+        its cached table; the window drops the entries of members that
+        already reported.  The wait returns the moment the last
         feedback lands, so a healthy fleet never pays the full cap.
         With a liveness budget set, members still missing after
         ``liveness_tries`` tries are evicted instead of stalling the
@@ -522,6 +603,7 @@ class WireServer:
                 await window.wait(self.config.nack_window_seconds)
             return max(0, tries - 1)
         finally:
+            outcome.feedback_datagrams += window.datagrams
             self._windows.pop(key, None)
 
     async def deliver(
@@ -570,19 +652,10 @@ class WireServer:
         announce_payload = encode_announce(
             message, self.config.degree, trace_id=trace_id, epoch=self.epoch
         )
-        announce_frames = {
-            p.member_index: encode_frame(
-                FrameKind.ANNOUNCE,
-                interval,
-                slot=1 if p.served else 0,
-                payload=announce_payload,
-            )
-            for p in participants
-        }
         outcome.announce_retries = await self._drive_window(
             (interval, 0),
-            AggregationWindow(announce_frames),
-            lambda missing: self._send_to(announce_frames, missing, outcome),
+            AggregationWindow(p.member_index for p in participants),
+            self._announcer(interval, participants, announce_payload, outcome),
             outcome,
             what="interval %d announce" % interval,
         )
@@ -606,6 +679,7 @@ class WireServer:
         while verdict == NEXT_ROUND:
             # The served members' indices: this round's multicast targets.
             targets = [p.member_index for p in served]
+            shards = None if self.faults else self._shards_of(targets)
             planned = transport.plan_round()
             round_no = transport.rounds_completed
             for scheduled in planned:
@@ -622,7 +696,7 @@ class WireServer:
                     payload=payload,
                 )
                 sent = outcome.datagrams_sent
-                self._multicast(frame, targets, outcome)
+                self._multicast(frame, targets, outcome, shards)
                 outcome.data_datagrams += outcome.datagrams_sent - sent
                 slot += 1
                 if pace_seconds:

@@ -1,9 +1,11 @@
 """Worker processes hosting wire clients (multi-process fleet mode).
 
 One worker process = one asyncio loop running a slice of the client
-fleet behind one :class:`~repro.wire.client.ReceiverShard`.  On start
-the worker sends ``("shard", address)`` up its pipe, so the parent can
-subscribe the worker's members to that socket.  The parent
+fleet behind one :class:`~repro.wire.client.ReceiverShard`, which takes
+the slice's ANNOUNCE, DATA and ROUND_END frames and answers with one
+FEEDBACK table per round.  On start the worker sends
+``("shard", address)`` up its pipe, so the parent can subscribe the
+worker's members to that socket.  The parent
 (:class:`~repro.wire.delivery.WireDelivery`) then talks to each worker
 over a :mod:`multiprocessing` pipe with these commands:
 
