@@ -4,7 +4,7 @@ A soak drives part of the system under a deterministic fault plan,
 checks its **invariants** at the end, and reduces the run's
 fault/recovery events to a **digest**: the same ``(plan, seed)`` must
 produce the same digest on every machine, which is what the CI smoke
-jobs and the determinism tests pin.  Four families share this harness:
+jobs and the determinism tests pin.  Five families share this harness:
 
 - ``chaos`` (below) — one durable daemon under I/O errors, at-rest
   WAL/snapshot damage, clock jumps and mangled NACK feedback;
@@ -12,13 +12,18 @@ jobs and the determinism tests pin.  Four families share this harness:
   cluster fault plan;
 - ``wire`` (:mod:`repro.wire.chaos`) — the UDP wire plane under
   datagram faults, client deaths and a live-fleet leader kill;
+- ``fleet`` (:mod:`repro.wire.fleet`) — the same wire plane with no
+  faults at all: hundreds to thousands of clients under seeded loss,
+  digested by their per-interval protocol records;
 - ``tenancy`` (:mod:`repro.tenancy.soak`) — the multi-tenant daemon
   under abuse.
 
 A family is a :class:`SoakFamily` record of plain data: its plans (a
-runner plus default and minimum sizes each), the event kinds its
-timeline keeps, whether that timeline is ordered or sorted, and the
-event names it emits.  The harness owns everything else: the event bus,
+runner plus default and minimum sizes each), what its digest hashes
+(the event timeline, or the wire backend's per-interval records), the
+event kinds its timeline keeps, whether that timeline is ordered or
+sorted, and the event names it emits.  The harness owns everything
+else: the event bus (with one stream per process under ``obs_dir``),
 plan resolution and size checks (before anything runs), the scratch
 state dir, invariant events, mapping run-time errors to
 ``result.failure``, and the projection and digest.
@@ -85,6 +90,7 @@ FAMILY_MODULES = {
     "chaos": "repro.chaos.soak",
     "ha": "repro.ha.soak",
     "wire": "repro.wire.chaos",
+    "fleet": "repro.wire.fleet",
     "tenancy": "repro.tenancy.soak",
 }
 
@@ -140,8 +146,12 @@ class SoakFamily:
     command: str
     #: plan name -> :class:`SoakPlan`
     plans: dict
-    #: event kinds kept by the digest's projection
+    #: event kinds kept by the timeline's projection
     kinds: frozenset
+    #: the :class:`SoakResult` field the digest hashes: ``"timeline"``
+    #: (the projection of the run's events) or ``"records"`` (the wire
+    #: backend's canonical per-interval protocol records)
+    digest_of: str = "timeline"
     #: ordered timeline, or sorted (scheduler-ordered events)
     ordered: bool = True
     invariant_event: str = "soak_invariant"
@@ -156,8 +166,6 @@ class SoakFamily:
     complete_event: str = None
     complete_fields: dict = field(default_factory=dict)
     complete_after_digest: bool = False
-    #: exceptions that mean a configuration error (CLI exit 2)
-    error_types: tuple = (ChaosError,)
     #: the size override naming a caller-owned state dir, if any
     state_key: str = None
     #: plan names of other families -> why this family cannot run them
@@ -200,6 +208,9 @@ class SoakResult:
     invariants: dict = field(default_factory=dict)
     #: the canonical event projection (see canonical_timeline)
     timeline: list = field(default_factory=list)
+    #: the wire backend's canonical per-interval protocol records (wire
+    #: runs with one daemon; the fleet family's digest input)
+    records: list = field(default_factory=list)
     digest: str = ""
     #: the terminal diagnostic, when the run could not finish
     failure: object = None
@@ -242,6 +253,9 @@ class SoakRun:
     #: resolved sizes: the plan's defaults with the caller's overrides
     sizes: dict
     state_dir: str
+    #: where worker processes write their own event streams (``None``:
+    #: no per-process streams)
+    obs_dir: str
     obs: Recorder
     result: SoakResult
     say: object
@@ -301,10 +315,11 @@ def audit_wal(path, intervals, fs=None):
     )
 
 
-def run_soak(family, plan, seed=7, log=None, obs_path=None, **overrides):
+def run_soak(family, plan, seed=7, log=None, obs_path=None, obs_dir=None,
+             **overrides):
     """Run one soak; returns a :class:`SoakResult`.
 
-    ``family`` is a family name (``chaos``, ``ha``, ``wire``,
+    ``family`` is a family name (``chaos``, ``ha``, ``wire``, ``fleet``,
     ``tenancy``) or a :class:`SoakFamily`; ``plan`` is one of its plan
     names or, for families that take them, a ready plan object.
     ``overrides`` replace the plan's default sizes (``None`` keeps the
@@ -314,6 +329,13 @@ def run_soak(family, plan, seed=7, log=None, obs_path=None, **overrides):
     raise :class:`ChaosError` before anything runs; run-time failures
     land in ``result.failure``.  ``log`` is an optional callable for
     progress lines (the CLI passes ``print``).
+
+    ``obs_path`` writes the run's event stream as JSONL.  ``obs_dir``
+    collects one line-buffered stream per process, so a dead process
+    never loses its tail: the harness's own goes to
+    ``<obs_dir>/server.jsonl`` (unless ``obs_path`` names another file)
+    and a wire run's worker processes write ``worker-NN.jsonl`` beside
+    it — what ``repro obs-report --trace-dir`` reads.
     """
     family = soak_family(family)
     seed = int(seed)
@@ -344,14 +366,20 @@ def run_soak(family, plan, seed=7, log=None, obs_path=None, **overrides):
         state_dir = owned = tempfile.mkdtemp(prefix=family.command + "-")
     else:
         os.makedirs(state_dir, exist_ok=True)
-    bus = EventBus(path=obs_path)
+    if obs_dir is not None:
+        os.makedirs(obs_dir, exist_ok=True)
+        if obs_path is None:
+            obs_path = os.path.join(obs_dir, "server.jsonl")
+    bus = EventBus(path=obs_path, line_buffered=obs_dir is not None)
     obs = Recorder(bus=bus)
     result = SoakResult(
         plan=name, seed=seed, counters=copy.deepcopy(family.counters)
     )
     for counter, size in family.targets.items():
         result.counters[counter] = sizes[size]
-    soak = SoakRun(name, entry.spec, seed, sizes, state_dir, obs, result, say)
+    soak = SoakRun(
+        name, entry.spec, seed, sizes, state_dir, obs_dir, obs, result, say
+    )
     try:
         entry.run(soak)
         for invariant, passed in sorted(result.invariants.items()):
@@ -378,7 +406,7 @@ def run_soak(family, plan, seed=7, log=None, obs_path=None, **overrides):
         result.timeline = canonical_timeline(
             bus.events, family.kinds, family.ordered
         )
-        result.digest = canonical_digest(result.timeline)
+        result.digest = canonical_digest(getattr(result, family.digest_of))
         if family.complete_event and family.complete_after_digest:
             obs.emit(family.complete_event, digest=result.digest,
                      ok=result.ok, **complete)

@@ -50,17 +50,16 @@ injected crash, 1 = fenced out or a failed check, 2 = configuration
 error) and the teardown are written once; a row holds only its role's
 boot, rows and health line.
 
-The four soak commands (``chaos-soak``, ``ha-soak``,
-``wire-chaos-soak``, ``tenancy-soak``) are one table,
+The five digest-pinned commands (``fleet``, ``chaos-soak``,
+``ha-soak``, ``wire-chaos-soak``, ``tenancy-soak``) are one table,
 :data:`_SOAK_COMMANDS`, over the soak families of the one harness
 (:func:`repro.chaos.soak.run_soak`): each row names its family, its
 ``--plan`` choices and size flags, and its summary lines; the shared
 flags (``--seed``, ``--obs-file``, ``--expect-digest``, ``--json``,
-``--list-plans``) are added once.  They and ``fleet`` share one result
-protocol and one exit-code contract, implemented by
-:func:`run_soak_command`: 0 = all invariants green, 1 = a failure or a
-violated invariant, 2 = configuration error, 3 = digest mismatch,
-4 = a worker process died.
+``--list-plans``) are added once.  One driver, :func:`_cmd_soak`, runs
+them all under one exit-code contract: 0 = all invariants green, 1 = a
+failure or a violated invariant, 2 = configuration error, 3 = digest
+mismatch, 4 = a worker process died.
 """
 
 from __future__ import annotations
@@ -273,22 +272,6 @@ def _build_parser():
         "timelines and the per-cohort latency CDF from its streams",
     )
 
-    fleet = _add_run_parser(
-        sub,
-        "fleet",
-        "drive a client fleet over real UDP loopback",
-        "smoke",
-        ("clients", "intervals", "workers"),
-        "fleet digest",
-    )
-    fleet.add_argument(
-        "--obs-dir",
-        default=None,
-        metavar="DIR",
-        help="collect distributed traces: one line-buffered JSONL "
-        "stream per process (server.jsonl + worker-NN.jsonl); "
-        "analyse with `repro obs-report --trace-dir DIR`",
-    )
     for command, soak in _SOAK_COMMANDS.items():
         _add_run_parser(
             sub,
@@ -878,141 +861,6 @@ def _cmd_obs_report(args, out):
     return 0
 
 
-def run_soak_command(
-    args,
-    out,
-    label,
-    digest_label,
-    run,
-    error_types,
-    list_plans=None,
-    summarize=None,
-    failure_note=None,
-):
-    """The shared driver behind every digest-pinned soak command.
-
-    All five runners (``chaos-soak``, ``ha-soak``, ``fleet``,
-    ``wire-chaos-soak``, ``tenancy-soak``) speak the same result
-    protocol — ``digest`` / ``failure`` / ``ok`` / ``invariants`` /
-    ``to_dict()`` — and differ only in how the run is launched and how
-    its summary reads.  This helper owns everything else, including the
-    exit-code contract:
-
-    - 0 — the run finished and every invariant held;
-    - 1 — the run failed outright or violated an invariant;
-    - 2 — configuration error (unknown plan, bad arguments);
-    - 3 — ``--expect-digest`` did not match the run's digest;
-    - 4 — a worker process died (``result.worker_crash``).
-
-    ``run`` launches the soak given a ``log`` callable and returns the
-    result; ``error_types`` are the config-error exceptions mapped to
-    exit 2; ``list_plans`` handles ``--list-plans``; ``summarize``
-    prints the command's headline lines; ``failure_note`` may add
-    diagnostics under a FAILED verdict.
-    """
-    import json
-
-    if getattr(args, "list_plans", False):
-        list_plans(out)
-        return 0
-    try:
-        result = run(lambda line: print(line, file=out))
-    except error_types as error:
-        print("error: %s" % error, file=out)
-        return 2
-    if summarize is not None:
-        summarize(result, out)
-    print("%s: %s" % (digest_label, result.digest), file=out)
-    if getattr(args, "json", False):
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True),
-              file=out)
-    if getattr(args, "obs_file", None):
-        print("wrote obs events to %s" % args.obs_file, file=out)
-    if getattr(args, "obs_dir", None):
-        print("wrote trace streams to %s" % args.obs_dir, file=out)
-    if args.expect_digest and args.expect_digest != result.digest:
-        print(
-            "digest mismatch: expected %s" % args.expect_digest, file=out
-        )
-        return 3
-    if result.failure is not None:
-        print("%s: FAILED: %s" % (label, result.failure), file=out)
-        if failure_note is not None:
-            failure_note(result, out)
-        # A dead worker process is a different diagnosis than a missed
-        # invariant — give operators (and CI) a distinct exit code.
-        return 4 if getattr(result, "worker_crash", False) else 1
-    if not result.ok:
-        failed = sorted(
-            name for name, passed in result.invariants.items() if not passed
-        )
-        print(
-            "%s: invariant(s) violated: %s" % (label, ", ".join(failed)),
-            file=out,
-        )
-        return 1
-    print("%s: all invariants green" % label, file=out)
-    return 0
-
-
-def _cmd_fleet(args, out):
-    from repro.errors import WireError
-    from repro.wire.fleet import FLEET_PLANS, run_fleet
-
-    def list_plans(out):
-        for name, plan in FLEET_PLANS.items():
-            print("  %-22s %s" % (name, plan.description), file=out)
-
-    def summarize(result, out):
-        print(
-            "fleet: %d client(s)%s, %d/%d interval(s)"
-            % (
-                result.clients,
-                " on %d workers" % result.workers if result.workers else "",
-                result.intervals_completed,
-                result.intervals_target,
-            ),
-            file=out,
-        )
-        for cohort in sorted(result.cohorts):
-            stats = result.cohorts[cohort]
-            print(
-                "  cohort %-5s %4d report(s): recovery p50/p90/p99 "
-                "%.1f/%.1f/%.1f ms, rounds %.2f, unicast %d, dropped %d"
-                % (
-                    cohort,
-                    stats["reports"],
-                    stats["recovery_ms"]["p50"],
-                    stats["recovery_ms"]["p90"],
-                    stats["recovery_ms"]["p99"],
-                    stats["rounds_mean"],
-                    stats["unicast"],
-                    stats["dropped"],
-                ),
-                file=out,
-            )
-
-    return run_soak_command(
-        args,
-        out,
-        label="fleet",
-        digest_label="fleet digest",
-        run=lambda log: run_fleet(
-            plan=args.plan,
-            seed=args.seed,
-            clients=args.clients,
-            intervals=args.intervals,
-            workers=args.workers,
-            obs_path=args.obs_file,
-            obs_dir=args.obs_dir,
-            log=log,
-        ),
-        error_types=(WireError,),
-        list_plans=list_plans,
-        summarize=summarize,
-    )
-
-
 #: flag help for each size override (the flag is ``--`` + the name
 #: with dashes); ``None`` defaults come from the plan
 _SIZE_HELP = {
@@ -1026,7 +874,13 @@ _SIZE_HELP = {
     "(default: a scratch dir, removed)",
     "state_root": "shared storage root for all tenants, kept after the "
     "run (default: a scratch dir, removed)",
+    "obs_dir": "collect distributed traces: one line-buffered JSONL "
+    "stream per process (server.jsonl + worker-NN.jsonl); "
+    "analyse with `repro obs-report --trace-dir DIR`",
 }
+
+#: size overrides that name a directory, not a count
+_DIR_SIZES = ("state_dir", "state_root", "obs_dir")
 
 
 @dataclass(frozen=True)
@@ -1038,13 +892,38 @@ class _SoakCommand:
     #: the default ``--plan`` (any name is accepted; the harness rejects
     #: unknown ones, exit 2)
     plan_default: str
-    #: the family's size overrides, as flags
+    #: the family's size overrides (and caller-owned dirs), as flags
     sizes: tuple
     digest_label: str
     #: ``summary(result, out)`` prints the headline lines
     summary: object
     #: families whose plans ``--list-plans`` prints
     lists: tuple
+
+
+def _fleet_summary(r, out):
+    print(
+        "fleet: %d client(s)%s, %d/%d interval(s)"
+        % (r.clients, " on %d workers" % r.workers if r.workers else "",
+           r.intervals_completed, r.intervals_target),
+        file=out,
+    )
+    for cohort, stats in sorted(r.cohorts.items()):
+        print(
+            "  cohort %-5s %4d report(s): recovery p50/p90/p99 "
+            "%.1f/%.1f/%.1f ms, rounds %.2f, unicast %d, dropped %d"
+            % (
+                cohort,
+                stats["reports"],
+                stats["recovery_ms"]["p50"],
+                stats["recovery_ms"]["p90"],
+                stats["recovery_ms"]["p99"],
+                stats["rounds_mean"],
+                stats["unicast"],
+                stats["dropped"],
+            ),
+            file=out,
+        )
 
 
 def _chaos_summary(r, out):
@@ -1096,6 +975,15 @@ def _tenancy_summary(r, out):
 
 
 _SOAK_COMMANDS = {
+    "fleet": _SoakCommand(
+        "fleet",
+        "drive a client fleet over real UDP loopback",
+        "smoke",
+        ("clients", "intervals", "workers", "obs_dir"),
+        "fleet digest",
+        _fleet_summary,
+        ("fleet",),
+    ),
     "chaos-soak": _SoakCommand(
         "chaos",
         "run the daemon under a deterministic fault plan",
@@ -1148,7 +1036,7 @@ def _add_run_parser(sub, command, help, plan_default, sizes, digest_label):
     for size in sizes:
         parser.add_argument(
             "--" + size.replace("_", "-"),
-            type=None if size.startswith("state_") else int,
+            type=None if size in _DIR_SIZES else int,
             default=None,
             help=_SIZE_HELP[size],
         )
@@ -1178,44 +1066,73 @@ def _add_run_parser(sub, command, help, plan_default, sizes, digest_label):
 
 
 def _cmd_soak(args, out):
+    """The one driver behind every digest-pinned command: run the row's
+    family through :func:`repro.chaos.soak.run_soak`, print its summary
+    and digest, and map the outcome to the exit-code contract (see the
+    module docstring).  A digest mismatch is reported before a failure:
+    CI pinning a digest wants that diagnosis first."""
+    import json
+
     from repro.chaos.soak import run_soak, soak_family
+    from repro.errors import ChaosError
 
     soak = _SOAK_COMMANDS[args.command]
-    family = soak_family(soak.family)
-
-    def list_plans(out):
+    if args.list_plans:
         for name in soak.lists:
             listed = soak_family(name)
             print("%s plans (%s):" % (name, listed.command), file=out)
             for plan, entry in listed.plans.items():
                 print("  %-22s %s" % (plan, entry.description), file=out)
-
-    def failure_note(result, out):
+        return 0
+    try:
+        result = run_soak(
+            soak.family,
+            args.plan,
+            seed=args.seed,
+            log=lambda line: print(line, file=out),
+            obs_path=args.obs_file,
+            **{size: getattr(args, size) for size in soak.sizes},
+        )
+    except ChaosError as error:
+        print("error: %s" % error, file=out)
+        return 2
+    soak.summary(result, out)
+    print("%s: %s" % (soak.digest_label, result.digest), file=out)
+    if args.json:
+        print(json.dumps(result.to_dict(), indent=2, sort_keys=True),
+              file=out)
+    if args.obs_file:
+        print("wrote obs events to %s" % args.obs_file, file=out)
+    if getattr(args, "obs_dir", None):
+        print("wrote trace streams to %s" % args.obs_dir, file=out)
+    if args.expect_digest and args.expect_digest != result.digest:
+        print(
+            "digest mismatch: expected %s" % args.expect_digest, file=out
+        )
+        return 3
+    if result.failure is not None:
+        print("%s: FAILED: %s" % (args.command, result.failure), file=out)
         if not result.counters.get("expect_recoverable", True):
             print(
                 "(plan %r is deliberately unrecoverable; the diagnostic "
                 "above is its expected outcome)" % result.plan,
                 file=out,
             )
-
-    return run_soak_command(
-        args,
-        out,
-        label=args.command,
-        digest_label=soak.digest_label,
-        run=lambda log: run_soak(
-            family,
-            args.plan,
-            seed=args.seed,
-            log=log,
-            obs_path=args.obs_file,
-            **{size: getattr(args, size) for size in soak.sizes},
-        ),
-        error_types=family.error_types,
-        list_plans=list_plans,
-        summarize=soak.summary,
-        failure_note=failure_note,
-    )
+        # A dead worker process is a different diagnosis than a missed
+        # invariant — give operators (and CI) a distinct exit code.
+        return 4 if result.counters.get("worker_crash") else 1
+    if not result.ok:
+        failed = sorted(
+            name for name, passed in result.invariants.items() if not passed
+        )
+        print(
+            "%s: invariant(s) violated: %s"
+            % (args.command, ", ".join(failed)),
+            file=out,
+        )
+        return 1
+    print("%s: all invariants green" % args.command, file=out)
+    return 0
 
 
 def main(argv=None, out=None):
@@ -1228,7 +1145,6 @@ def main(argv=None, out=None):
         "analyze": _cmd_analyze,
         "serve": _cmd_serve,
         "obs-report": _cmd_obs_report,
-        "fleet": _cmd_fleet,
     }
     handlers.update(dict.fromkeys(_SOAK_COMMANDS, _cmd_soak))
     return handlers[args.command](args, out)

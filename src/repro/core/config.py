@@ -37,7 +37,6 @@ class GroupConfig:
     max_nack: int = 100
     sending_interval_ms: float = 100.0
     max_multicast_rounds: int = 2
-    deadline_rounds: int = 2
     #: how long the wire plane's server waits for NACKs after each
     #: multicast round (it caps the aggregation window; the window closes
     #: early once every member has reported)
@@ -65,7 +64,6 @@ class GroupConfig:
         check_positive(
             "max_multicast_rounds", self.max_multicast_rounds, integral=True
         )
-        check_positive("deadline_rounds", self.deadline_rounds, integral=True)
         check_positive("nack_window_seconds", self.nack_window_seconds)
         if self.engine not in ENGINE_KINDS:
             raise ConfigurationError(
@@ -88,8 +86,8 @@ class GroupConfig:
             for name in (
                 "degree", "packet_size", "block_size", "rho", "rho_max",
                 "num_nack", "max_nack", "sending_interval_ms",
-                "max_multicast_rounds", "deadline_rounds",
-                "nack_window_seconds", "crypto_seed", "seed", "engine",
+                "max_multicast_rounds", "nack_window_seconds",
+                "crypto_seed", "seed", "engine",
             )
         }
         out["loss"] = {
@@ -111,9 +109,13 @@ class GroupConfig:
             )
         kwargs = dict(data)
         # Registries written before the implementation knobs collapsed
-        # into ``engine`` still carry these two; they selected code
-        # paths, never behaviour, so dropping them loses nothing.
-        for retired in ("incremental_marking", "fec_coder"):
+        # into ``engine`` still carry the first two; they selected code
+        # paths, never behaviour.  ``deadline_rounds`` was never read:
+        # the daemon's deadline is ``DaemonConfig.deadline_rounds``.
+        # Dropping all three loses nothing.
+        for retired in (
+            "incremental_marking", "fec_coder", "deadline_rounds"
+        ):
             kwargs.pop(retired, None)
         loss = kwargs.pop("loss", None)
         if loss is not None:

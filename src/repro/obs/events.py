@@ -7,10 +7,11 @@ Every observability event is one JSON object::
 
 ``v`` is :data:`SCHEMA_VERSION` (additive evolution only: new kinds and
 new detail keys never bump it; renaming or removing either does).  The
-kind registry subsumes the session-protocol kinds that
-:class:`repro.transport.trace.SessionTrace` historically owned and adds
-the service-level kinds (marking, FEC, WAL, degradation, recovery) the
-daemon emits.  The registry is *extensible* — embedders call
+kind registry holds the session-protocol kinds a
+:class:`~repro.transport.session.RekeySession` emits (with the
+simulated time as the ``sim_time`` detail key) and the service-level
+kinds (marking, FEC, WAL, degradation, recovery) the daemon emits.
+The registry is *extensible* — embedders call
 :func:`register_event_kind` instead of patching a frozen set, so a new
 event kind is one line, not a ``ConfigurationError``.
 
@@ -30,7 +31,7 @@ from repro.errors import ObsError
 #: Version of the event envelope. Additive changes keep it.
 SCHEMA_VERSION = 1
 
-#: Session-protocol kinds (historically SessionTrace.KNOWN_KINDS).
+#: Session-protocol kinds, emitted by ``RekeySession``.
 SESSION_EVENT_KINDS = frozenset(
     {
         "session_start",
@@ -106,7 +107,8 @@ WIRE_EVENT_KINDS = frozenset(
         "wire_unicast",            # unicast phase served the stragglers
         "wire_member_recovered",   # one member reached key agreement
         "wire_delivery_complete",  # one interval delivered over the wire
-        "wire_fleet_interval",     # fleet runner finished one interval
+        "wire_fleet_interval",     # a wire soak finished one interval
+        "wire_fleet_invariant",    # one fleet invariant checked
         "wire_fleet_complete",     # fleet run summary
         "wire_decode_error",       # undecodable datagram reached a socket
     }

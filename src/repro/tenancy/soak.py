@@ -33,7 +33,7 @@ import os
 
 from repro.chaos.seams import FaultyClock
 from repro.chaos.soak import SoakFamily, SoakPlan, audit_wal
-from repro.errors import ChaosError, TenancyError
+from repro.errors import ChaosError
 from repro.ha.soak import LEASE_TTL
 from repro.obs.events import TENANCY_EVENT_KINDS
 from repro.obs.recorder import NULL
@@ -525,7 +525,6 @@ SOAK_FAMILY = SoakFamily(
         "shed": "shed_total",
         "quarantines": "quarantines",
     },
-    error_types=(ChaosError, TenancyError),
     state_key="state_root",
 )
 

@@ -43,7 +43,6 @@ from repro.transport.immediate import (
     ImmediateFeedbackSession,
     ImmediateStats,
 )
-from repro.transport.trace import SessionTrace, TraceEvent
 
 __all__ = [
     "FleetConfig",
@@ -60,8 +59,6 @@ __all__ = [
     "SequenceStats",
     "ServerTransport",
     "SessionConfig",
-    "SessionTrace",
-    "TraceEvent",
     "UnicastPolicy",
     "UnicastStats",
     "UserTransport",

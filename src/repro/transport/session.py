@@ -65,8 +65,8 @@ class RekeySession:
     """
 
     def __init__(
-        self, message, topology, config=None, rng=None, trace=None,
-        coder=None, obs=None, chaos=None,
+        self, message, topology, config=None, rng=None, coder=None,
+        obs=None, chaos=None,
     ):
         if not message.materialized:
             raise TransportError(
@@ -77,10 +77,8 @@ class RekeySession:
         self.message = message
         self.topology = topology
         self.config = config or SessionConfig()
-        #: optional repro.transport.trace.SessionTrace event sink
-        self.trace = trace
         #: observability recorder: spans per round/unicast phase, plus
-        #: the protocol events (mirroring the trace) onto the event bus
+        #: the protocol events onto the event bus
         self.obs = obs if obs is not None else NULL
         #: optional feedback-fault hook (``mangle_nacks(session, round,
         #: nacks)``): what it returns is what the server transport sees
@@ -223,13 +221,9 @@ class RekeySession:
         return stats
 
     def _emit(self, kind, time, **detail):
-        if self.trace is not None:
-            self.trace.emit(kind, time, **detail)
+        """One protocol event on the bus, at simulated time ``time``."""
         if self.obs.enabled:
-            # Mirror the protocol event onto the structured bus (unless
-            # the trace already forwards there — avoid double emission).
-            if self.trace is None or self.trace.bus is None:
-                self.obs.emit(kind, sim_time=float(time), **detail)
+            self.obs.emit(kind, sim_time=float(time), **detail)
 
     # -- internals -------------------------------------------------------------
 

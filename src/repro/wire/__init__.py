@@ -15,12 +15,14 @@ processes) and keeps every run a pure function of its seed:
 - :mod:`repro.wire.delivery` — the daemon's ``wire`` delivery backend;
 - :mod:`repro.wire.worker` — worker processes hosting clients, one
   receiver shard each;
-- :mod:`repro.wire.fleet` — the digest-pinned fleet runner behind
-  ``python -m repro fleet``;
 - :mod:`repro.wire.chaos` — the survivability soak family behind
   ``python -m repro wire-chaos-soak`` (datagram faults, client
-  crashes, live-fleet leader failover), run by the one soak harness in
-  :mod:`repro.chaos.soak`.
+  crashes, live-fleet leader failover);
+- :mod:`repro.wire.fleet` — the fault-free fleet soak family behind
+  ``python -m repro fleet``, digested by its per-interval records.
+
+Both families run through the one soak harness in
+:mod:`repro.chaos.soak`.
 """
 
 from repro.wire.client import ReceiverShard, WireClient
@@ -33,12 +35,6 @@ from repro.wire.codec import (
     recv_buffer_size,
 )
 from repro.wire.delivery import WireDelivery, WireFleet
-from repro.wire.fleet import (
-    FLEET_PLANS,
-    FleetPlan,
-    FleetResult,
-    run_fleet,
-)
 from repro.wire.loss import MemberLoss, cohort_of
 from repro.wire.server import (
     AggregationWindow,
@@ -49,9 +45,6 @@ from repro.wire.server import (
 
 __all__ = [
     "AggregationWindow",
-    "FLEET_PLANS",
-    "FleetPlan",
-    "FleetResult",
     "FrameKind",
     "MemberLoss",
     "Participant",
@@ -67,5 +60,4 @@ __all__ = [
     "encode_frame",
     "max_datagram_size",
     "recv_buffer_size",
-    "run_fleet",
 ]

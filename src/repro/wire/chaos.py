@@ -46,10 +46,10 @@ from dataclasses import replace
 
 from repro.chaos.soak import SoakFamily, SoakPlan, agreement_ok
 from repro.chaos.wire_faults import WIRE_CHAOS_PLAN_NAMES, make_wire_plan
-from repro.errors import ChaosError, ReproError, WireError
+from repro.errors import ChaosError, ReproError
 from repro.obs.events import HA_EVENT_KINDS
 
-__all__ = ["WIRE_TIMELINE_KINDS", "wire_plan"]
+__all__ = ["WIRE_TIMELINE_KINDS", "run_single", "wire_plan"]
 
 #: Event kinds that define a wire-chaos run's reproducible timeline.
 #: The single-node soak's ``TIMELINE_KINDS`` is deliberately left
@@ -68,9 +68,14 @@ WIRE_TIMELINE_KINDS = frozenset(
 
 
 def _wire_daemon(plan, seed, obs, backend, service, **kwargs):
-    """The plan's daemon and churn over ``backend``."""
+    """A daemon serving the plan's clients, under its churn, over the
+    wire ``backend``; the members are hosted by the backend's worker
+    processes when it has any."""
+    from repro.core.server import GroupKeyServer
     from repro.service.churn import NoChurn, PoissonChurn
-    from repro.wire.fleet import wire_daemon
+    from repro.service.daemon import RekeyDaemon
+    from repro.service.members import MemberFleet
+    from repro.wire.delivery import WireFleet
 
     churn = NoChurn()
     if plan.churn_alpha_join or plan.churn_alpha_leave:
@@ -78,8 +83,20 @@ def _wire_daemon(plan, seed, obs, backend, service, **kwargs):
             alpha=plan.churn_alpha_leave,
             alpha_join=plan.churn_alpha_join,
         )
-    return wire_daemon(
-        plan.clients, churn, seed, obs, backend, service, **kwargs
+    server = GroupKeyServer(
+        ["member-%04d" % index for index in range(plan.clients)],
+        config=backend.config,
+    )
+    fleet_cls = WireFleet if backend.workers else MemberFleet
+    return RekeyDaemon(
+        server,
+        backend=backend,
+        fleet=fleet_cls.register_all(server),
+        churn=churn,
+        service=service,
+        seed=seed,
+        obs=obs,
+        **kwargs,
     )
 
 
@@ -98,14 +115,15 @@ def _close_backend(backend):
         pass
 
 
-def _start(soak):
+def _start(soak, label="wire-chaos"):
     """The plan with the run's sizes applied, and its group config."""
     from repro.core.config import GroupConfig
 
     plan = replace(soak.spec, **soak.sizes)
     soak.say(
-        "wire-chaos: plan %r, seed %d, %d clients%s, %d intervals"
+        "%s: plan %r, seed %d, %d clients%s, %d intervals"
         % (
+            label,
             soak.name,
             soak.seed,
             plan.clients,
@@ -123,15 +141,17 @@ def _start(soak):
 # -- the single-daemon plans ---------------------------------------------
 
 
-def _run_single(soak):
-    """``datagram-storm`` and ``client-churn-crash``: one daemon, the
-    injector and/or scripted client deaths, liveness evictions feeding
-    the leave intake."""
+def run_single(soak, label="wire-chaos"):
+    """One daemon over the wire, for ``datagram-storm``,
+    ``client-churn-crash`` and every fleet plan: the injector and/or
+    scripted client deaths when the plan has them, liveness evictions
+    feeding the leave intake.  The backend's per-interval records land
+    in ``soak.result.records``."""
     from repro.chaos.wire_faults import DatagramFaultInjector
     from repro.service.daemon import DaemonConfig
     from repro.wire.delivery import WireDelivery
 
-    plan, config = _start(soak)
+    plan, config = _start(soak, label)
     seed, obs, tally = soak.seed, soak.obs, soak.result.counters
     injector = None
     if plan.faults.any_enabled:
@@ -146,6 +166,7 @@ def _run_single(soak):
         liveness_tries=plan.liveness_tries or None,
         resync_timeout=plan.resync_timeout or None,
         crash_plan=schedule,
+        obs_dir=soak.obs_dir,
     )
     # The schedule is part of the deterministic timeline: one event per
     # scripted death, emitted in program order before the run begins.
@@ -167,19 +188,30 @@ def _run_single(soak):
     # Casualties become leaves from the daemon's own thread (the intake
     # lock is reentrant): evicted mid-interval, rekeyed out at the next.
     backend.on_casualty = daemon.submit_leave
-    try:
-        daemon.run(
-            plan.intervals,
-            on_interval=lambda record: soak.say(
-                "  interval %d: %d members, %d rounds, %d carried"
-                % (
-                    record.interval,
-                    record.n_members,
-                    record.multicast_rounds,
-                    record.carried_users,
-                )
-            ),
+
+    def on_interval(record):
+        obs.emit(
+            "wire_fleet_interval",
+            interval=record.interval,
+            members=record.n_members,
+            rounds=record.multicast_rounds,
+            unicast_served=record.unicast_served,
+            decision=record.decision,
         )
+        soak.say(
+            "  interval %d: %d members, %d rounds, %d by unicast, "
+            "%d carried"
+            % (
+                record.interval,
+                record.n_members,
+                record.multicast_rounds,
+                record.unicast_served,
+                record.carried_users,
+            )
+        )
+
+    try:
+        daemon.run(plan.intervals, on_interval=on_interval)
         tally["evictions"] = len(backend.dead_members)
         stats = backend.client_stats()
         tally["resyncs"] = sum(s["resyncs"] for s in stats.values())
@@ -226,6 +258,7 @@ def _run_single(soak):
             invariants["no-member-lost"] = not backend.dead_members
     finally:
         tally["intervals_completed"] = daemon.server.intervals_processed
+        soak.result.records = list(backend.records)
         _close_backend(backend)
         daemon.close()
 
@@ -334,7 +367,7 @@ def wire_plan(spec):
     hoc): a leader kill needs worker processes, because the clients
     must outlive the killed leader."""
     return SoakPlan(
-        _run_leader_kill_live if spec.leader_kill_interval else _run_single,
+        _run_leader_kill_live if spec.leader_kill_interval else run_single,
         sizes={
             "clients": spec.clients,
             "intervals": spec.intervals,
@@ -381,6 +414,5 @@ SOAK_FAMILY = SoakFamily(
     complete_event="wire_chaos_complete",
     complete_fields={"intervals": "intervals_completed"},
     complete_after_digest=True,
-    error_types=(ChaosError, WireError),
     adopt=wire_plan,
 )

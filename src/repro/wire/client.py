@@ -283,6 +283,8 @@ class ReceiverShard:
         self._pending = {}
         #: (interval, round) -> the encoded SHARD_FEEDBACK datagrams
         self._reports = {}
+        #: member_index -> (its latest report, that report encoded)
+        self._entries = {}
         self._uplink = None
         self._transport = None
 
@@ -316,6 +318,7 @@ class ReceiverShard:
     def drop(self, client):
         self.clients.pop(client.member_index, None)
         self._pending.pop(client.member_index, None)
+        self._entries.pop(client.member_index, None)
         self.waiting.discard(client)
 
     def uplink(self, params, interval, seed, spacing_seconds):
@@ -417,9 +420,17 @@ class ReceiverShard:
         for wire in wires:
             self._send(wire)
 
-    @staticmethod
-    def _table(interval, round_no, reports):
-        """The SHARD_FEEDBACK datagrams of ``reports``."""
+    def _table(self, interval, round_no, reports):
+        """The SHARD_FEEDBACK datagrams of ``reports``.  A member that
+        repeats its last report (done before the round) reuses that
+        report's encoded entry."""
+        entries = []
+        for report in reports:
+            cached = self._entries.get(report.member_index)
+            if cached is None or cached[0] is not report:
+                cached = (report, encode_feedback(report))
+                self._entries[report.member_index] = cached
+            entries.append(cached[1])
         return [
             encode_frame(
                 FrameKind.SHARD_FEEDBACK,
@@ -427,7 +438,7 @@ class ReceiverShard:
                 round_no=round_no,
                 payload=payload,
             )
-            for payload in encode_shard_feedback(reports)
+            for payload in encode_shard_feedback(entries)
         ]
 
     def _note_slot(self, frame):
@@ -893,14 +904,23 @@ class WireClient:
             if self.crash_at == (interval, next_round):
                 self.dead = True  # scheduled mid-interval death
                 return None
-            nack = None
             if not session.done:
                 nack = session.transport.end_of_round()
                 self._after_progress(session)
+                report = self._feedback(session, nack)
             else:
                 # Keep the round counter honest while already done.
                 session.transport.end_of_round()
-            session.reports[next_round] = self._feedback(session, nack)
+                # Done before this round, a member's report can change
+                # only with its epoch: repeat the last one.
+                report = session.reports.get(next_round - 1)
+                if (
+                    report is None
+                    or not report.done
+                    or report.epoch != self.epoch
+                ):
+                    report = self._feedback(session)
+            session.reports[next_round] = report
         return session.reports[round_no]
 
     # -- helpers -----------------------------------------------------------

@@ -379,10 +379,11 @@ def decode_shard_announce(payload):
     ]
 
 
-def encode_shard_feedback(feedbacks):
-    """``SHARD_FEEDBACK`` payloads carrying ``feedbacks`` (one
-    :class:`Feedback` per member), packed into as few payloads of at
-    most :data:`SHARD_PAYLOAD_BUDGET` bytes as the entries allow.
+def encode_shard_feedback(reports):
+    """``SHARD_FEEDBACK`` payloads carrying ``reports`` (one
+    :func:`encode_feedback` payload per member, encoded by the caller so
+    a repeated report is encoded once), packed into as few payloads of
+    at most :data:`SHARD_PAYLOAD_BUDGET` bytes as the entries allow.
 
     A payload is an entry count, then each entry as its
     :func:`encode_feedback` payload behind a 16-bit length.  One entry
@@ -391,9 +392,8 @@ def encode_shard_feedback(feedbacks):
     payloads = []
     entries = []
     size = _U16.size
-    for feedback in feedbacks:
-        entry = encode_feedback(feedback)
-        entry = _U16.pack(len(entry)) + entry
+    for report in reports:
+        entry = _U16.pack(len(report)) + report
         if entries and size + len(entry) > SHARD_PAYLOAD_BUDGET:
             payloads.append(_U16.pack(len(entries)) + b"".join(entries))
             entries = []

@@ -18,7 +18,6 @@ class TestDefaults:
         assert config.max_nack == 100
         assert config.sending_interval_ms == 100.0
         assert config.max_multicast_rounds == 2
-        assert config.deadline_rounds == 2
 
     def test_default_loss_environment(self):
         loss = GroupConfig().loss
@@ -41,7 +40,7 @@ class TestValidation:
             ("max_nack", -2),
             ("sending_interval_ms", 0.0),
             ("max_multicast_rounds", 0),
-            ("deadline_rounds", 0),
+            ("nack_window_seconds", 0.0),
         ],
     )
     def test_rejects_bad_values(self, field, value):

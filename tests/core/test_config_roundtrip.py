@@ -41,7 +41,6 @@ valid_configs = st.builds(
     max_nack=st.integers(min_value=0, max_value=200),
     sending_interval_ms=st.floats(min_value=1.0, max_value=1000.0),
     max_multicast_rounds=st.integers(min_value=1, max_value=8),
-    deadline_rounds=st.integers(min_value=1, max_value=8),
     nack_window_seconds=st.floats(min_value=0.01, max_value=2.0),
     loss=loss_params,
     crypto_seed=st.integers(min_value=0, max_value=2**31),
@@ -82,7 +81,7 @@ def test_to_dict_is_plain_json_data(config):
         {"sending_interval_ms": 0.0},
         {"nack_window_seconds": -0.5},
         {"max_multicast_rounds": 0},
-        {"deadline_rounds": 0},
+        {"max_multicast_rounds": 1.5},
         {"engine": ""},
         {"engine": "fortran"},
     ],
@@ -143,18 +142,20 @@ def test_from_dict_loads_a_pre_collapse_registry_entry():
     config = GroupConfig.from_dict(PRE_COLLAPSE_DICT)
     assert config == GroupConfig(engine="python")
     saved = config.to_dict()
-    assert "incremental_marking" not in saved and "fec_coder" not in saved
+    for retired in ("incremental_marking", "fec_coder", "deadline_rounds"):
+        assert retired not in saved
     # whatever the retired knobs said: they never changed behaviour
     assert GroupConfig.from_dict(
         {
             **PRE_COLLAPSE_DICT,
             "incremental_marking": False,
             "fec_coder": "reference",
+            "deadline_rounds": 5,
         }
     ) == config
 
 
-def test_from_dict_drops_only_the_two_retired_keys():
+def test_from_dict_drops_only_the_retired_keys():
     # (a retired *engine name* in an old registry is refused too:
     # tests/fastpath/test_engines.py)
     with pytest.raises(ConfigurationError):

@@ -225,9 +225,9 @@ class TestFleetTraces:
     def test_smoke_fleet_digest_pinned_and_timelines_complete(
         self, tmp_path
     ):
-        from repro.wire.fleet import run_fleet
+        from repro.chaos.soak import run_soak
 
-        result = run_fleet("smoke", seed=7, obs_dir=str(tmp_path))
+        result = run_soak("fleet", "smoke", seed=7, obs_dir=str(tmp_path))
         assert result.ok, result.to_dict()
         asm = assemble(load_trace_dir(tmp_path))
         assert asm.incomplete() == []
@@ -245,12 +245,13 @@ class TestFleetTraces:
             assert p["p99"] >= p["p50"]
 
     def test_trace_digest_invariant_to_worker_placement(self, tmp_path):
-        from repro.wire.fleet import run_fleet
+        from repro.chaos.soak import run_soak
 
         digests = []
         for workers in (0, 2):
             obs_dir = tmp_path / ("w%d" % workers)
-            result = run_fleet(
+            result = run_soak(
+                "fleet",
                 "sharded",
                 seed=5,
                 clients=12,

@@ -5,9 +5,10 @@ import pytest
 
 from repro.crypto import KeyFactory
 from repro.keytree import KeyTree, MarkingAlgorithm
+from repro.obs import EventBus, Recorder
 from repro.rekey import RekeyMessageBuilder
 from repro.sim import LossParameters, MulticastTopology
-from repro.transport import RekeySession, SessionConfig, SessionTrace
+from repro.transport import RekeySession, SessionConfig
 from repro.util import RandomSource
 
 
@@ -21,7 +22,7 @@ def make_message(seed=0, n=256, n_leave=64, k=10):
     return RekeyMessageBuilder(block_size=k).build(batch, message_id=1)
 
 
-def run(message, config, seed=0, loss=None, trace=None):
+def run(message, config, seed=0, loss=None, obs=None):
     topology = MulticastTopology(
         len(message.needs_by_user),
         params=loss or LossParameters(),
@@ -32,7 +33,7 @@ def run(message, config, seed=0, loss=None, trace=None):
         topology,
         config,
         rng=np.random.default_rng(seed + 1),
-        trace=trace,
+        obs=obs,
     )
     return session, session.run()
 
@@ -42,16 +43,16 @@ class TestEarlySwitch:
         """With few stragglers, USR bytes undercut another parity round
         and the session unicasts after round one despite a high cap."""
         message = make_message(seed=1)
-        trace = SessionTrace()
+        bus = EventBus()
         config = SessionConfig(
             rho=1.0,
             max_multicast_rounds=10,
             compare_usr_bytes=True,
         )
-        _, stats = run(message, config, seed=5, trace=trace)
+        _, stats = run(message, config, seed=5, obs=Recorder(bus=bus))
         if stats.unicast.users_served:
             assert stats.n_multicast_rounds < 10
-            assert len(trace.of_kind("unicast_start")) == 1
+            assert len(bus.of_kind("unicast_start")) == 1
 
     def test_round_cap_still_binds_without_comparison(self):
         message = make_message(seed=2)

@@ -1,170 +1,89 @@
-"""Tests for repro.transport.trace and its session integration."""
+"""Session protocol events on the obs bus.
+
+A :class:`RekeySession` emits its protocol events (session start, round
+plan and completion, unicast, completion) through its ``obs`` recorder,
+with the simulated time as the ``sim_time`` detail key.
+"""
 
 import numpy as np
-import pytest
 
 from repro.crypto import KeyFactory
-from repro.errors import ConfigurationError
 from repro.keytree import KeyTree, MarkingAlgorithm
+from repro.obs import EventBus, Recorder
 from repro.rekey import RekeyMessageBuilder
 from repro.sim import LossParameters, MulticastTopology
 from repro.transport import RekeySession, SessionConfig
-from repro.transport.trace import SessionTrace, TraceEvent
 from repro.util import RandomSource
 
 
-class TestSessionTrace:
-    def test_emit_and_filter(self):
-        trace = SessionTrace()
-        trace.emit("session_start", 0.0, users=10)
-        trace.emit("round_planned", 0.0, round=1, packets=20)
-        trace.emit("round_complete", 2.0, round=1, nacks=3, recovered=9)
-        assert len(trace) == 3
-        assert len(trace.of_kind("round_planned")) == 1
-        assert trace.of_kind("round_complete")[0].detail["nacks"] == 3
+def run_session(obs=None, n=128, n_leave=32):
+    rng = np.random.default_rng(0)
+    users = ["u%d" % i for i in range(n)]
+    tree = KeyTree.full_balanced(users, 4, key_factory=KeyFactory(seed=1))
+    batch = MarkingAlgorithm().apply(
+        tree, leaves=list(rng.choice(users, n_leave, replace=False))
+    )
+    message = RekeyMessageBuilder(block_size=8).build(batch, message_id=1)
+    topology = MulticastTopology(
+        len(message.needs_by_user),
+        params=LossParameters(),
+        random_source=RandomSource(3),
+    )
+    return RekeySession(
+        message,
+        topology,
+        SessionConfig(rho=1.0),
+        rng=np.random.default_rng(4),
+        obs=obs,
+    ).run()
 
-    def test_unknown_kind_rejected_when_strict(self):
-        with pytest.raises(ConfigurationError):
-            SessionTrace().emit("made_up", 0.0)
 
-    def test_lenient_mode(self):
-        trace = SessionTrace(strict=False)
-        trace.emit("custom", 1.0, foo="bar")
-        assert trace.summary() == {"custom": 1}
-
-    def test_render(self):
-        trace = SessionTrace()
-        trace.emit("session_start", 0.5, users=4)
-        text = trace.render()
-        assert "session_start" in text
-        assert "users=4" in text
-        assert "0.500s" in text
-
-    def test_render_limit(self):
-        trace = SessionTrace()
-        for i in range(5):
-            trace.emit("round_planned", float(i), round=i, packets=1)
-        assert trace.render(limit=2).count("\n") == 1
-
-    def test_event_is_frozen(self):
-        event = TraceEvent(time=0.0, kind="session_start", detail={})
-        with pytest.raises(AttributeError):
-            event.time = 1.0
+def observed_session(**kwargs):
+    """``(stats, bus)`` of one session recorded on a fresh bus."""
+    bus = EventBus()
+    return run_session(Recorder(bus=bus), **kwargs), bus
 
 
 class TestObsRegistryIntegration:
-    def test_strict_accepts_service_level_kinds(self):
-        # Pre-shim, any kind outside the session set raised even in
-        # strict mode; the obs registry is the authority now.
-        trace = SessionTrace()
-        trace.emit("degradation", 1.0, decision="carry-over")
-        trace.emit("fec_encode", 2.0, block_id=0)
-        assert len(trace) == 2
-
-    def test_strict_accepts_registered_custom_kind(self):
-        from repro.obs import register_event_kind
-
-        register_event_kind("trace_test_custom")
-        trace = SessionTrace()
-        trace.emit("trace_test_custom", 0.0, payload=1)
-        assert trace.summary() == {"trace_test_custom": 1}
-
-    def test_known_kinds_alias_preserved(self):
-        from repro.obs.events import SESSION_EVENT_KINDS
-        from repro.transport.trace import KNOWN_KINDS
-
-        assert KNOWN_KINDS == SESSION_EVENT_KINDS
-
     def test_bus_forwarding(self):
-        from repro.obs import EventBus
-
-        bus = EventBus()
-        trace = SessionTrace(bus=bus)
-        trace.emit("round_complete", 2.5, round=1, nacks=3)
-        assert len(trace) == 1  # local log still filled
+        stats, bus = observed_session()
         record = bus.of_kind("round_complete")[0]
-        assert record["detail"]["sim_time"] == 2.5
-        assert record["detail"]["nacks"] == 3
+        assert isinstance(record["detail"]["sim_time"], float)
+        assert record["detail"]["nacks"] == stats.rounds[0].nacks_received
 
-    def test_session_with_trace_and_obs_does_not_double_emit(self):
-        from repro.obs import EventBus, Recorder
-
-        bus = EventBus()
-        trace = SessionTrace(bus=bus)
-        obs = Recorder(bus=bus)
-        rng = np.random.default_rng(0)
-        users = ["u%d" % i for i in range(64)]
-        tree = KeyTree.full_balanced(users, 4, key_factory=KeyFactory(seed=1))
-        batch = MarkingAlgorithm().apply(
-            tree, leaves=list(rng.choice(users, 16, replace=False))
-        )
-        message = RekeyMessageBuilder(block_size=8).build(batch, message_id=1)
-        topology = MulticastTopology(
-            len(message.needs_by_user),
-            params=LossParameters(),
-            random_source=RandomSource(3),
-        )
-        RekeySession(
-            message,
-            topology,
-            SessionConfig(rho=1.0),
-            rng=np.random.default_rng(4),
-            trace=trace,
-            obs=obs,
-        ).run()
-        starts = bus.of_kind("session_start")
-        assert len(starts) == 1  # trace forwards; obs must not re-emit
+    def test_session_emits_each_event_once(self):
+        _, bus = observed_session(n=64, n_leave=16)
+        assert len(bus.of_kind("session_start")) == 1
+        assert len(bus.of_kind("session_complete")) == 1
 
 
 class TestSessionIntegration:
-    def _run(self, trace):
-        rng = np.random.default_rng(0)
-        users = ["u%d" % i for i in range(128)]
-        tree = KeyTree.full_balanced(users, 4, key_factory=KeyFactory(seed=1))
-        batch = MarkingAlgorithm().apply(
-            tree, leaves=list(rng.choice(users, 32, replace=False))
-        )
-        message = RekeyMessageBuilder(block_size=8).build(batch, message_id=1)
-        topology = MulticastTopology(
-            len(message.needs_by_user),
-            params=LossParameters(),
-            random_source=RandomSource(3),
-        )
-        session = RekeySession(
-            message,
-            topology,
-            SessionConfig(rho=1.0),
-            rng=np.random.default_rng(4),
-            trace=trace,
-        )
-        return session.run()
-
     def test_session_emits_lifecycle(self):
-        trace = SessionTrace()
-        stats = self._run(trace)
-        summary = trace.summary()
-        assert summary["session_start"] == 1
-        assert summary["session_complete"] == 1
-        assert summary["round_planned"] == stats.n_multicast_rounds
-        assert summary["round_complete"] == stats.n_multicast_rounds
+        stats, bus = observed_session()
+        assert len(bus.of_kind("session_start")) == 1
+        assert len(bus.of_kind("session_complete")) == 1
+        assert len(bus.of_kind("round_planned")) == stats.n_multicast_rounds
+        assert len(bus.of_kind("round_complete")) == stats.n_multicast_rounds
 
     def test_round_events_match_stats(self):
-        trace = SessionTrace()
-        stats = self._run(trace)
-        completes = trace.of_kind("round_complete")
+        stats, bus = observed_session()
+        completes = bus.of_kind("round_complete")
         for event, round_stats in zip(completes, stats.rounds):
-            assert event.detail["nacks"] == round_stats.nacks_received
+            assert event["detail"]["nacks"] == round_stats.nacks_received
             assert (
-                event.detail["recovered"]
+                event["detail"]["recovered"]
                 == round_stats.users_recovered_total
             )
 
     def test_no_trace_is_fine(self):
-        stats = self._run(None)
+        stats = run_session()
         assert stats.n_multicast_rounds >= 1
 
     def test_times_monotone(self):
-        trace = SessionTrace()
-        self._run(trace)
-        times = [event.time for event in trace.events]
-        assert times == sorted(times)
+        _, bus = observed_session()
+        times = [
+            event["detail"]["sim_time"]
+            for event in bus.events
+            if "sim_time" in event["detail"]
+        ]
+        assert times and times == sorted(times)

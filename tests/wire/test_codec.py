@@ -203,6 +203,11 @@ class TestFeedback:
             decode_feedback(encode_feedback(self.make()) + tail)
 
 
+def shard_feedback(feedbacks):
+    """The SHARD_FEEDBACK payloads of ``feedbacks``, each encoded."""
+    return encode_shard_feedback([encode_feedback(f) for f in feedbacks])
+
+
 def entry(member_index, nack_blocks=0, **overrides):
     nack = None
     if nack_blocks:
@@ -262,18 +267,18 @@ class TestShardAnnounce:
 class TestShardFeedback:
     def test_round_trip(self):
         entries = [entry(i, nack_blocks=i % 3) for i in range(20)]
-        (payload,) = encode_shard_feedback(entries)
+        (payload,) = shard_feedback(entries)
         # whole-number latencies survive the float32 field exactly
         assert decode_shard_feedback(payload) == entries
 
     def test_entries_are_feedback_payloads(self):
         one = entry(1, nack_blocks=2)
-        (payload,) = encode_shard_feedback([one])
+        (payload,) = shard_feedback([one])
         assert payload[4:] == encode_feedback(one)
 
     def test_split_into_datagrams_under_the_budget(self):
         entries = [entry(i, nack_blocks=i % 4) for i in range(300)]
-        payloads = encode_shard_feedback(entries)
+        payloads = shard_feedback(entries)
         assert len(payloads) > 1
         assert all(len(p) <= SHARD_PAYLOAD_BUDGET for p in payloads)
         decoded = [f for p in payloads for f in decode_shard_feedback(p)]
@@ -281,22 +286,22 @@ class TestShardFeedback:
 
     def test_trace_and_epoch_ride_per_entry(self):
         entries = [entry(0), entry(1, epoch=5), entry(2, trace_id=7)]
-        (payload,) = encode_shard_feedback(entries)
+        (payload,) = shard_feedback(entries)
         assert decode_shard_feedback(payload) == entries
 
     def test_no_entries_no_datagram(self):
-        assert encode_shard_feedback([]) == []
+        assert shard_feedback([]) == []
 
     @pytest.mark.parametrize("cut", [1, 20, -1])
     def test_truncated_or_padded_refused(self, cut):
-        (payload,) = encode_shard_feedback([entry(1, nack_blocks=2)])
+        (payload,) = shard_feedback([entry(1, nack_blocks=2)])
         with pytest.raises(WireDecodeError):
             decode_shard_feedback(payload[:cut])
         with pytest.raises(WireDecodeError):
             decode_shard_feedback(payload + b"\x00")
 
     def test_bad_nack_tail_refused(self):
-        (payload,) = encode_shard_feedback([entry(1, nack_blocks=1)])
+        (payload,) = shard_feedback([entry(1, nack_blocks=1)])
         wire = bytearray(payload)
         wire[-2] = 0  # the request's n_parity: 0 parity is no request
         with pytest.raises(WireDecodeError):

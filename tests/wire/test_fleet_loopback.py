@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.chaos.soak import run_soak, soak_family
 from repro.cli import main
 from repro.core.config import GroupConfig
 from repro.obs.events import read_events
@@ -24,10 +25,10 @@ from repro.service.transports import make_backend
 from repro.wire.codec import (
     PACKET_SIZE_CEILING,
     Feedback,
+    encode_feedback,
     encode_shard_feedback,
 )
 from repro.wire.delivery import WireDelivery
-from repro.wire.fleet import FLEET_PLANS, resolve_plan, run_fleet
 
 #: sha256 of the canonical interval records for (smoke, seed=7).
 SMOKE_SEED7_DIGEST = (
@@ -55,7 +56,7 @@ def observed_fleet(tmp_path_factory, plan, **kwargs):
     each detail also lists the interval's window ``tries`` (announce,
     rounds, unicast acks owed), from the server's own events."""
     path = tmp_path_factory.mktemp("fleet") / "events.jsonl"
-    result = run_fleet(plan, obs_path=str(path), **kwargs)
+    result = run_soak("fleet", plan, obs_path=str(path), **kwargs)
     completes, tries = [], []
     for event in read_events(str(path)):
         kind, detail = event["kind"], event["detail"]
@@ -80,7 +81,9 @@ def worst_table_datagrams(members, blocks):
     )
     table = encode_shard_feedback(
         [
-            Feedback(i, i, False, 0, 0, "00" * 6, 0.0, nack=nack)
+            encode_feedback(
+                Feedback(i, i, False, 0, 0, "00" * 6, 0.0, nack=nack)
+            )
             for i in range(members)
         ]
     )
@@ -161,7 +164,7 @@ class TestSmokeFleet:
 
 class TestScale:
     def test_standard_plan_digest_pinned(self):
-        result = run_fleet("standard", seed=7)
+        result = run_soak("fleet", "standard", seed=7)
         assert result.failure is None, result.failure
         assert result.ok, result.to_dict()
         assert result.digest == STANDARD_SEED7_DIGEST
@@ -169,15 +172,15 @@ class TestScale:
 
 class TestDeterminism:
     def test_same_seed_same_digest(self):
-        first = run_fleet("smoke", seed=11, clients=16, intervals=2)
-        second = run_fleet("smoke", seed=11, clients=16, intervals=2)
+        first = run_soak("fleet", "smoke", seed=11, clients=16, intervals=2)
+        second = run_soak("fleet", "smoke", seed=11, clients=16, intervals=2)
         assert first.ok and second.ok
         assert first.records == second.records
         assert first.digest == second.digest
 
     def test_different_seed_different_digest(self):
-        first = run_fleet("smoke", seed=11, clients=16, intervals=2)
-        second = run_fleet("smoke", seed=12, clients=16, intervals=2)
+        first = run_soak("fleet", "smoke", seed=11, clients=16, intervals=2)
+        second = run_soak("fleet", "smoke", seed=12, clients=16, intervals=2)
         assert first.digest != second.digest
 
 
@@ -195,8 +198,8 @@ class TestWorkerMode:
         # (seed, clients, intervals) digests identically with clients
         # in-process and sharded over workers.
         sharded, _ = sharded5
-        local = run_fleet("sharded", seed=5, clients=12, intervals=2,
-                          workers=0)
+        local = run_soak("fleet", "sharded", seed=5, clients=12,
+                         intervals=2, workers=0)
         assert sharded.ok and local.ok
         assert sharded.digest == local.digest
 
@@ -312,6 +315,12 @@ class TestMalformedFeedback:
             assert wire_server.errors == []
 
 
+#: the fleet family's plans, as plain wire plans
+FLEET_PLANS = {
+    name: entry.spec for name, entry in soak_family("fleet").plans.items()
+}
+
+
 class TestPlans:
     def test_catalog(self):
         assert set(FLEET_PLANS) == {"smoke", "standard", "surge", "sharded"}
@@ -319,15 +328,25 @@ class TestPlans:
         assert FLEET_PLANS["surge"].clients == 1024
         assert FLEET_PLANS["sharded"].workers == 2
 
+    def test_fleet_plans_are_fault_free_wire_plans(self):
+        for plan in FLEET_PLANS.values():
+            assert not plan.faults.any_enabled
+            assert plan.crashes == () and plan.leader_kill_interval == 0
+
     def test_resolve_overrides(self):
-        plan = resolve_plan("smoke", clients=8, intervals=1, workers=3)
-        assert (plan.clients, plan.intervals, plan.workers) == (8, 1, 3)
+        result = run_soak(
+            "fleet", "smoke", seed=3, clients=8, intervals=1, workers=3
+        )
+        assert result.ok, result.to_dict()
+        assert (
+            result.clients, result.intervals_target, result.workers
+        ) == (8, 1, 3)
 
     def test_unknown_plan_refused(self):
-        from repro.errors import WireError
+        from repro.errors import ChaosError
 
-        with pytest.raises(WireError):
-            resolve_plan("nope")
+        with pytest.raises(ChaosError):
+            run_soak("fleet", "nope")
 
 
 class TestBackendFactory:

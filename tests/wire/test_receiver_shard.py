@@ -467,6 +467,61 @@ def spy_on_decode(monkeypatch):
     return decoded
 
 
+class TestDoneMembersRepeat:
+    def test_done_member_report_is_neither_rebuilt_nor_reencoded(
+        self, monkeypatch
+    ):
+        """A member done before round r reports round r with its round
+        r-1 report, and its shard reuses that report's encoded entry:
+        no new Feedback (no key fingerprint) and no re-encoding for the
+        rest of the interval — unless the member's epoch changes."""
+        from repro.wire import client as client_module
+
+        server, message, shard, clients = small_packet_group()
+        sent = []
+        shard._transport = RecordingSocket(sent)
+        for frame in data_frames(message):
+            shard._on_datagram(frame)
+
+        def round_end(round_no):
+            shard._on_datagram(
+                encode_frame(FrameKind.ROUND_END, 1, round_no=round_no)
+            )
+
+        round_end(1)
+        assert all(c._session.done for c in clients)
+        built, encoded = collections.Counter(), collections.Counter()
+        feedback, encode = WireClient._feedback, client_module.encode_feedback
+
+        def build_spy(client, *args):
+            built[client.member_index] += 1
+            return feedback(client, *args)
+
+        def encode_spy(report):
+            encoded[report.member_index] += 1
+            return encode(report)
+
+        monkeypatch.setattr(WireClient, "_feedback", build_spy)
+        monkeypatch.setattr(client_module, "encode_feedback", encode_spy)
+        round_end(2)
+        round_end(3)
+        assert built == {} and encoded == {}
+        reports = reports_in(sent)
+        for client in clients:
+            session = client._session
+            assert session.reports[3] is session.reports[1]
+            # the round counter still advances while done
+            assert session.transport._current_round == 4
+            index = client.member_index
+            assert reports[(index, 3)] == reports[(index, 1)]
+        # A new epoch is a new report, built and encoded once.
+        clients[0].epoch += 1
+        round_end(4)
+        assert built == {0: 1} and encoded == {0: 1}
+        assert reports_in(sent)[(0, 4)].epoch == clients[0].epoch
+        assert all(c.member.group_key == server.group_key for c in clients)
+
+
 class TestSharedDecode:
     def test_one_decode_per_covering_frame(self, monkeypatch):
         """The shard materialises a covering ENC packet once; every
