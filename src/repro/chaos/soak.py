@@ -33,8 +33,9 @@ The chaos family's single-node plans assert:
 - ``completed`` — every planned interval ran (recovery never wedged);
 - ``key-agreement`` — no member's key state disagrees with the server
   (also checked *every* interval by the daemon itself);
-- ``recovery-bounded`` — each restart resumed at most one interval
-  behind where the damage struck (the ``.prev`` fallback's worst case);
+- ``recovery-bounded`` — each restart resumed exactly where the damage
+  struck, never behind it (WAL replay re-runs every committed interval,
+  so even the ``.prev`` fallback loses none);
 - ``wal-roundtrip`` — the final WAL replays cleanly end to end;
 - ``snapshot-roundtrip`` — a fresh snapshot written at the end loads
   back byte-equivalent (same interval count, same group key).
@@ -487,8 +488,8 @@ def run_single_node(fault_plan, seed, intervals, members, state_dir, obs,
     :class:`~repro.service.daemon.DaemonCrash` also restarts it through
     recovery.  ``tally`` tracks ``restarts`` and
     ``intervals_completed`` even when the loop raises.  Returns the
-    daemon, still open, and whether every restart resumed at most one
-    interval behind where the damage struck.  The HA soak runs this
+    daemon, still open, and whether every restart resumed no interval
+    behind where the damage struck.  The HA soak runs this
     same loop with ``obs=NULL`` as its single-node key oracle.
     """
     from repro.service.daemon import DaemonCrash, RekeyDaemon
@@ -566,7 +567,7 @@ def run_single_node(fault_plan, seed, intervals, members, state_dir, obs,
                 clock=clock,
             )
             tally["restarts"] += 1
-            if daemon.server.intervals_processed < processed_before - 1:
+            if daemon.server.intervals_processed < processed_before:
                 recovery_bounded = False
     except BaseException:
         daemon.close()

@@ -46,7 +46,7 @@ never makes a fault decision.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ChaosError
 from repro.obs.recorder import NULL
@@ -312,14 +312,6 @@ class DatagramFaultInjector:
 
 # -- wire chaos plans ----------------------------------------------------
 
-#: The pinned-digest wire survivability plans (docs/robustness.md).
-WIRE_CHAOS_PLAN_NAMES = (
-    "datagram-storm",
-    "client-churn-crash",
-    "leader-kill-live",
-)
-
-
 @dataclass(frozen=True)
 class ClientCrash:
     """One scheduled client death: ``member`` (initial ordinal, i.e.
@@ -356,6 +348,7 @@ class WireChaosPlan:
     description: str = ""
 
 
+#: The pinned-digest wire survivability plans (docs/robustness.md).
 WIRE_CHAOS_PLANS = {
     "datagram-storm": WireChaosPlan(
         "datagram-storm",
@@ -414,36 +407,3 @@ WIRE_CHAOS_PLANS = {
     ),
 }
 
-
-def make_wire_plan(
-    name, clients=None, intervals=None, workers=None, seed=None
-):
-    """A :class:`WireChaosPlan` by name, with optional size overrides.
-
-    ``seed`` is accepted for symmetry with :func:`repro.chaos.plans.
-    make_plan` but ignored: wire plans are pure configurations — the
-    seed enters at run time, through the injector and the group config.
-    """
-    try:
-        plan = WIRE_CHAOS_PLANS[name]
-    except KeyError:
-        raise ChaosError(
-            "unknown wire chaos plan %r (valid: %s)"
-            % (name, ", ".join(WIRE_CHAOS_PLAN_NAMES))
-        )
-    overrides = {}
-    if clients is not None:
-        overrides["clients"] = int(clients)
-    if intervals is not None:
-        overrides["intervals"] = int(intervals)
-    if workers is not None:
-        overrides["workers"] = int(workers)
-    return replace(plan, **overrides) if overrides else plan
-
-
-def describe_wire_plans():
-    """``(name, description)`` pairs for ``--list-plans``."""
-    return [
-        (name, WIRE_CHAOS_PLANS[name].description)
-        for name in WIRE_CHAOS_PLAN_NAMES
-    ]

@@ -2,8 +2,9 @@
 
 :class:`StandbyReplica` holds a shadow :class:`GroupKeyServer` built
 from the leader's bootstrap snapshot and advanced by replaying streamed
-WAL records: each ``join``/``leave`` is queued exactly as the leader
-queued it, and each ``commit`` triggers the same end-of-interval
+WAL records through :func:`repro.service.wal.replay`, the rule crash
+recovery uses too: each ``join``/``leave`` is queued exactly as the
+leader queued it, and each ``commit`` triggers the same end-of-interval
 :meth:`rekey` the leader ran.  Because key derivation is deterministic
 in ``(seed, node id, version)`` and the marking algorithm is a pure
 function of the request set, replaying the *inputs* reproduces the
@@ -12,7 +13,8 @@ frames verify continuously, not just at promotion time.
 
 :func:`promote` is the failover step: acquire the lease (minting the
 next epoch — every write the old leader might still attempt is fenced
-from this instant), wrap the replayed server in a
+from this instant), fold in the shared WAL's durable records the
+stream had not delivered yet, wrap the replayed server in a
 :class:`~repro.service.daemon.RekeyDaemon` bound to the shared state
 directory, and resume service exactly the way crash recovery does
 (:meth:`~repro.service.daemon.RekeyDaemon.take_over`).  A replica
@@ -23,12 +25,14 @@ mode worse than staying down.
 
 from __future__ import annotations
 
+import os
+
 from repro.chaos.seams import SYSTEM_CLOCK
 from repro.core.server import GroupKeyServer
 from repro.errors import HaError, ReplicationError
 from repro.ha.digest import server_digest
 from repro.obs.recorder import NULL
-from repro.service.wal import REQUEST_OPS, replay_request
+from repro.service.wal import replay, scan_records
 
 
 class StandbyReplica:
@@ -104,17 +108,7 @@ class StandbyReplica:
                 "replication gap: expected seq %d, got %d — resubscribe "
                 "from the durable log" % (self.applied_seq + 1, seq)
             )
-        op = record["op"]
-        interval = int(record["interval"])
-        if op == "commit":
-            # The leader's end-of-interval rekey: run the identical one
-            # over the identically queued requests.
-            if self.server.intervals_processed == interval:
-                self.server.rekey()
-        elif op in REQUEST_OPS:
-            replay_request(self.server, record)
-        else:
-            raise ReplicationError("unknown WAL op %r in stream" % (op,))
+        replay(self.server, [record])
         self.applied_seq = seq
         self.leader_seq = max(self.leader_seq, seq)
         self.records_applied += 1
@@ -176,7 +170,9 @@ def promote(replica, state_dir, lease, backend=None, fleet=None,
     consults the lease as its fence) refuses with ``StaleEpochError``.
 
     Refuses (:class:`~repro.errors.HaError`) when the replica has no
-    bootstrapped state or its last digest check showed divergence.
+    bootstrapped state, its last digest check showed divergence, or the
+    shared WAL's records past ``replica.applied_seq`` cannot be folded
+    in: an acknowledged request the stream lost is never dropped.
     """
     from repro.service.daemon import DaemonConfig, RekeyDaemon
 
@@ -190,6 +186,20 @@ def promote(replica, state_dir, lease, backend=None, fleet=None,
             % replica.applied_seq
         )
     epoch = lease.acquire()
+    # The new epoch fences the old leader's appends, so the log is final
+    # from here: whatever the stream lagged behind is read off the disk.
+    records, error = scan_records(
+        os.path.join(os.fspath(state_dir), "wal.jsonl"), fs
+    )
+    if error is not None:
+        raise HaError("refusing to promote: the shared WAL is damaged "
+                      "(%s)" % error)
+    try:
+        for record in records:
+            if record["seq"] > replica.applied_seq:
+                replica.apply({"kind": "record", "record": record})
+    except ReplicationError as error:
+        raise HaError("refusing to promote: %s" % error)
     if service is None:
         service = DaemonConfig()
     service.state_dir = state_dir

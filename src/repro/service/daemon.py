@@ -18,14 +18,16 @@ and every committed interval atomically replaces the server snapshot
    ``commit`` marker.  Replay filters on the snapshot's interval
    number, so a crash between snapshot and marker changes nothing.
 
-:meth:`recover` inverts that: load the snapshot, replay the WAL suffix
-(re-queueing every request the snapshot has not consumed), and — since
-key derivation is deterministic in ``(seed, node id, version)`` — the
-re-run rekey regenerates byte-identical key material, making redelivery
-after a crash idempotent for members who already absorbed part of the
-lost interval.  Forward/backward secrecy survives because evictions are
-either in the snapshot (already rekeyed) or in the WAL (re-queued and
-rekeyed on the next interval).
+:meth:`recover` inverts that: load the snapshot and replay the WAL
+through :func:`repro.service.wal.replay` — re-run each interval the
+log shows was rekeyed since the snapshot, re-queue the requests of the
+one the crash cut short — and, since key derivation is deterministic in
+``(seed, node id, version)``, the re-run rekey regenerates
+byte-identical key material, making redelivery after a crash idempotent
+for members who already absorbed part of the lost interval.
+Forward/backward secrecy survives because evictions are either in the
+snapshot (already rekeyed) or in the WAL (re-run in their own interval,
+or re-queued and rekeyed on the next one).
 
 **Crash injection.**  A :class:`CrashPlan` raises :class:`DaemonCrash`
 (a stand-in for ``SIGKILL`` — no cleanup runs, fsynced state is all
@@ -69,7 +71,7 @@ from repro.service.wal import (
     WriteAheadLog,
     quarantine_path,
     queue_request,
-    replay_request,
+    replay,
 )
 from repro.util.retry import RetryPolicy
 from repro.util.rng import RandomSource
@@ -362,7 +364,8 @@ class RekeyDaemon:
         epoch=None,
         fence=None,
     ):
-        """Restart from ``state_dir``: snapshot load + WAL replay.
+        """Restart from ``state_dir``: snapshot load +
+        :func:`~repro.service.wal.replay` of the whole log.
 
         ``fleet`` is the surviving member population (in-process tests
         pass the pre-crash fleet — members are remote in reality and do
@@ -375,10 +378,11 @@ class RekeyDaemon:
         interval regenerates identical keys, but carried-over users
         whose serve was lost with the crash need the resync.
 
-        When requests were replayed, the next interval is a *replay
-        interval*: it processes exactly those requests (churn holds off
-        one interval) so the re-run rekey matches what a pre-crash
-        delivery may already have handed out.  With ``resync_members``
+        When replay leaves requests queued (the interval the crash cut
+        short), the next interval is a *replay interval*: it processes
+        exactly those requests (churn holds off one interval) so the
+        re-run rekey matches what a pre-crash delivery may already have
+        handed out.  With ``resync_members``
         off, callers must likewise not submit new requests before that
         interval has run.
         """
@@ -412,9 +416,7 @@ class RekeyDaemon:
         )
         daemon.metrics.bump("recoveries")
         daemon.metrics.bump("snapshot_fallbacks", snapshot_fallbacks)
-        pending = daemon.wal.pending_requests(server.intervals_processed)
-        replayed = sum(replay_request(server, record) for record in pending)
-        rejected = len(pending) - replayed
+        replayed, rejected = replay(server, daemon.wal.records())
         daemon.metrics.bump("requests_replayed", replayed)
         daemon.metrics.bump("requests_rejected", rejected)
         daemon.take_over(resync_members)

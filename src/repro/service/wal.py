@@ -21,10 +21,12 @@ log upgrades itself in place.
 
 ``interval`` is the server's ``intervals_processed`` at acceptance time,
 i.e. the interval whose end-of-interval rekey will consume the request.
-``commit`` marks that interval's rekey as durably snapshotted (it is
-observability/compaction metadata — replay filters on the *snapshot's*
-interval number, so a crash between snapshot write and commit append is
-harmless).
+``commit`` marks that interval's rekey as durably snapshotted.
+:func:`replay` is the one rule that says what the records mean: it
+skips what the restored snapshot already holds (so a crash between
+snapshot write and commit append is harmless), re-queues requests, and
+re-runs each interval the writer rekeyed, so a snapshot one generation
+back (``server.json.prev``) replays interval by interval.
 
 A torn tail — a final line cut short by the crash — is expected and
 dropped; torn or out-of-sequence records anywhere *else* mean real
@@ -201,20 +203,48 @@ def queue_request(server, op, user):
         server.request_leave(user)
 
 
-def replay_request(server, record):
-    """Re-queue a logged request; ``False`` when the server refuses it.
+def replay(server, records):
+    """Fold logged records into ``server``; returns ``(replayed, rejected)``.
 
-    A refusal is never fatal on replay: a leave whose join it cancels
-    may itself have been replayed into a cancellation (the pair nets
-    out, on the writer too), or an overlapping trace repeats a request.
-    Crash recovery and the standby's stream replay share this rule, so
-    both rebuild the writer's request queue exactly.
+    The one reading of the log: crash recovery, the standby's stream and
+    promotion all go through it.  Records are walked in log order:
+
+    - a record of an interval below ``server.intervals_processed`` is
+      skipped, because its effect is already in the state;
+    - a ``join``/``leave`` is re-queued; one the server refuses is
+      counted, never fatal (a leave whose join it cancels may itself
+      have been replayed into a cancellation, or an overlapping trace
+      repeats a request);
+    - a ``commit`` of the server's current interval re-runs that
+      interval's :meth:`~repro.core.server.GroupKeyServer.rekey`, and so
+      does a record of a later interval: the writer only moves to the
+      next interval by rekeying, and a failed snapshot logs no commit.
+
+    So each logged interval is rekeyed as the batch the writer rekeyed,
+    never merged with the next one: key derivation is a function of tree
+    state, and a merged batch would mint the bytes the writer delivered
+    for a different member set.  ``replayed``/``rejected`` count the
+    request records re-queued and refused.
     """
-    try:
-        queue_request(server, record["op"], record["user"])
-    except ReproError:
-        return False
-    return True
+    replayed = rejected = 0
+    for record in records:
+        op, interval = record["op"], int(record["interval"])
+        if op not in _ALL_OPS:
+            raise WalError("unknown WAL op %r" % (op,))
+        if interval < server.intervals_processed:
+            continue
+        while server.intervals_processed < interval:
+            server.rekey()
+        if op == "commit":
+            server.rekey()
+            continue
+        try:
+            queue_request(server, op, record["user"])
+        except ReproError:
+            rejected += 1
+        else:
+            replayed += 1
+    return replayed, rejected
 
 
 class WriteAheadLog:
@@ -412,20 +442,6 @@ class WriteAheadLog:
         if error is not None:
             raise error
         return records
-
-    def pending_requests(self, since_interval):
-        """Replayable requests: those the snapshot has not consumed.
-
-        Returns the ``join``/``leave`` records whose ``interval`` is at
-        least ``since_interval`` (the restored server's
-        ``intervals_processed``), in acceptance order.
-        """
-        return [
-            record
-            for record in self.records()
-            if record["op"] in REQUEST_OPS
-            and record["interval"] >= since_interval
-        ]
 
     def compact(self, before_interval):
         """Atomically drop records older than ``before_interval``.

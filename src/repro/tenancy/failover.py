@@ -179,21 +179,3 @@ def promote_all(
             obs.count("tenancy_digest_mismatches", tenant=name)
     return daemon, report
 
-
-def committed_intervals(state_root, name, fs=None):
-    """The set of interval numbers with durable commit markers in one
-    tenant's WAL — the zero-interval-lost witness."""
-    from repro.service.wal import scan_records
-
-    fs = fs if fs is not None else REAL_FILESYSTEM
-    from repro.tenancy.daemon import tenant_state_dir
-
-    wal_path = os.path.join(
-        tenant_state_dir(state_root, name), "wal.jsonl"
-    )
-    records, _ = scan_records(wal_path, fs=fs)
-    return {
-        int(record["interval"])
-        for record in records
-        if record.get("op") == "commit"
-    }

@@ -2,8 +2,7 @@
 
 ``run_soak("wire", plan)`` (:mod:`repro.chaos.soak`) drives the real
 asyncio UDP wire plane through one of the pinned-digest survivability
-plans
-(:data:`~repro.chaos.wire_faults.WIRE_CHAOS_PLAN_NAMES`):
+plans (:data:`~repro.chaos.wire_faults.WIRE_CHAOS_PLANS`):
 
 - ``datagram-storm`` — every fault family of the
   :class:`~repro.chaos.wire_faults.DatagramFaultInjector` at once,
@@ -45,7 +44,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.chaos.soak import SoakFamily, SoakPlan, agreement_ok
-from repro.chaos.wire_faults import WIRE_CHAOS_PLAN_NAMES, make_wire_plan
+from repro.chaos.wire_faults import WIRE_CHAOS_PLANS
 from repro.errors import ChaosError, ReproError
 from repro.obs.events import HA_EVENT_KINDS
 
@@ -146,7 +145,7 @@ def run_single(soak, label="wire-chaos"):
     ``client-churn-crash`` and every fleet plan: the injector and/or
     scripted client deaths when the plan has them, liveness evictions
     feeding the leave intake.  The backend's per-interval records land
-    in ``soak.result.records``."""
+    in ``soak.result.records``; returns the daemon's interval metrics."""
     from repro.chaos.wire_faults import DatagramFaultInjector
     from repro.service.daemon import DaemonConfig
     from repro.wire.delivery import WireDelivery
@@ -256,6 +255,7 @@ def run_single(soak, label="wire-chaos"):
             )
         else:
             invariants["no-member-lost"] = not backend.dead_members
+        return daemon.metrics.intervals
     finally:
         tally["intervals_completed"] = daemon.server.intervals_processed
         soak.result.records = list(backend.records)
@@ -381,10 +381,7 @@ def wire_plan(spec):
 
 SOAK_FAMILY = SoakFamily(
     command="wire-chaos-soak",
-    plans={
-        name: wire_plan(make_wire_plan(name))
-        for name in WIRE_CHAOS_PLAN_NAMES
-    },
+    plans={name: wire_plan(spec) for name, spec in WIRE_CHAOS_PLANS.items()},
     kinds=WIRE_TIMELINE_KINDS,
     ordered=False,
     invariant_event="wire_chaos_invariant",

@@ -19,12 +19,11 @@ from repro.util import canonical_digest
 from repro.wire.chaos import WIRE_TIMELINE_KINDS
 
 #: sha256 of the canonical fault timeline for (standard, seed=7).
-#: Re-pinned when KeyTree.from_records stopped seeding version counters
-#: from node records (restore is now a faithful round-trip): snapshots
-#: written after a recovery serialise slightly differently, which moves
-#: the plan RNG's byte-flip offsets.
+#: Last re-pinned when WAL replay began re-running committed intervals:
+#: the ``recovery`` after the ``.prev`` fallback now resumes at interval
+#: 9 with no replay interval, instead of merging two batches at 8.
 STANDARD_SEED7_DIGEST = (
-    "7a1eb3a936a7a660c08c350ec0c5eaf1d3aded6486cef6e792f08c05244515e2"
+    "656797bef5c55b89debde43a5f1899eebf7f1cda2c5d48b2c5a6c912a9a7ea14"
 )
 
 #: sha256 of the canonical fault timelines of the other plans at seed 7
@@ -34,7 +33,7 @@ PINNED = {
         "fbaa38210ed4e66ad3e716b2ce1d79ee84c46b70767ab9e90f81ef14fe4c46be"
     ),
     "storage-corruptor": (
-        "31953851efbdc3f7e0ad27b08636a9548f8366d06fef67e4839fb65a4d3852a9"
+        "3580bb84f8c2fbeb0cec4ac993256baa6a3fa8b3982dfa86a0a4cd30fb01964b"
     ),
     "feedback-abuse": (
         "e3146179f980db3a3c156a44b07dbc25cb9f71ead51dc290729f5fac40d8e2ec"

@@ -10,16 +10,14 @@ a member happens to live in.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos.soak import run_soak, soak_family
 from repro.chaos.wire_faults import (
-    WIRE_CHAOS_PLAN_NAMES,
     WIRE_CHAOS_PLANS,
     ClientCrash,
     DatagramFaultInjector,
     WireChaosPlan,
     WireFaultParams,
     corrupt_frame,
-    describe_wire_plans,
-    make_wire_plan,
 )
 from repro.errors import ChaosError, WireDecodeError
 from repro.util import canonical_digest, canonical_json
@@ -187,21 +185,25 @@ class TestFaultMechanics:
 
 class TestWirePlans:
     def test_registry_names_match(self):
-        assert set(WIRE_CHAOS_PLANS) == set(WIRE_CHAOS_PLAN_NAMES)
+        plans = soak_family("wire").plans
+        assert list(plans) == list(WIRE_CHAOS_PLANS)
+        for name, entry in plans.items():
+            assert entry.spec is WIRE_CHAOS_PLANS[name]
+            assert entry.sizes == {
+                "clients": entry.spec.clients,
+                "intervals": entry.spec.intervals,
+                "workers": entry.spec.workers,
+            }
 
     def test_describe_covers_every_plan(self):
-        names = [name for name, _ in describe_wire_plans()]
-        assert names == list(WIRE_CHAOS_PLAN_NAMES)
-
-    def test_make_plan_overrides(self):
-        plan = make_wire_plan("datagram-storm", clients=8, intervals=2)
-        assert plan.clients == 8
-        assert plan.intervals == 2
-        assert plan.faults.any_enabled
+        """What ``wire-chaos-soak --list-plans`` prints."""
+        for name, entry in soak_family("wire").plans.items():
+            assert entry.description == WIRE_CHAOS_PLANS[name].description
+            assert entry.description
 
     def test_unknown_plan_refused(self):
-        with pytest.raises(ChaosError):
-            make_wire_plan("no-such-plan")
+        with pytest.raises(ChaosError, match="unknown wire-chaos-soak"):
+            run_soak("wire", "no-such-plan")
 
     def test_leader_kill_plan_shape(self):
         plan = WIRE_CHAOS_PLANS["leader-kill-live"]

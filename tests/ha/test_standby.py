@@ -163,3 +163,68 @@ class TestPromote:
             assert promoted.server.intervals_processed == 3
         finally:
             promoted.close()
+
+    def test_lagging_stream_promotes_without_reminting(self, leader, tmp_path):
+        """The stream lost interval 2's last join record; the joiner
+        already holds the key that interval delivered.  Promotion folds
+        in the shared WAL past ``applied_seq``, so the new leader runs
+        the same batch and mints no key a non-member holds."""
+        daemon, publisher, config = leader
+        link, replica = follow(daemon, publisher, config)
+        for _ in range(2):
+            daemon.run_interval()
+            replica.apply_frames(link.poll())
+        daemon.run_interval()
+        payloads = link.poll()
+        joins = [
+            index
+            for index, payload in enumerate(payloads)
+            if payload["kind"] == "record"
+            and payload["record"]["op"] == "join"
+        ]
+        assert joins, "interval 2 must accept a join for the probe"
+        replica.apply_frames(payloads[: joins[-1]])
+        lost = payloads[joins[-1]]["record"]["user"]
+        assert lost in daemon.fleet.members
+        held = {
+            name: member.group_key.material
+            for name, member in daemon.fleet.members.items()
+        }
+        daemon.close()
+        promoted = promote(
+            replica,
+            str(tmp_path / "state"),
+            Lease(tmp_path / "lease.json", "standby"),
+            backend=SessionDelivery(config, seed=4),
+            fleet=daemon.fleet,
+            churn=PoissonChurn(alpha=0.3),
+            seed=3,
+        )
+        try:
+            promoted.run_interval()
+            key = promoted.server.group_key.material
+            outsiders = [
+                name
+                for name, material in held.items()
+                if material == key and name not in promoted.server.users
+            ]
+            assert outsiders == []
+            assert lost in promoted.server.users
+            promoted.fleet.check_agreement(promoted.server)
+        finally:
+            promoted.close()
+
+    def test_promote_refuses_a_damaged_shared_wal(self, leader, tmp_path):
+        daemon, publisher, config = leader
+        link, replica = follow(daemon, publisher, config)
+        daemon.run_interval()
+        replica.apply_frames(link.poll())
+        daemon.run_interval()  # never streamed
+        daemon.close()
+        wal_path = tmp_path / "state" / "wal.jsonl"
+        lines = wal_path.read_bytes().split(b"\n")
+        lines[1] = b"{garbage" + lines[1]
+        wal_path.write_bytes(b"\n".join(lines))
+        lease = Lease(tmp_path / "lease.json", "standby")
+        with pytest.raises(HaError, match="shared WAL is damaged"):
+            promote(replica, str(tmp_path / "state"), lease)

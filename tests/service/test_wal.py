@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.core import GroupConfig
+from repro.core.server import GroupKeyServer
 from repro.errors import WalError
-from repro.service.wal import WriteAheadLog, read_records
+from repro.service.wal import WriteAheadLog, read_records, replay
 
 
 def make_log(tmp_path, records=()):
@@ -91,6 +93,13 @@ class TestTornTail:
         assert read_records(tmp_path / "absent.jsonl") == []
 
 
+def server_at(interval, users=("a", "x")):
+    """A key server whose snapshot stands at ``interval``."""
+    server = GroupKeyServer(list(users), config=GroupConfig(seed=5))
+    server.intervals_processed = interval
+    return server
+
+
 class TestPendingAndCompaction:
     def test_pending_filters_consumed_intervals(self, tmp_path):
         wal = make_log(
@@ -102,12 +111,56 @@ class TestPendingAndCompaction:
                 ("leave", "a", 1),
             ],
         )
-        pending = wal.pending_requests(since_interval=1)
-        assert [(r["op"], r["user"]) for r in pending] == [
-            ("join", "b"),
-            ("leave", "a"),
-        ]
-        assert wal.pending_requests(since_interval=2) == []
+        server = server_at(1)
+        assert replay(server, wal.records()) == (2, 0)
+        assert server.pending_requests == (["b"], ["a"])
+        assert server.intervals_processed == 1
+        server = server_at(2)
+        assert replay(server, wal.records()) == (0, 0)
+        assert server.pending_requests == ([], [])
+
+    def test_commit_reruns_its_interval(self, tmp_path):
+        """A commit of the snapshot's interval re-runs that interval's
+        rekey as its own batch; the next interval's requests queue."""
+        wal = make_log(
+            tmp_path,
+            [
+                ("join", "a", 0),
+                ("commit", None, 0),
+                ("join", "b", 1),
+                ("leave", "a", 1),
+            ],
+        )
+        server = server_at(0, users=("x",))
+        assert replay(server, wal.records()) == (3, 0)
+        assert server.intervals_processed == 1
+        assert server.users == {"a", "x"}
+        assert server.pending_requests == (["b"], ["a"])
+        writer = server_at(0, users=("x",))
+        writer.request_join("a")
+        writer.rekey()
+        assert server.group_key.material == writer.group_key.material
+
+    def test_a_later_interval_closes_an_uncommitted_one(self, tmp_path):
+        """A failed snapshot logs no commit, but the writer rekeyed the
+        interval before it logged the next one's requests."""
+        wal = make_log(tmp_path, [("join", "a", 0), ("join", "b", 1)])
+        server = server_at(0, users=("x",))
+        assert replay(server, wal.records()) == (2, 0)
+        assert server.intervals_processed == 1
+        assert server.users == {"a", "x"}
+        assert server.pending_requests == (["b"], [])
+
+    def test_refused_request_is_counted_not_fatal(self, tmp_path):
+        wal = make_log(tmp_path, [("leave", "nobody", 0), ("join", "b", 0)])
+        server = server_at(0)
+        assert replay(server, wal.records()) == (1, 1)
+        assert server.pending_requests == (["b"], [])
+
+    def test_unknown_op_refused(self):
+        record = {"seq": 0, "op": "evict", "interval": 0, "user": "a"}
+        with pytest.raises(WalError):
+            replay(server_at(0), [record])
 
     def test_compact_preserves_replay_set(self, tmp_path):
         wal = make_log(
@@ -118,10 +171,15 @@ class TestPendingAndCompaction:
                 ("join", "b", 1),
             ],
         )
-        before = wal.pending_requests(since_interval=1)
+        before = server_at(1)
+        replay(before, wal.records())
         dropped = wal.compact(before_interval=1)
         assert dropped == 2
-        assert wal.pending_requests(since_interval=1) == before
+        after = server_at(1)
+        replay(after, wal.records())
+        assert after.pending_requests == before.pending_requests == (
+            ["b"], []
+        )
         # appends still work after compaction, sequence unbroken
         wal.append_request("leave", "b", 1)
         seqs = [r["seq"] for r in wal.records()]

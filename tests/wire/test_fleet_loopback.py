@@ -376,6 +376,13 @@ class TestCli:
         assert "all invariants green" in output
         assert "fleet digest:" in output
 
+    def test_interval_with_nothing_to_rekey_is_green(self):
+        """One client and no churn: the interval's message is empty, so
+        the wire carries nothing and leaves no backend record."""
+        code, output = run_cli("fleet", "--clients", "1", "--intervals", "1")
+        assert code == 0, output
+        assert "all invariants green" in output
+
     def test_digest_mismatch_exits_3(self):
         code, output = run_cli(
             "fleet", "--clients", "8", "--intervals", "1", "--seed", "3",
