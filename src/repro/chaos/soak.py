@@ -213,6 +213,9 @@ class SoakResult:
     #: runs with one daemon; the fleet family's digest input)
     records: list = field(default_factory=list)
     digest: str = ""
+    #: events the bus's ring dropped before the timeline was read (the
+    #: timeline is complete only at 0); reported, never digested
+    events_dropped: int = 0
     #: the terminal diagnostic, when the run could not finish
     failure: object = None
 
@@ -238,6 +241,7 @@ class SoakResult:
             **copy.deepcopy(self.counters),
             "invariants": dict(self.invariants),
             "digest": self.digest,
+            "events_dropped": self.events_dropped,
             "failure": None if self.failure is None else str(self.failure),
             "ok": self.ok,
         }
@@ -407,6 +411,7 @@ def run_soak(family, plan, seed=7, log=None, obs_path=None, obs_dir=None,
         result.timeline = canonical_timeline(
             bus.events, family.kinds, family.ordered
         )
+        result.events_dropped = bus.dropped
         result.digest = canonical_digest(getattr(result, family.digest_of))
         if family.complete_event and family.complete_after_digest:
             obs.emit(family.complete_event, digest=result.digest,

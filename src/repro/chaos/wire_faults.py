@@ -3,8 +3,9 @@
 The wire plane's loss model (:mod:`repro.wire.loss`) is deliberately
 polite: it only ever drops ``DATA`` frames, because the pinned fleet
 digests need the control exchanges intact.  Real networks are not
-polite.  :class:`DatagramFaultInjector` mangles *any* frame — control
-frames are fair game — with five fault families:
+polite.  :class:`DatagramFaultInjector` mangles *any* datagram the
+server's socket sends or receives — control frames are fair game — with
+five fault families:
 
 - **corrupt** — flip a bit in the frame envelope so the receiver's
   ``decode_frame`` refuses the datagram (``WireDecodeError``).  The
@@ -13,34 +14,45 @@ frames are fair game — with five fault families:
   of retrying repairs; envelope damage is always detected, so the fault
   exercises the decode-error path and degrades to a deterministic drop.
 - **duplicate** — the datagram is delivered twice (receivers must
-  deduplicate: the server's aggregation windows by member, the client
-  by slot).
+  deduplicate: the server's aggregation windows by member, a receiver
+  shard by slot).
 - **reorder** — a multicast ``DATA`` frame is held back and released
-  *after* the next frame to the same member, or at the round-boundary
-  flush — never across a round, so the round's feedback still reflects
-  the same packet set and the protocol facts stay deterministic.
-- **delay** — a *control* frame (ANNOUNCE / ROUND_END / unicast / the
-  feedback path) is delivered late.  Control exchanges are
-  retried-against-cached-state, so lateness costs retries, never
-  correctness; ``DATA`` frames are exempt because a late one crossing a
-  round boundary would make the NACK trajectory timing-dependent.
-- **blackout** — a chosen ``(member, interval)`` loses the *first* copy
-  of every frame in both directions: one member goes dark for one
+  *after* the next frame to the same destination, or at the
+  round-boundary flush — never across a round, so the round's feedback
+  still reflects the same packet set and the protocol facts stay
+  deterministic.
+- **delay** — a *control* frame (``SHARD_ANNOUNCE`` / ``ROUND_END`` /
+  unicast / the feedback path) is delivered late.  Control exchanges
+  are retried-against-cached-state, so lateness costs retries, never
+  correctness; multicast ``DATA`` frames are exempt because a late one
+  crossing a round boundary would make the NACK trajectory
+  timing-dependent.
+- **blackout** — a chosen ``(destination, interval)`` loses the *first*
+  copy of every frame in both directions: one receiver shard (with every
+  member it hosts) or one member's own socket goes dark for one
   interval and must ride the announce-barrier and round retries back
   in.
 
+**Destinations.**  Each decision is keyed on the datagram's destination
+as the wire addresses it.  The group frames (``SHARD_ANNOUNCE``,
+multicast ``DATA``, ``ROUND_END``, and ``SHARD_FEEDBACK`` on the way
+back) belong to a receiver shard, named ``shard-<i>`` after the first
+member subscribed to it (never its ephemeral port); ``REGISTER``, the
+USR frames and their ``FEEDBACK`` acks to one member (``member-<i>``).
+A damaged shard datagram hits every member the shard hosts, as a
+damaged multicast datagram hits every receiver on a host.
+
 **Determinism.**  Every decision is a pure function of ``(seed,
-direction, member, frame kind, interval, round, slot)`` — a keyed hash
-compared against the plan's rates — and drop-like faults apply only to
-the *first* occurrence of a coordinate.  Retransmissions reuse the
+direction, destination, frame kind, interval, round, slot)`` — a keyed
+hash compared against the plan's rates; a shard's control frames number
+their fragments in ``slot`` — and drop-like faults apply only to the
+*first* occurrence of a coordinate.  Retransmissions reuse the
 coordinates of the frame they repeat, so retries always get through,
 the run converges, and how *many* retries the scheduler needed never
-enters the fault record.  The timeline of first applications, sorted (receive-side ones land in
-socket-arrival order, which the scheduler owns), is therefore identical
-for the same ``(plan, seed)`` on any machine and under any worker
-placement: the
-injector lives in the server process, and the client side of the fleet
-never makes a fault decision.
+enters the fault record.  The timeline of first applications, sorted
+(receive-side ones land in socket-arrival order, which the scheduler
+owns), is therefore identical for the same ``(plan, seed)`` on any
+machine: the injector lives in the server process.
 """
 
 from __future__ import annotations
@@ -94,14 +106,6 @@ class WireFaultParams:
         )
 
 
-@dataclass(frozen=True)
-class SendPlan:
-    """What to do with one outgoing datagram: each entry is
-    ``(wire_bytes, delay_seconds)``; an empty list is a drop."""
-
-    sends: tuple = ()
-
-
 def corrupt_frame(data):
     """Deterministically damage a frame's envelope (see module docs:
     the magic byte, so the receiver always detects the damage)."""
@@ -110,13 +114,25 @@ def corrupt_frame(data):
     return bytes([data[0] ^ 0x40]) + bytes(data[1:])
 
 
+def _destination(frame, index):
+    """The label ``frame``'s faults are keyed on: ``member-<index>`` for
+    ``REGISTER``, ``FEEDBACK`` and the unicast USR frames, and
+    ``shard-<index>`` (``index`` = the shard's coordinate) for the group
+    frames."""
+    member = (
+        frame.kind in (codec.FrameKind.REGISTER, codec.FrameKind.FEEDBACK)
+        or frame.round_no == codec.UNICAST_ROUND
+    )
+    return ("member-%d" if member else "shard-%d") % index
+
+
 class DatagramFaultInjector:
     """The wire transport's fault seam (one per server).
 
-    The server routes every outgoing datagram through
-    :meth:`plan_send`, every incoming one through :meth:`plan_recv`,
-    and calls :meth:`flush` at each window boundary so held (reordered)
-    frames never cross a round.
+    The server routes every outgoing datagram through :meth:`plan_send`
+    with its destination's index, every incoming one through
+    :meth:`plan_recv`, and calls :meth:`flush` at each window boundary
+    so held (reordered) frames never cross a round.
     """
 
     def __init__(self, params, seed, obs=NULL):
@@ -129,7 +145,8 @@ class DatagramFaultInjector:
         #: per-family totals of *applied* (first-occurrence) faults
         self.applied = {}
         self._seen = {}  # coordinate -> occurrence count
-        self._held = {}  # member_index -> [wire bytes] (reorder cells)
+        #: destination label -> (its index, [held wire bytes])
+        self._held = {}
         self._recorded = set()
 
     def bind(self, obs):
@@ -150,10 +167,10 @@ class DatagramFaultInjector:
     def _hits(self, fault, rate, *coords):
         return rate > 0.0 and self._draw(fault, *coords) < rate
 
-    def blacked_out(self, member_index, interval):
-        """Whether ``(member, interval)`` is inside a burst blackout."""
+    def blacked_out(self, destination, interval):
+        """Whether ``(destination, interval)`` is inside a blackout."""
         return self._hits(
-            "blackout", self.params.blackout_rate, member_index, interval
+            "blackout", self.params.blackout_rate, destination, interval
         )
 
     def _occurrence(self, coord):
@@ -171,13 +188,13 @@ class DatagramFaultInjector:
         self.obs.count("wire_chaos_fault_total", fault=fault)
         self.obs.emit("wire_chaos_fault", **entry)
 
-    def _record_frame(self, fault, direction, member_index, frame):
+    def _record_frame(self, fault, direction, destination, frame):
         self._record(
             fault,
             {
                 "fault": fault,
                 "direction": direction,
-                "member": member_index,
+                "dest": destination,
                 "frame": frame.kind.name,
                 "interval": frame.interval,
                 "round": frame.round_no,
@@ -185,129 +202,121 @@ class DatagramFaultInjector:
             },
         )
 
-    def _record_blackout(self, member_index, interval):
-        # One record per darkened (member, interval), whichever
+    def _record_blackout(self, destination, interval):
+        # One record per darkened (destination, interval), whichever
         # direction notices first — the decision itself has no
         # direction, so the record must not either.
         self._record(
             "blackout",
             {
                 "fault": "blackout",
-                "member": member_index,
+                "dest": destination,
                 "interval": interval,
             },
-            key=("blackout", member_index, interval),
+            key=("blackout", destination, interval),
         )
 
-    # -- the send path ---------------------------------------------------
-
-    def plan_send(self, member_index, data):
-        """Fault-plan one outgoing datagram to ``member_index``."""
-        frame = codec.decode_frame(data)
+    def _plan(self, direction, destination, frame, wire):
+        """The faults of one datagram: ``(wires, delay, hold)``, where
+        ``wires`` is what to deliver (``()`` for a drop) — now, or after
+        the next frame to the destination when ``hold``."""
         params = self.params
         coord = (
-            "send",
-            member_index,
+            direction,
+            destination,
             int(frame.kind),
             frame.interval,
             frame.round_no,
             frame.slot,
         )
-        first = self._occurrence(coord) == 0
-        if first and self.blacked_out(member_index, frame.interval):
-            self._record_blackout(member_index, frame.interval)
-            return SendPlan(tuple(self._release(member_index)))
-        wire = data
-        if first and self._hits("corrupt", params.corrupt_rate, *coord):
+        if self._occurrence(coord):
+            return (wire,), 0.0, False
+        if self.blacked_out(destination, frame.interval):
+            self._record_blackout(destination, frame.interval)
+            return (), 0.0, False
+        if self._hits("corrupt", params.corrupt_rate, *coord):
             wire = corrupt_frame(wire)
-            self._record_frame("corrupt", "send", member_index, frame)
+            self._record_frame("corrupt", direction, destination, frame)
         multicast_data = (
             frame.kind == codec.FrameKind.DATA
             and frame.round_no != codec.UNICAST_ROUND
         )
-        if (
-            first
-            and multicast_data
-            and self._hits("reorder", params.reorder_rate, *coord)
-        ):
-            self._record_frame("reorder", "send", member_index, frame)
-            self._held.setdefault(member_index, []).append(wire)
-            return SendPlan(())
+        if multicast_data and direction == "send":
+            if self._hits("reorder", params.reorder_rate, *coord):
+                self._record_frame("reorder", direction, destination, frame)
+                return (wire,), 0.0, True
         delay = 0.0
         if (
-            first
-            and not multicast_data
+            not multicast_data
+            and direction == "send"
             and self._hits("delay", params.delay_rate, *coord)
         ):
             delay = params.delay_seconds
-            self._record_frame("delay", "send", member_index, frame)
-        sends = [(wire, delay)]
-        if first and self._hits(
-            "duplicate", params.duplicate_rate, *coord
-        ):
-            sends.append((wire, delay))
-            self._record_frame("duplicate", "send", member_index, frame)
-        sends.extend(self._release(member_index))
-        return SendPlan(tuple(sends))
+            self._record_frame("delay", direction, destination, frame)
+        wires = (wire,)
+        if self._hits("duplicate", params.duplicate_rate, *coord):
+            wires = (wire, wire)
+            self._record_frame("duplicate", direction, destination, frame)
+        return wires, delay, False
 
-    def _release(self, member_index):
-        """Held frames for ``member_index``, ready to send (delay 0)."""
-        held = self._held.pop(member_index, None)
-        if not held:
+    # -- the send path ---------------------------------------------------
+
+    def plan_send(self, index, data):
+        """Fault-plan one outgoing datagram to ``index``: the receiver
+        shard's coordinate for a group frame, the member's index for
+        the rest (see :func:`_destination`).  Returns what to send, as
+        ``[(wire_bytes, delay_seconds), ...]``; empty is a drop."""
+        frame = codec.decode_frame(data)
+        destination = _destination(frame, index)
+        wires, delay, hold = self._plan("send", destination, frame, data)
+        if hold:
+            self._held.setdefault(destination, (index, []))[1].extend(wires)
             return []
+        sends = [(wire, delay) for wire in wires]
+        sends.extend(self._release(destination))
+        return sends
+
+    def _release(self, destination):
+        """Held frames for ``destination``, ready to send (delay 0)."""
+        _, held = self._held.pop(destination, (None, ()))
         return [(wire, 0.0) for wire in held]
 
     def flush(self):
         """Release every held frame — called at window boundaries so a
-        reordered frame never leaks into the next round.  Returns
-        ``[(member_index, wire_bytes), ...]`` for the server to send."""
-        releases = []
-        for member_index in sorted(self._held):
-            for wire in self._held[member_index]:
-                releases.append((member_index, wire))
+        reordered frame never leaks into the next round.  Only multicast
+        ``DATA`` is ever held, so this returns ``[(shard coordinate,
+        wire_bytes), ...]`` for the server to send."""
+        releases = [
+            (index, wire)
+            for _, (index, held) in sorted(self._held.items())
+            for wire in held
+        ]
         self._held.clear()
         return releases
 
     # -- the receive path ------------------------------------------------
 
-    def plan_recv(self, data):
+    def plan_recv(self, data, shard=None):
         """Fault-plan one incoming datagram; returns the list of
-        datagrams the server should process (empty = swallowed)."""
+        datagrams the server should process (empty = swallowed).
+        ``shard`` is the coordinate of the receiver shard at the
+        datagram's source address (``None``: no shard sent it)."""
         try:
             frame = codec.decode_frame(data)
-        except ChaosError:  # pragma: no cover - decode never raises this
-            return [data]
         except Exception:
             # Already-garbage input: pass it through untouched so the
             # server's decode-error accounting sees it exactly once.
             return [data]
-        member_index = codec.peek_member_index(frame)
-        if member_index is None:
+        if frame.kind is codec.FrameKind.SHARD_FEEDBACK:
+            index = shard
+        else:
+            index = codec.peek_member_index(frame)
+        if index is None:
             return [data]
-        params = self.params
-        coord = (
-            "recv",
-            member_index,
-            int(frame.kind),
-            frame.interval,
-            frame.round_no,
-            frame.slot,
+        wires, _, _ = self._plan(
+            "recv", _destination(frame, index), frame, data
         )
-        first = self._occurrence(coord) == 0
-        if first and self.blacked_out(member_index, frame.interval):
-            self._record_blackout(member_index, frame.interval)
-            return []
-        wire = data
-        if first and self._hits("corrupt", params.corrupt_rate, *coord):
-            wire = corrupt_frame(wire)
-            self._record_frame("corrupt", "recv", member_index, frame)
-        out = [wire]
-        if first and self._hits(
-            "duplicate", params.duplicate_rate, *coord
-        ):
-            out.append(wire)
-            self._record_frame("duplicate", "recv", member_index, frame)
-        return out
+        return list(wires)
 
 
 # -- wire chaos plans ----------------------------------------------------
@@ -355,12 +364,12 @@ WIRE_CHAOS_PLANS = {
         clients=32,
         intervals=4,
         faults=WireFaultParams(
-            corrupt_rate=0.10,
-            duplicate_rate=0.10,
-            reorder_rate=0.08,
-            delay_rate=0.08,
+            corrupt_rate=0.25,
+            duplicate_rate=0.25,
+            reorder_rate=0.25,
+            delay_rate=0.40,
             delay_seconds=0.002,
-            blackout_rate=0.05,
+            blackout_rate=0.40,
         ),
         nack_window_seconds=0.15,
         description=(

@@ -172,19 +172,29 @@ class LeaderPublisher:
         """Attach a follower link and bootstrap it.
 
         With ``server`` given, bootstrap is a full state snapshot (the
-        fresh-standby path); otherwise the WAL suffix from
-        ``since_seq`` is replayed (the reconnect path).
+        fresh-standby path) followed by the logged records of the
+        server's current interval, which the snapshot leaves out and
+        :func:`~repro.service.wal.replay` re-queues, as crash recovery
+        does; otherwise the WAL suffix from ``since_seq`` is replayed
+        (the reconnect path).
         """
         self.links.append(link)
         link.send({"kind": "hello", "epoch": self.epoch,
                    "last_seq": self.last_seq})
         if server is not None:
+            queued = [
+                record for record in self.wal.records()
+                if record["interval"] >= server.intervals_processed
+            ] if self.wal is not None else []
+            seq = queued[0]["seq"] - 1 if queued else self.last_seq
             link.send({
                 "kind": "snapshot",
                 "epoch": self.epoch,
                 "state": server.snapshot(),
-                "wal_seq": self.last_seq,
+                "wal_seq": seq,
             })
+            for record in queued:
+                link.send({"kind": "record", "record": record})
         elif self.wal is not None:
             self.catch_up(link, since_seq)
         return link

@@ -220,6 +220,8 @@ class EventBus:
         self.clock = clock
         self.events = []
         self._keep = int(keep)
+        #: events trimmed off the ring's head to stay within ``keep``
+        self.dropped = 0
         self._context = {}
         self.line_buffered = bool(line_buffered)
         self._handle = open(path, "w") if path else None
@@ -249,7 +251,9 @@ class EventBus:
         }
         self.events.append(record)
         if len(self.events) > self._keep:
-            del self.events[: len(self.events) - self._keep]
+            excess = len(self.events) - self._keep
+            del self.events[:excess]
+            self.dropped += excess
         if self._handle is not None:
             self._handle.write(json.dumps(record, sort_keys=True) + "\n")
             if self.line_buffered:

@@ -5,12 +5,12 @@ connected to the server, a registration loop that retries until the
 server has the address, and per-interval receiver state driven by the
 frames defined in :mod:`repro.wire.codec`.
 
-The member's own socket carries ``REGISTER`` and its ack and the
-unicast USR frames of the deadline phase.  Everything else goes through
-a :class:`ReceiverShard`: one socket per client process that speaks for
-its hosted members both ways, the way a multicast host receives each
-datagram once and a NACK-only receiver reports only what its server
-needs.
+The member's own socket carries only ``REGISTER`` and its ack and the
+unicast USR frames of the deadline phase (and their ``FEEDBACK`` acks).
+Everything else goes through a :class:`ReceiverShard`: one socket per
+client process that speaks for its hosted members both ways, the way a
+multicast host receives each datagram once and a NACK-only receiver
+reports only what its server needs.
 
 - **Down.**  One ``SHARD_ANNOUNCE`` carries the interval's ANNOUNCE and
   the shard's roster (member indices and served bits).  ``DATA`` and
@@ -31,9 +31,9 @@ hands the same :class:`~repro.rekey.packets.EncPacket` to every other
 covered member; and it builds the interval's shared-uplink loss chain
 once (:class:`~repro.wire.loss.SharedUplink`).  Each hosted member still
 samples its own receiver loss and runs its own crash and epoch checks,
-so placement never changes the protocol.  Under a datagram fault seam
-the server keeps every frame member-addressed, and the member's socket
-handles ANNOUNCE, DATA, ROUND_END and its own FEEDBACK itself.
+so placement never changes the protocol.  A datagram fault seam damages
+these same shard datagrams, so a corrupt or dropped one reaches none of
+the shard's members, as on a real multicast host.
 
 The receive path mirrors the simulated user exactly — every ``DATA``
 frame feeds the same :class:`~repro.transport.user.UserTransport` state
@@ -49,20 +49,21 @@ Determinism over real sockets rests on three rules:
   is cached and *resent verbatim* when the server retries a
   ``ROUND_END`` (a feedback datagram the kernel dropped costs latency,
   never a different NACK);
-- control frames (``ANNOUNCE``/``ROUND_END``/``FEEDBACK``/``REGISTER``)
-  and unicast USR frames bypass injected loss entirely, so the protocol
-  converges on every seed.
+- control frames (``SHARD_ANNOUNCE``/``ROUND_END``/the feedback
+  tables/``REGISTER``) and unicast USR frames bypass injected loss
+  entirely, so the protocol converges on every seed.
 
 **Survivability** (docs/robustness.md): the client is also a small
-resync state machine.  Every ANNOUNCE and REGISTER ack carries the
-leader's epoch; the client adopts a higher epoch (a promoted leader),
-refuses a lower one (a deposed leader's straggler — no stale-epoch key
-is ever absorbed), and counts a skipped interval number as a missed
-interval.  A silence watchdog (``resync_timeout``) re-enters the
-bounded full-jitter REGISTER cycle whenever the leader goes quiet, so a
-fleet orphaned by a leader kill re-homes onto the promoted standby by
-itself.  Undecodable datagrams and ICMP refusals are counted, not
-fatal — under the datagram fault injector both are routine weather.
+resync state machine.  Every ``SHARD_ANNOUNCE`` and REGISTER ack
+carries the leader's epoch; the client adopts a higher epoch (a
+promoted leader), refuses a lower one (a deposed leader's straggler —
+no stale-epoch key is ever absorbed), and counts a skipped interval
+number as a missed interval.  A silence watchdog (``resync_timeout``)
+re-enters the bounded full-jitter REGISTER cycle whenever the leader
+goes quiet, so a fleet orphaned by a leader kill re-homes onto the
+promoted standby by itself.  Undecodable datagrams and ICMP refusals
+are counted, not fatal — under the datagram fault injector both are
+routine weather.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ from repro.wire.codec import (
     UNICAST_ROUND,
     Feedback,
     FrameKind,
-    decode_announce,
     decode_frame,
     decode_register,
     decode_shard_announce,
@@ -235,9 +235,9 @@ class ReceiverShard:
     """One socket speaking for many clients: a host's multicast socket.
 
     Connected to the server like a client socket, so only the server's
-    datagrams arrive.  It takes the shard-addressed ANNOUNCE, the DATA
-    and the ROUND_END frames of every hosted :class:`WireClient` and
-    answers with one FEEDBACK table per round (see the module docs).
+    datagrams arrive.  It takes the ``SHARD_ANNOUNCE``, the DATA and the
+    ROUND_END frames of every hosted :class:`WireClient` and answers
+    with one FEEDBACK table per round (see the module docs).
     Clients attach themselves in :meth:`WireClient.start` and detach in
     :meth:`WireClient.close`; the server learns the shard's
     :attr:`address` per member through ``WireServer.subscribe``.
@@ -421,9 +421,9 @@ class ReceiverShard:
             self._send(wire)
 
     def _table(self, interval, round_no, reports):
-        """The SHARD_FEEDBACK datagrams of ``reports``.  A member that
-        repeats its last report (done before the round) reuses that
-        report's encoded entry."""
+        """The SHARD_FEEDBACK datagrams of ``reports``, fragment number
+        in ``slot``.  A member that repeats its last report (done before
+        the round) reuses that report's encoded entry."""
         entries = []
         for report in reports:
             cached = self._entries.get(report.member_index)
@@ -436,9 +436,10 @@ class ReceiverShard:
                 FrameKind.SHARD_FEEDBACK,
                 interval,
                 round_no=round_no,
+                slot=slot,
                 payload=payload,
             )
-            for payload in encode_shard_feedback(entries)
+            for slot, payload in enumerate(encode_shard_feedback(entries))
         ]
 
     def _note_slot(self, frame):
@@ -481,20 +482,21 @@ class WireClient:
         loss_params,
         seed,
         spacing_seconds,
+        shard,
         obs=NULL,
         resync_timeout=None,
         crash_at=None,
         register_policy=None,
-        shard=None,
     ):
-        """``resync_timeout`` (seconds) arms the silence watchdog: after
-        that long without any server datagram the client re-enters the
-        REGISTER cycle (``None`` = off, the pre-chaos behaviour).
+        """``shard`` is the :class:`ReceiverShard` this client joins
+        while started: the only way its ANNOUNCE, DATA and ROUND_END
+        reach it.  ``resync_timeout`` (seconds) arms the silence
+        watchdog: after that long without any server datagram the client
+        re-enters the REGISTER cycle (``None`` = off, the pre-chaos
+        behaviour).
         ``crash_at`` is an optional ``(interval, round)`` at which this
         client goes silent forever — the chaos plans' deterministic
-        mid-interval death (round 0 = at the ANNOUNCE).  ``shard`` is
-        the :class:`ReceiverShard` this client joins while started
-        (``None``: every frame comes to its own socket)."""
+        mid-interval death (round 0 = at the ANNOUNCE)."""
         self.name = name
         self.member_index = int(member_index)
         self.member = member
@@ -548,16 +550,14 @@ class WireClient:
             kernel_buffer_size(PACKET_SIZE_CEILING, DATA_FAN_IN),
         )
         self._last_rx = time.monotonic()
-        if self.shard is not None:
-            self.shard.host(self)
+        self.shard.host(self)
         self._register_task = loop.create_task(self._register_loop())
         if self.resync_timeout is not None:
             self._watchdog_task = loop.create_task(self._watchdog_loop())
         return self
 
     async def close(self):
-        if self.shard is not None:
-            self.shard.drop(self)
+        self.shard.drop(self)
         for attr in ("_register_task", "_watchdog_task"):
             task = getattr(self, attr)
             if task is not None:
@@ -578,8 +578,7 @@ class WireClient:
         payload = encode_register(self.member_index, self.member.user_id)
         frame = encode_frame(FrameKind.REGISTER, 0, payload=payload)
         policy = self.register_policy
-        if self.shard is not None:
-            self.shard.waiting.add(self)
+        self.shard.waiting.add(self)
         for attempt in range(policy.max_attempts):
             if self._registered.is_set():
                 return True
@@ -619,10 +618,7 @@ class WireClient:
             )
             if self.dead:
                 return
-            last_rx = self._last_rx
-            if self.shard is not None:
-                last_rx = max(last_rx, self.shard.last_rx)
-            idle = time.monotonic() - last_rx
+            idle = time.monotonic() - max(self._last_rx, self.shard.last_rx)
             if idle < self.resync_timeout:
                 continue
             self.resyncs += 1
@@ -692,14 +688,10 @@ class WireClient:
 
     def _on_frame(self, data):
         frame = decode_frame(data)
-        if frame.kind is FrameKind.ANNOUNCE:
-            self._on_announce(frame)
-        elif frame.kind is FrameKind.DATA:
-            self._on_data(frame)
-        elif frame.kind is FrameKind.ROUND_END:
-            self._on_round_end(frame)
-        elif frame.kind is FrameKind.REGISTER:
+        if frame.kind is FrameKind.REGISTER:
             self._on_register_ack(frame)
+        elif frame.kind is FrameKind.DATA and frame.round_no == UNICAST_ROUND:
+            self._on_unicast(frame)
         else:
             raise WireError(
                 "client received %s on its own socket" % frame.kind.name
@@ -742,16 +734,9 @@ class WireClient:
             interval=interval,
         )
 
-    def _on_announce(self, frame):
-        session = self._accept_announce(
-            frame.interval, decode_announce(frame.payload), frame.slot == 1
-        )
-        if session is not None:
-            self._send_feedback(session, 0, session.announce_ack)
-
     def _accept_announce(self, interval, announce, served):
-        """The resync FSM's reading of one ANNOUNCE (own socket or
-        shard): returns the session whose ack to send, or ``None``."""
+        """The resync FSM's reading of one ANNOUNCE, handed over by the
+        shard: returns the session whose ack to send, or ``None``."""
         if announce.epoch < self.epoch:
             # Fencing, end to end: a deposed leader's ANNOUNCE never
             # builds a session, so its keys can never be absorbed.
@@ -792,21 +777,18 @@ class WireClient:
                 n_blocks=announce.n_blocks,
                 message_id=announce.message_id,
             )
-            uplink = None
-            if self.shard is not None:
-                uplink = self.shard.uplink(
-                    self.loss_params,
-                    interval,
-                    self.seed,
-                    self.spacing_seconds,
-                )
             session.loss = MemberLoss(
                 self.loss_params,
                 self.member_index,
                 interval,
                 self.seed,
                 self.spacing_seconds,
-                uplink=uplink,
+                uplink=self.shard.uplink(
+                    self.loss_params,
+                    interval,
+                    self.seed,
+                    self.spacing_seconds,
+                ),
             )
         self._session = session
         session.announce_ack = self._feedback(session)
@@ -826,17 +808,12 @@ class WireClient:
             and not session.done
         )
 
-    def _on_data(self, frame, parsed=None, covering=None):
-        """One DATA frame; ``parsed`` is its :func:`parse_multicast`
-        result and ``covering`` its :class:`CoveringPacket` when a shard
-        already parsed it."""
-        session = self._session
-        if session is None or frame.interval != session.interval:
-            return
-        if not session.served:
-            return
-        if frame.round_no == UNICAST_ROUND:
-            self._on_unicast(frame)
+    def _on_data(self, frame, parsed, covering):
+        """One multicast DATA frame; ``parsed`` is its
+        :func:`parse_multicast` result and ``covering`` its
+        :class:`CoveringPacket`, both from the shard."""
+        session = self._served_session(frame.interval)
+        if session is None:
             return
         if frame.slot in session.seen_slots:
             return  # injected duplicate: each slot feeds the FSM once
@@ -849,21 +826,21 @@ class WireClient:
         if not session.saw_data:
             session.saw_data = True
             self._trace_event("trace_first_data", session, slot=frame.slot)
-        packet, body = parsed or parse_multicast(frame.payload)
+        packet, body = parsed
         transport = session.transport
         if body is None:
             transport.on_parity(packet)
         else:
-            if covering is not None and packet.covers_user(
-                transport.user_id
-            ):
+            if packet.covers_user(transport.user_id):
                 packet = covering.get()
             transport.on_enc(packet, body)
         self._after_progress(session)
 
     def _on_unicast(self, frame):
         """A USR frame: immediate success, acked until the server stops."""
-        session = self._session
+        session = self._served_session(frame.interval)
+        if session is None:
+            return
         if not session.done:
             packet = decode_packet(frame.payload)
             if packet.packet_type is not PacketType.USR:
@@ -873,23 +850,20 @@ class WireClient:
             session.transport.on_usr(packet)
             self._after_progress(session)
         if session.unicast_ack is None:
-            session.unicast_ack = self._feedback(session)
-        self._send_feedback(session, UNICAST_ROUND, session.unicast_ack)
-
-    def _on_round_end(self, frame):
-        """ROUND_END on the member's own socket: report the round."""
-        feedback = self._close_round(frame.interval, frame.round_no)
-        if feedback is not None:
-            self._send_feedback(self._session, frame.round_no, feedback)
+            session.unicast_ack = encode_frame(
+                FrameKind.FEEDBACK,
+                session.interval,
+                round_no=UNICAST_ROUND,
+                payload=encode_feedback(self._feedback(session)),
+            )
+        self._send(session.unicast_ack)
 
     def _close_round(self, interval, round_no):
         """This member's report for ``round_no``, or ``None`` (no
         session for ``interval``, unserved, or dead).  Each round closes
         once; a retried ROUND_END gets the cached report."""
-        session = self._session
-        if self.dead or session is None or session.interval != interval:
-            return None
-        if not session.served:
+        session = self._served_session(interval)
+        if self.dead or session is None:
             return None
         if round_no < 1 or round_no == UNICAST_ROUND:
             return None
@@ -924,6 +898,14 @@ class WireClient:
         return session.reports[round_no]
 
     # -- helpers -----------------------------------------------------------
+
+    def _served_session(self, interval):
+        """The session a frame of ``interval`` feeds: ``None`` unless
+        this member is served in that interval."""
+        session = self._session
+        if session is None or session.interval != interval:
+            return None
+        return session if session.served else None
 
     def _trace_event(self, kind, session, **extra):
         """Emit one client-side trace milestone for this session.
@@ -994,16 +976,6 @@ class WireClient:
             nack=nack,
             trace_id=session.trace_id,
             epoch=self.epoch,
-        )
-
-    def _send_feedback(self, session, round_no, feedback):
-        self._send(
-            encode_frame(
-                FrameKind.FEEDBACK,
-                session.interval,
-                round_no=round_no,
-                payload=encode_feedback(feedback),
-            )
         )
 
     def __repr__(self):

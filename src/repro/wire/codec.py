@@ -21,13 +21,13 @@ coordinates a receiver needs before it can interpret anything else::
 ``DATA`` frames wrap the protocol's own wire bytes unchanged
 (:mod:`repro.rekey.packets` — ENC/PARITY/USR from the server, NACKs ride
 inside ``FEEDBACK`` frames so the aggregation window can close early).
-The control frames (``ANNOUNCE``/``ROUND_END``/``FEEDBACK``/
-``REGISTER``) are this module's own small structs.  A receiver shard
+The control frames (``ROUND_END``/``FEEDBACK``/``REGISTER``) and the
+ANNOUNCE payload are this module's own small structs.  A receiver shard
 speaks for all its members at once with two more: ``SHARD_ANNOUNCE``
-(one ANNOUNCE plus the shard's roster: each participant's member index
-and served bit) and ``SHARD_FEEDBACK`` (a table of its members' FEEDBACK
-payloads, split into datagrams of at most :data:`PACKET_SIZE_CEILING`
-bytes).
+(one ANNOUNCE payload plus the shard's roster: each participant's member
+index and served bit) and ``SHARD_FEEDBACK`` (a table of its members'
+FEEDBACK payloads, split into datagrams of at most
+:data:`PACKET_SIZE_CEILING` bytes, fragment number in ``slot``).
 
 The receive-buffer arithmetic lives here too, so the server and client
 sockets size their buffers from one shared rule instead of a hardcoded
@@ -105,9 +105,10 @@ class FrameKind(enum.IntEnum):
     """The 1-byte frame kind in every wire header."""
 
     DATA = 0       # payload = one repro.rekey.packets wire packet
-    ANNOUNCE = 1   # server -> client: rekey-message metadata
-    ROUND_END = 2  # server -> client: the round's send phase is over
-    FEEDBACK = 3   # client -> server: status (+ optional NACK bytes)
+    # 1 stays unassigned: it was the member-addressed ANNOUNCE, and a
+    # stray one must be refused, not read as another kind
+    ROUND_END = 2  # server -> shard: the round's send phase is over
+    FEEDBACK = 3   # client -> server: USR ack (+ optional NACK bytes)
     REGISTER = 4   # client -> server: here is my address
     SHARD_ANNOUNCE = 5  # server -> shard: ANNOUNCE + the shard's roster
     SHARD_FEEDBACK = 6  # shard -> server: per-member FEEDBACK table

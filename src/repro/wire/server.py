@@ -12,8 +12,8 @@ Frames come in two address classes, the paper's split of multicast data
 and unicast feedback:
 
 - **shard-addressed** — ``DATA``, ``ROUND_END`` and the interval's
-  ``SHARD_ANNOUNCE`` (the ANNOUNCE plus the shard's roster of member
-  indices and served bits) go once per *receiver shard*
+  ``SHARD_ANNOUNCE`` (the ANNOUNCE payload plus the shard's roster of
+  member indices and served bits) go once per *receiver shard*
   (:class:`~repro.wire.client.ReceiverShard`, one socket per client
   process) that hosts a target member, the way a multicast datagram
   reaches each subscribed host once.  The shard answers each with one
@@ -25,16 +25,17 @@ and unicast feedback:
   go to the member's own socket, and each USR ack (a ``FEEDBACK``)
   comes back from it.
 
-While a datagram fault injector is bound, every frame stays
-member-addressed (``ANNOUNCE``, ``DATA``, ``ROUND_END`` and every
-member's own ``FEEDBACK``): the seam's decisions are keyed per member.
+A datagram fault injector, when bound, sits on this one path: every
+datagram passes through it keyed on its destination — the shard's
+coordinate (the first member subscribed to it) for a shard-addressed
+frame, the member's index for the rest.
 
 Reliability model: injected loss only ever applies to multicast ``DATA``
 frames (decided client-side from the frame's ``slot``), so every control
 exchange converges by retransmission —
 
-- the **announce barrier** resends the ANNOUNCE to the shards (or
-  members) of members that have not acked, and round 1 starts only when
+- the **announce barrier** resends the ``SHARD_ANNOUNCE`` to the
+  shards of members that have not acked, and round 1 starts only when
   every participant has a session (a client that missed the announce
   would otherwise drop the whole round on the floor and break
   determinism);
@@ -95,11 +96,11 @@ MAX_WINDOW_TRIES = 200
 #: (which would add *nondeterministic* loss on top of the seeded chains).
 DEFAULT_PACE_EVERY = 4
 
-#: Worst-case simultaneous senders the server socket is sized for: under
-#: a fault seam a ROUND_END makes every client answer at once (a shard
-#: answers with a few datagrams), so this is the largest such fleet the
-#: buffers absorb without kernel drops (which only cost retry latency,
-#: never protocol input).
+#: Worst-case simultaneous senders the server socket is sized for: a
+#: shard answers a ROUND_END with a few datagrams, but in the unicast
+#: phase every straggler acks its USR frame from its own socket, so this
+#: is the largest such fleet the buffers absorb without kernel drops
+#: (which only cost retry latency, never protocol input).
 DEFAULT_FAN_IN = 2048
 
 
@@ -134,10 +135,10 @@ class WireOutcome:
     unicast_retries: int = 0
     datagrams_sent: int = 0
     #: of ``datagrams_sent``, the multicast DATA frames (one per slot
-    #: and receiver shard, or per slot and member under a fault seam)
+    #: and receiver shard)
     data_datagrams: int = 0
-    #: FEEDBACK datagrams (shard tables or members' own) that reached
-    #: one of this interval's windows, announce acks included
+    #: FEEDBACK datagrams (shard tables or USR acks) that reached one
+    #: of this interval's windows, announce acks included
     feedback_datagrams: int = 0
     #: member indices the liveness timeout declared dead this interval
     casualties: set = field(default_factory=set)
@@ -264,6 +265,9 @@ class WireServer:
         self.casualties = set()
         self._addresses = {}  # member_index -> (host, port)
         self._shards = {}  # member_index -> receiver shard (host, port)
+        #: receiver shard address -> its fault coordinate: the index of
+        #: the first member subscribed there (never the ephemeral port)
+        self._shard_ids = {}
         self._windows = {}  # (interval, round_no) -> AggregationWindow
         self._registered = None  # asyncio.Event, created on start
         self._transport = None
@@ -301,7 +305,9 @@ class WireServer:
         """Attach a member to the receiver shard at ``address``: its
         shard-addressed frames go there, shared with the shard's other
         members."""
-        self._shards[int(member_index)] = tuple(address)
+        address = tuple(address)
+        self._shards[int(member_index)] = address
+        self._shard_ids.setdefault(address, int(member_index))
 
     @property
     def subscriptions(self):
@@ -344,7 +350,8 @@ class WireServer:
 
     def _on_datagram(self, data, addr):
         if self.faults is not None:
-            for mangled in self.faults.plan_recv(data):
+            shard = self._shard_ids.get(addr)
+            for mangled in self.faults.plan_recv(data, shard):
                 self._process_datagram(mangled, addr)
             return
         self._process_datagram(data, addr)
@@ -455,16 +462,11 @@ class WireServer:
     def _multicast(self, frame, targets, outcome, shards=None):
         """Group-addressed: ``frame`` once per receiver shard hosting a
         live target (``shards``: those addresses, when the caller has
-        them already).  Under a fault seam it stays member-addressed,
-        because the seam decides per member."""
-        if self.faults is not None:
-            self._send_to(dict.fromkeys(targets, frame), targets, outcome)
-            return
+        them already)."""
         if shards is None:
             shards = self._shards_of(targets)
         for address in shards:
-            self._transport.sendto(frame, address)
-        outcome.datagrams_sent += len(shards)
+            self._transmit(self._shard_ids[address], frame, address, outcome)
 
     def _shard_of(self, member_index):
         address = self._shards.get(member_index)
@@ -483,14 +485,15 @@ class WireServer:
             if member_index not in casualties
         }
 
-    def _transmit(self, member_index, wire, address, outcome):
-        """One datagram through the fault seam (the no-faults path is a
-        plain ``sendto``)."""
+    def _transmit(self, index, wire, address, outcome):
+        """One datagram to ``address`` through the fault seam, which
+        keys it on ``index``: the shard's coordinate or the member's
+        index (the no-faults path is a plain ``sendto``)."""
         if self.faults is None:
             self._transport.sendto(wire, address)
             outcome.datagrams_sent += 1
             return
-        for data, delay in self.faults.plan_send(member_index, wire).sends:
+        for data, delay in self.faults.plan_send(index, wire):
             if delay > 0:
                 asyncio.get_running_loop().call_later(
                     delay, self._sendto_late, data, address
@@ -508,10 +511,11 @@ class WireServer:
         DATA frame is always delivered before its round's ROUND_END."""
         if self.faults is None:
             return
-        for member_index, wire in self.faults.flush():
-            address = self._addresses.get(member_index)
-            if address is not None and member_index not in self.casualties:
-                self._transport.sendto(wire, address)
+        held = self.faults.flush()
+        if held:
+            addresses = {i: a for a, i in self._shard_ids.items()}
+            for index, wire in held:
+                self._transport.sendto(wire, addresses[index])
                 outcome.datagrams_sent += 1
 
     def _evict(self, key, window, outcome):
@@ -534,20 +538,8 @@ class WireServer:
     def _announcer(self, interval, participants, payload, outcome):
         """The announce barrier's ``send(missing)``: each missing
         member's shard gets its ``SHARD_ANNOUNCE`` (the ANNOUNCE
-        ``payload`` and the shard's whole roster) — or, under a fault
-        seam, each missing member its own ANNOUNCE, served flag in
-        ``slot``."""
-        if self.faults is not None:
-            frames = {
-                p.member_index: encode_frame(
-                    FrameKind.ANNOUNCE,
-                    interval,
-                    slot=1 if p.served else 0,
-                    payload=payload,
-                )
-                for p in participants
-            }
-            return lambda missing: self._send_to(frames, missing, outcome)
+        ``payload`` and the shard's whole roster, fragment number in
+        ``slot``)."""
         rosters = {}
         for p in participants:
             rosters.setdefault(self._shard_of(p.member_index), []).append(
@@ -555,8 +547,12 @@ class WireServer:
             )
         announces = {
             address: [
-                encode_frame(FrameKind.SHARD_ANNOUNCE, interval, payload=part)
-                for part in encode_shard_announce(payload, roster)
+                encode_frame(
+                    FrameKind.SHARD_ANNOUNCE, interval, slot=slot, payload=part
+                )
+                for slot, part in enumerate(
+                    encode_shard_announce(payload, roster)
+                )
             ]
             for address, roster in rosters.items()
         }
@@ -564,8 +560,9 @@ class WireServer:
         def send(missing):
             for address in self._shards_of(missing):
                 for wire in announces[address]:
-                    self._transport.sendto(wire, address)
-                    outcome.datagrams_sent += 1
+                    self._transmit(
+                        self._shard_ids[address], wire, address, outcome
+                    )
 
         return send
 
@@ -679,7 +676,7 @@ class WireServer:
         while verdict == NEXT_ROUND:
             # The served members' indices: this round's multicast targets.
             targets = [p.member_index for p in served]
-            shards = None if self.faults else self._shards_of(targets)
+            shards = self._shards_of(targets)
             planned = transport.plan_round()
             round_no = transport.rounds_completed
             for scheduled in planned:

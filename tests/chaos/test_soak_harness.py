@@ -14,7 +14,9 @@ from repro.chaos.soak import run_soak
 from repro.chaos.wire_faults import WireChaosPlan, WireFaultParams
 from repro.errors import ChaosError
 
-_SHARED = {"plan", "seed", "invariants", "digest", "failure", "ok"}
+_SHARED = {
+    "plan", "seed", "invariants", "digest", "events_dropped", "failure", "ok",
+}
 
 #: each family's ``to_dict()`` key set
 JSON_KEYS = {

@@ -3,8 +3,9 @@
 The load-bearing property (the satellite the fuzz proves): the set of
 applied faults — and therefore the fault-timeline digest — is a pure
 function of ``(params, seed)`` and the *set* of datagram coordinates,
-never of call order, duplication from retries, or which worker process
-a member happens to live in.
+each keyed on the datagram's destination (a receiver shard's
+coordinate, or a member), never of call order or duplication from
+retries.
 """
 
 import pytest
@@ -21,7 +22,13 @@ from repro.chaos.wire_faults import (
 )
 from repro.errors import ChaosError, WireDecodeError
 from repro.util import canonical_digest, canonical_json
-from repro.wire.codec import FrameKind, decode_frame, encode_frame
+from repro.wire.codec import (
+    UNICAST_ROUND,
+    FrameKind,
+    decode_frame,
+    encode_frame,
+    encode_register,
+)
 
 STORM = WireFaultParams(
     corrupt_rate=0.2,
@@ -36,10 +43,18 @@ def _frame(kind, interval, round_no=0, slot=0):
     return encode_frame(kind, interval, round_no=round_no, slot=slot)
 
 
-#: One abstract datagram coordinate: (member, kind, interval, round, slot).
+#: One abstract shard datagram coordinate: (shard, kind, interval,
+#: round, slot).
 coordinates = st.tuples(
     st.integers(0, 15),
-    st.sampled_from([FrameKind.DATA, FrameKind.ROUND_END, FrameKind.ANNOUNCE]),
+    st.sampled_from(
+        [
+            FrameKind.DATA,
+            FrameKind.ROUND_END,
+            FrameKind.SHARD_ANNOUNCE,
+            FrameKind.SHARD_FEEDBACK,
+        ]
+    ),
     st.integers(1, 4),
     st.integers(0, 3),
     st.integers(0, 40),
@@ -47,12 +62,15 @@ coordinates = st.tuples(
 
 
 def _drive(injector, coords):
-    """Route every coordinate through the send path, flushing at the end
-    (as the server does at each window boundary)."""
-    for member, kind, interval, round_no, slot in coords:
-        injector.plan_send(
-            member, _frame(kind, interval, round_no=round_no, slot=slot)
-        )
+    """Route every coordinate through the path its kind takes — the
+    shard's feedback table in, the rest out — flushing at the end (as
+    the server does at each window boundary)."""
+    for shard, kind, interval, round_no, slot in coords:
+        wire = _frame(kind, interval, round_no=round_no, slot=slot)
+        if kind is FrameKind.SHARD_FEEDBACK:
+            injector.plan_recv(wire, shard)
+        else:
+            injector.plan_send(shard, wire)
     injector.flush()
     return canonical_digest(sorted(injector.timeline, key=canonical_json))
 
@@ -96,8 +114,8 @@ class TestInjectorPurity:
     @settings(max_examples=20, deadline=None)
     def test_seed_changes_the_timeline(self, seed):
         coords = [
-            (member, FrameKind.DATA, 1, 1, slot)
-            for member in range(8)
+            (shard, FrameKind.DATA, 1, 1, slot)
+            for shard in range(8)
             for slot in range(8)
         ]
         baseline = _drive(DatagramFaultInjector(STORM, seed), coords)
@@ -107,16 +125,22 @@ class TestInjectorPurity:
         assert baseline != other
 
     def test_recv_and_send_draw_independently(self):
-        injector = DatagramFaultInjector(STORM, 7)
-        wire = _frame(FrameKind.DATA, 1, round_no=1, slot=3)
-        injector.plan_send(4, wire)
-        # The recv path needs a member-bearing frame; FEEDBACK carries
-        # one but building it needs a full Feedback struct — the
-        # coordinate spaces are disjoint by the direction tag, which
-        # the digest entries record explicitly.
-        for entry in injector.timeline:
-            if entry["fault"] != "blackout":
-                assert entry["direction"] == "send"
+        """The same coordinate in both directions is two decisions: the
+        direction tag keys the draw, and the timeline records it."""
+        injector = DatagramFaultInjector(
+            WireFaultParams(corrupt_rate=0.5), 7
+        )
+        decisions = set()
+        for slot in range(16):
+            wire = _frame(FrameKind.SHARD_FEEDBACK, 1, round_no=1, slot=slot)
+            sent = injector.plan_send(4, wire)[0][0] != wire
+            received = injector.plan_recv(wire, 4)[0] != wire
+            decisions.add((sent, received))
+        assert {(True, False), (False, True)} <= decisions
+        assert {e["direction"] for e in injector.timeline} == {
+            "send",
+            "recv",
+        }
 
 
 class TestFaultMechanics:
@@ -133,7 +157,7 @@ class TestFaultMechanics:
         injector = DatagramFaultInjector(params, 7)
         wire = _frame(FrameKind.DATA, 1, round_no=1, slot=5)
         plan = injector.plan_send(2, wire)
-        assert plan.sends == ()  # held, not dropped
+        assert plan == []  # held, not dropped
         released = injector.flush()
         assert released == [(2, wire)]
         assert injector.applied == {"reorder": 1}
@@ -143,36 +167,66 @@ class TestFaultMechanics:
         injector = DatagramFaultInjector(params, 7)
         wire = _frame(FrameKind.ROUND_END, 1, round_no=1)
         plan = injector.plan_send(2, wire)
-        assert [w for w, _ in plan.sends] == [wire]
+        assert [w for w, _ in plan] == [wire]
         assert injector.flush() == []
 
     def test_delay_only_on_non_multicast_data(self):
         params = WireFaultParams(delay_rate=1.0, delay_seconds=0.5)
         injector = DatagramFaultInjector(params, 7)
         control = injector.plan_send(1, _frame(FrameKind.ROUND_END, 1, 1))
-        assert [d for _, d in control.sends] == [0.5]
+        assert [d for _, d in control] == [0.5]
         data = injector.plan_send(
             1, _frame(FrameKind.DATA, 1, round_no=1, slot=2)
         )
-        assert [d for _, d in data.sends] == [0.0]
+        assert [d for _, d in data] == [0.0]
 
     def test_blackout_swallows_both_directions(self):
         params = WireFaultParams(blackout_rate=1.0)
         injector = DatagramFaultInjector(params, 7)
         sent = injector.plan_send(3, _frame(FrameKind.DATA, 2, 1, 1))
-        assert sent.sends == ()
-        # One blackout record per (member, interval), direction-free.
+        assert sent == []
+        table = _frame(FrameKind.SHARD_FEEDBACK, 2, round_no=1)
+        assert injector.plan_recv(table, 3) == []
+        # One blackout record per (destination, interval),
+        # direction-free.
         assert injector.applied == {"blackout": 1}
         assert injector.timeline == [
-            {"fault": "blackout", "member": 3, "interval": 2}
+            {"fault": "blackout", "dest": "shard-3", "interval": 2}
         ]
+
+    def test_group_frames_key_on_the_shard_the_rest_on_the_member(self):
+        params = WireFaultParams(duplicate_rate=1.0)
+        injector = DatagramFaultInjector(params, 7)
+        for kind in (FrameKind.SHARD_ANNOUNCE, FrameKind.ROUND_END):
+            injector.plan_send(5, _frame(kind, 1, round_no=1))
+        injector.plan_send(5, _frame(FrameKind.DATA, 1, round_no=1))
+        injector.plan_send(5, _frame(FrameKind.DATA, 1, UNICAST_ROUND))
+        injector.plan_recv(_frame(FrameKind.SHARD_FEEDBACK, 1, 1), 5)
+        register = encode_frame(
+            FrameKind.REGISTER, 0, payload=encode_register(9, 1)
+        )
+        injector.plan_recv(register, 5)  # the sender's index wins
+        assert [(e["frame"], e["dest"]) for e in injector.timeline] == [
+            ("SHARD_ANNOUNCE", "shard-5"),
+            ("ROUND_END", "shard-5"),
+            ("DATA", "shard-5"),
+            ("DATA", "member-5"),
+            ("SHARD_FEEDBACK", "shard-5"),
+            ("REGISTER", "member-9"),
+        ]
+
+    def test_shard_table_from_an_unknown_address_passes(self):
+        injector = DatagramFaultInjector(STORM, 7)
+        table = _frame(FrameKind.SHARD_FEEDBACK, 1, round_no=1)
+        assert injector.plan_recv(table) == [table]
+        assert injector.timeline == []
 
     def test_duplicate_sends_twice(self):
         params = WireFaultParams(duplicate_rate=1.0)
         injector = DatagramFaultInjector(params, 7)
         wire = _frame(FrameKind.DATA, 1, round_no=1, slot=0)
         plan = injector.plan_send(0, wire)
-        assert [w for w, _ in plan.sends] == [wire, wire]
+        assert [w for w, _ in plan] == [wire, wire]
 
     def test_garbage_passes_recv_untouched(self):
         injector = DatagramFaultInjector(STORM, 7)

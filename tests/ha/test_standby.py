@@ -90,6 +90,22 @@ class TestReplay:
         with pytest.raises(ReplicationError, match="resubscribe"):
             replica.apply({"kind": "record", "record": gap_record})
 
+    def test_bootstrap_carries_requests_queued_since_the_commit(
+        self, leader
+    ):
+        """A join queued before ``subscribe`` is not in the snapshot: it
+        must reach the replica from the log, or the next interval's
+        digest diverges and promotion is refused."""
+        daemon, publisher, config = leader
+        daemon.run_interval()
+        daemon.submit_join("late")
+        link, replica = follow(daemon, publisher, config)
+        daemon.run_interval()
+        replica.apply_frames(link.poll())
+        assert replica.digest_ok is True
+        assert "late" in replica.server.users
+        assert replica.lag() == 0
+
     def test_unknown_frame_kind_refused(self, leader):
         daemon, publisher, config = leader
         _, replica = follow(daemon, publisher, config)

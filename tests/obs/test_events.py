@@ -94,6 +94,16 @@ class TestEventBus:
         assert len(bus) == 5
         assert bus.events[-1]["detail"]["index"] == 11
 
+    def test_ring_counts_what_it_drops(self):
+        bus = EventBus(keep=5)
+        for index in range(5):
+            bus.emit("snapshot", index=index)
+        assert bus.dropped == 0
+        for index in range(5, 12):
+            bus.emit("snapshot", index=index)
+        assert bus.dropped == 7
+        assert bus.events[0]["detail"]["index"] == bus.dropped
+
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with EventBus(path=str(path)) as bus:

@@ -1,7 +1,8 @@
 """Client resync FSM unit tests — no server, frames fed directly.
 
 The FSM under test (docs/robustness.md): epoch adoption from REGISTER
-acks and ANNOUNCEs, refusal of stale-epoch frames (fencing), missed-
+acks (on the member's own socket) and from ``SHARD_ANNOUNCE`` (through
+its receiver shard), refusal of stale-epoch frames (fencing), missed-
 interval detection, scheduled deaths, and the bounded REGISTER cycle's
 give-up accounting.
 """
@@ -16,12 +17,13 @@ from repro.core.server import GroupKeyServer
 from repro.service.members import MemberFleet
 from repro.sim.topology import LossParameters
 from repro.util.retry import RetryPolicy
-from repro.wire.client import WireClient
+from repro.wire.client import ReceiverShard, WireClient
 from repro.wire.codec import (
     FrameKind,
     encode_announce,
     encode_frame,
     encode_register,
+    encode_shard_announce,
 )
 
 
@@ -51,17 +53,22 @@ def make_client(**overrides):
         loss_params=LossParameters(),
         seed=3,
         spacing_seconds=0.0,
+        shard=ReceiverShard(("127.0.0.1", 1)),
     )
     kwargs.update(overrides)
-    return WireClient(**kwargs)
+    client = WireClient(**kwargs)
+    client.shard.host(client)  # what start() does, without a socket
+    return client
 
 
-def announce_frame(interval, epoch=0, served=False):
-    return encode_frame(
-        FrameKind.ANNOUNCE,
-        interval,
-        slot=1 if served else 0,
-        payload=encode_announce(FakeMessage(), 4, epoch=epoch),
+def announce(client, interval, epoch=0, served=False, message=None):
+    """Hand ``client``'s shard a SHARD_ANNOUNCE naming the client."""
+    payload = encode_announce(message or FakeMessage(), 4, epoch=epoch)
+    (part,) = encode_shard_announce(
+        payload, [(client.member_index, served)]
+    )
+    client.shard._on_datagram(
+        encode_frame(FrameKind.SHARD_ANNOUNCE, interval, payload=part)
     )
 
 
@@ -97,17 +104,17 @@ class TestEpochAdoption:
         start a session, so its keys can never be absorbed."""
         client = make_client()
         client._on_datagram(register_ack(3))
-        client._on_datagram(announce_frame(1, epoch=2))
+        announce(client, 1, epoch=2)
         assert client._session is None
         assert client.stale_epoch_refused == 1
         assert client.stats()["stale_epoch_refused"] == 1
 
     def test_promoted_announce_rehomes(self):
         client = make_client()
-        client._on_datagram(announce_frame(1, epoch=1))
+        announce(client, 1, epoch=1)
         assert client.epoch == 1
         assert client._session.interval == 1
-        client._on_datagram(announce_frame(2, epoch=2))
+        announce(client, 2, epoch=2)
         assert client.epoch == 2
         assert client._session.interval == 2
 
@@ -115,50 +122,67 @@ class TestEpochAdoption:
 class TestIntervalTracking:
     def test_missed_intervals_are_counted(self):
         client = make_client()
-        client._on_datagram(announce_frame(1))
-        client._on_datagram(announce_frame(4))
+        announce(client, 1)
+        announce(client, 4)
         assert client.missed_intervals == 2
         assert client.resyncs == 1
         assert client._session.interval == 4
 
     def test_consecutive_intervals_are_not_missed(self):
         client = make_client()
-        client._on_datagram(announce_frame(1))
-        client._on_datagram(announce_frame(2))
+        announce(client, 1)
+        announce(client, 2)
         assert client.missed_intervals == 0
         assert client.resyncs == 0
 
     def test_repeated_announce_keeps_the_session(self):
         client = make_client()
-        client._on_datagram(announce_frame(2))
+        announce(client, 2)
         session = client._session
-        client._on_datagram(announce_frame(2))  # retry: ack was lost
+        announce(client, 2)  # retry: ack was lost
         assert client._session is session
 
     def test_stale_interval_straggler_ignored(self):
         client = make_client()
-        client._on_datagram(announce_frame(3))
-        client._on_datagram(announce_frame(2))
+        announce(client, 3)
+        announce(client, 2)
         assert client._session.interval == 3
 
 
 class TestScheduledDeath:
     def test_crash_at_announce(self):
         client = make_client(crash_at=(2, 0))
-        client._on_datagram(announce_frame(1))
+        announce(client, 1)
         assert not client.dead
-        client._on_datagram(announce_frame(2))
+        announce(client, 2)
         assert client.dead
         assert client._session.interval == 1  # no new session was built
 
     def test_dead_client_ignores_everything(self):
         client = make_client(crash_at=(1, 0))
-        client._on_datagram(announce_frame(1))
+        announce(client, 1)
         assert client.dead
-        client._on_datagram(announce_frame(2))
+        announce(client, 2)
         client._on_datagram(register_ack(9))
         assert client._session is None
         assert client.epoch == 0
+
+
+class TestOwnSocket:
+    def test_group_frames_are_refused(self):
+        """A member's own socket carries only the REGISTER ack and the
+        unicast USR frames; group frames come through its shard."""
+        client = make_client()
+        announce(client, 1, served=True)
+        for frame in (
+            encode_frame(FrameKind.DATA, 1, round_no=1, slot=0),
+            encode_frame(FrameKind.ROUND_END, 1, round_no=1),
+        ):
+            client._on_datagram(frame)
+        assert len(client.errors) == 2
+        assert "DATA" in client.errors[0]
+        assert "ROUND_END" in client.errors[1]
+        assert client._session.rounds_reported == 0
 
 
 class TestRegisterCycle:
@@ -212,7 +236,7 @@ class TestRegisterCycle:
         client._on_datagram(b"\x00not a frame")
         assert client.decode_errors == 1
         assert client.errors == []
-        client._on_datagram(announce_frame(1))
+        announce(client, 1)
         assert client._session is not None
 
     def test_invalid_enc_payload_counted_and_interval_completes(self):
@@ -231,25 +255,18 @@ class TestRegisterCycle:
             member=fleet.members["m05"],
             loss_params=LossParameters(p_high=0.0, p_low=0.0, p_source=0.0),
         )
-        client._on_datagram(
-            encode_frame(
-                FrameKind.ANNOUNCE,
-                1,
-                slot=1,
-                payload=encode_announce(message, server.config.degree),
-            )
-        )
+        announce(client, 1, served=True, message=message)
         wires = [p.encode(message.packet_size) for p in message.enc_packets()]
         inverted = bytearray(wires[0])
         inverted[6:8] = b"\xff\xff"  # frm_id 65535 > to_id
         frames = [bytes(inverted)] + wires
         for slot, payload in enumerate(frames):
-            client._on_datagram(
+            client.shard._on_datagram(
                 encode_frame(
                     FrameKind.DATA, 1, round_no=1, slot=slot, payload=payload
                 )
             )
-        assert client.decode_errors == 1
-        assert client.errors == []
+        assert client.shard.decode_errors == 1
+        assert client.errors == client.shard.errors == []
         assert client._session.absorbed
         assert client.member.group_key == server.group_key

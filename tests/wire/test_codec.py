@@ -99,10 +99,12 @@ class TestFrameRejection:
             decode_frame(bytes(wire))
 
     def test_unknown_kind(self):
-        wire = bytearray(encode_frame(FrameKind.DATA, 1))
-        wire[2] = 0x7F
-        with pytest.raises(WireDecodeError):
-            decode_frame(bytes(wire))
+        # 1 is the retired member-addressed ANNOUNCE: refused like 0x7F.
+        for kind in (0x7F, 1):
+            wire = bytearray(encode_frame(FrameKind.DATA, 1))
+            wire[2] = kind
+            with pytest.raises(WireDecodeError):
+                decode_frame(bytes(wire))
 
     def test_random_garbage(self):
         with pytest.raises(WireDecodeError):

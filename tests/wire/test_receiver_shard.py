@@ -1,9 +1,10 @@
 """Receiver shards: one socket, one decode, many member state machines.
 
-No sockets here: frames are fed to ``ReceiverShard._on_datagram``
+Mostly no sockets: frames are fed to ``ReceiverShard._on_datagram``
 directly, and the server's group-addressed send runs against a
 recording transport.  The loopback fleets in test_fleet_loopback.py pin
-the same behaviour end to end.
+the same behaviour end to end; the death and damage checks here run one
+interval over real loopback sockets.
 """
 
 import collections
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from repro.chaos.wire_faults import SendPlan
+from repro.chaos.wire_faults import DatagramFaultInjector, WireFaultParams
 from repro.core.config import GroupConfig
 from repro.core.server import GroupKeyServer
 from repro.errors import WireError
@@ -27,10 +28,11 @@ from repro.wire import codec
 from repro.wire.client import ReceiverShard, WireClient
 from repro.wire.codec import (
     FrameKind,
-    decode_feedback,
     decode_frame,
     encode_announce,
     encode_frame,
+    encode_register,
+    encode_shard_announce,
 )
 from repro.wire.delivery import WireDelivery
 from repro.wire.loss import MemberLoss
@@ -72,16 +74,22 @@ def data_frames(message, interval=1):
     ]
 
 
-def announce(server, message, interval=1, served=True):
-    return encode_frame(
-        FrameKind.ANNOUNCE,
-        interval,
-        slot=1 if served else 0,
-        payload=encode_announce(message, server.config.degree),
+def announce(server, shard, message, interval=1, unserved=()):
+    """Hand ``shard`` the interval's SHARD_ANNOUNCE: every hosted member
+    is on the roster, served unless its index is in ``unserved``."""
+    roster = [(index, index not in unserved) for index in shard.clients]
+    parts = encode_shard_announce(
+        encode_announce(message, server.config.degree), roster
     )
+    for slot, part in enumerate(parts):
+        shard._on_datagram(
+            encode_frame(
+                FrameKind.SHARD_ANNOUNCE, interval, slot=slot, payload=part
+            )
+        )
 
 
-def make_client(member, index, shard=None, loss=LOSS, seed=11):
+def make_client(member, index, shard, loss=LOSS, seed=11):
     client = WireClient(
         "c%d" % index,
         index,
@@ -92,8 +100,7 @@ def make_client(member, index, shard=None, loss=LOSS, seed=11):
         spacing_seconds=0.01,
         shard=shard,
     )
-    if shard is not None:
-        shard.host(client)  # what start() does, without a socket
+    shard.host(client)  # what start() does, without a socket
     return client
 
 
@@ -108,16 +115,12 @@ class RecordingSocket:
 
 
 def reports_in(sent):
-    """``{(member_index, round): Feedback}`` of every FEEDBACK in
-    ``sent``, whether a member's own or a shard's table of them."""
+    """``{(member_index, round): Feedback}`` of every entry of the
+    SHARD_FEEDBACK tables in ``sent``."""
     reports = {}
     for wire in sent:
         frame = decode_frame(wire)
-        if frame.kind is FrameKind.FEEDBACK:
-            entries = [decode_feedback(frame.payload)]
-        else:
-            entries = codec.decode_shard_feedback(frame.payload)
-        for feedback in entries:
+        for feedback in codec.decode_shard_feedback(frame.payload):
             reports[(feedback.member_index, frame.round_no)] = feedback
     return reports
 
@@ -181,33 +184,38 @@ def covering_slot(message, user_id):
 
 class TestDispatch:
     def test_shard_feeds_members_like_their_own_sockets(self):
-        """Over two rounds, with round-2 parity, a member behind a shard
-        reports each round exactly what its twin on its own socket
-        reports: same losses, NACKs, recovery round and key."""
+        """Over two rounds, with round-2 parity, a member sharing a
+        shard reports each round exactly what its twin alone on a shard
+        of its own reports: same losses, NACKs, recovery round and
+        key."""
         server, fleet, message = fec_group()
         names = sorted(fleet.members)
         shard = ReceiverShard(("127.0.0.1", 1))
+        own_shards = [ReceiverShard(("127.0.0.1", 1)) for _ in names]
         sent_alone, sent_sharded = [], []
         alone = [
-            make_client(copy.deepcopy(fleet.members[name]), i, seed=FEC_SEED)
+            make_client(
+                copy.deepcopy(fleet.members[name]),
+                i,
+                own_shards[i],
+                seed=FEC_SEED,
+            )
             for i, name in enumerate(names)
         ]
         sharded = [
             make_client(fleet.members[name], i, shard, seed=FEC_SEED)
             for i, name in enumerate(names)
         ]
-        for client in alone:
-            client._transport = RecordingSocket(sent_alone)
-        for client in sharded:
-            client._transport = RecordingSocket(sent_sharded)
+        for own in own_shards:
+            own._transport = RecordingSocket(sent_alone)
         shard._transport = RecordingSocket(sent_sharded)
-        for client in sharded + alone:
-            client._on_datagram(announce(server, message))
+        for each in own_shards + [shard]:
+            announce(server, each, message)
         del sent_alone[:], sent_sharded[:]  # the announce acks
         for frame in two_round_frames(message):
             shard._on_datagram(frame)
-            for client in alone:
-                client._on_datagram(frame)
+            for own in own_shards:
+                own._on_datagram(frame)
         assert shard.errors == [] and shard.data_gaps == 0
         ours, theirs = reports_in(sent_sharded), reports_in(sent_alone)
         assert set(ours) == set(theirs) == {
@@ -266,8 +274,7 @@ class TestDispatch:
         names = sorted(fleet.members)
         idle = make_client(fleet.members[names[0]], 0, shard)
         dead = make_client(fleet.members[names[1]], 1, shard)
-        idle._on_datagram(announce(server, message, served=False))
-        dead._on_datagram(announce(server, message))
+        announce(server, shard, message, unserved={0})
         dead.dead = True
         for frame in data_frames(message):
             shard._on_datagram(frame)
@@ -279,12 +286,16 @@ class TestDispatch:
         assert dead.member.group_key != server.group_key
 
     def test_member_addressed_frames_are_refused(self):
-        server, fleet, message = rekeyed_group()
+        _, fleet, _ = rekeyed_group()
         shard = ReceiverShard(("127.0.0.1", 1))
         client = make_client(fleet.members[sorted(fleet.members)[0]], 0, shard)
-        shard._on_datagram(announce(server, message))
-        assert client._session is None
-        assert shard.errors and "ANNOUNCE" in shard.errors[0]
+        shard._on_datagram(
+            encode_frame(
+                FrameKind.REGISTER, 0, payload=encode_register(0, 1, epoch=3)
+            )
+        )
+        assert client.epoch == 0
+        assert shard.errors and "REGISTER" in shard.errors[0]
 
     def test_garbage_is_counted_not_fatal(self):
         shard = ReceiverShard(("127.0.0.1", 1))
@@ -354,6 +365,87 @@ class TestDeathInAShard:
                 assert member.group_key == server.group_key
 
 
+class CorruptOneTable(DatagramFaultInjector):
+    """A seam that damages the first copy of each round-1
+    ``SHARD_FEEDBACK`` datagram the server receives, and nothing else."""
+
+    def __init__(self):
+        super().__init__(WireFaultParams(corrupt_rate=1.0), seed=0)
+
+    def _hits(self, fault, rate, *coord):
+        # coord: (direction, destination, kind, interval, round, slot)
+        return fault == "corrupt" and coord[::2][:3] == (
+            "recv",
+            FrameKind.SHARD_FEEDBACK,
+            1,
+        )
+
+
+class TestDamageOnTheShardPath:
+    """A fault seam damages the shard datagrams that ship: a corrupted
+    ``SHARD_FEEDBACK`` table costs one retried ``ROUND_END``, which the
+    shard answers from its cached table, and the round's NACK input is
+    what an undamaged run collects."""
+
+    #: loss at which this group's round 1 ends with NACKs
+    LOSS = LossParameters(
+        alpha=1.0, p_high=0.6, p_low=0.1, p_source=0.0, bursty=False
+    )
+
+    def deliver(self, monkeypatch, faults=None):
+        windows, received = {}, []
+        drive = WireServer._drive_window
+        on_datagram = WireServer._on_datagram
+
+        async def keep_window(server, key, window, *args, **kwargs):
+            windows[key] = window
+            return await drive(server, key, window, *args, **kwargs)
+
+        def keep_datagram(server, data, addr):
+            received.append(bytes(data))
+            on_datagram(server, data, addr)
+
+        monkeypatch.setattr(WireServer, "_drive_window", keep_window)
+        monkeypatch.setattr(WireServer, "_on_datagram", keep_datagram)
+        config = GroupConfig(
+            block_size=5, seed=3, nack_window_seconds=0.05, loss=self.LOSS
+        )
+        server = GroupKeyServer(
+            ["m%02d" % i for i in range(24)], config=config
+        )
+        fleet = MemberFleet.register_all(server)
+        server.request_leave("m00")
+        fleet.evict("m00")
+        _, message = server.rekey()
+        with WireDelivery(config, seed=4, faults=faults) as backend:
+            report = backend.deliver(message, fleet)
+            decode_errors = backend.server.decode_errors
+        tables = [
+            wire
+            for wire in received
+            if decode_frame(wire).kind is FrameKind.SHARD_FEEDBACK
+            and decode_frame(wire).round_no == 1
+        ]
+        return report, windows[(1, 1)], tables, decode_errors
+
+    def test_corrupt_table_is_answered_from_the_cache(self, monkeypatch):
+        seam = CorruptOneTable()
+        report, window, tables, errors = self.deliver(monkeypatch, seam)
+        clean, clean_window, clean_tables, _ = self.deliver(monkeypatch)
+        assert seam.applied == {"corrupt": 1}
+        assert errors == 1
+        # The shard resent its one-datagram table byte for byte: each
+        # retry was answered from the cache, not a second close.
+        assert len(tables) >= 2 and len(set(tables)) == 1
+        assert report.detail["feedback_retries"] >= 1
+        assert len(set(clean_tables)) == 1
+        assert window.nacks and window.nacks == clean_window.nacks
+        assert {i: facts(f) for i, f in window.reported.items()} == {
+            i: facts(f) for i, f in clean_window.reported.items()
+        }
+        assert report.first_round_nacks == clean.first_round_nacks
+
+
 class TestDataGaps:
     def test_skipped_slot_counts_once(self):
         _, _, message = rekeyed_group()
@@ -381,11 +473,21 @@ class RecordingTransport:
 
 
 class PassThroughSeam:
+    """A seam that changes nothing and keeps the index of each call."""
+
+    def __init__(self):
+        self.sent_to, self.received_from = [], []
+
     def bind(self, obs):
         pass
 
-    def plan_send(self, member_index, wire):
-        return SendPlan(((wire, 0.0),))
+    def plan_send(self, index, wire):
+        self.sent_to.append(index)
+        return [(wire, 0.0)]
+
+    def plan_recv(self, data, shard=None):
+        self.received_from.append(shard)
+        return [data]
 
 
 def recording_server(faults=None):
@@ -417,19 +519,25 @@ class TestMulticast:
         with pytest.raises(WireError, match="no receiver shard"):
             server._multicast(b"frame", [0], WireOutcome(interval=1))
 
-    def test_fault_seam_keeps_frames_member_addressed(self):
-        server = recording_server(faults=PassThroughSeam())
-        for index in range(3):
+    def test_fault_seam_sees_the_shard_coordinate(self):
+        """Under a seam the group path is the same one datagram per
+        shard, and the seam sees each shard as the index of the first
+        member subscribed there — both ways."""
+        seam = PassThroughSeam()
+        server = recording_server(faults=seam)
+        for index in (4, 2, 3, 5, 0, 1):
             server._addresses[index] = ("127.0.0.1", 7000 + index)
-            server.subscribe(index, ("127.0.0.1", 9000))
+            server.subscribe(index, ("127.0.0.1", 9000 + index % 2))
         outcome = WireOutcome(interval=1)
-        server._multicast(b"frame", range(3), outcome)
-        assert outcome.datagrams_sent == 3
-        assert [a for _, a in server._transport.sent] == [
-            ("127.0.0.1", 7000),
-            ("127.0.0.1", 7001),
-            ("127.0.0.1", 7002),
+        server._multicast(b"frame", range(6), outcome)
+        assert outcome.datagrams_sent == 2
+        assert sorted(zip(seam.sent_to, server._transport.sent)) == [
+            (3, (b"frame", ("127.0.0.1", 9001))),
+            (4, (b"frame", ("127.0.0.1", 9000))),
         ]
+        server._on_datagram(b"\x00junk", ("127.0.0.1", 9001))
+        server._on_datagram(b"\x00junk", ("127.0.0.1", 7000))
+        assert seam.received_from == [3, None]
 
 
 def small_packet_group():
@@ -443,8 +551,7 @@ def small_packet_group():
         make_client(fleet.members[name], i, shard, loss=LOSSLESS)
         for i, name in enumerate(sorted(fleet.members))
     ]
-    for client in clients:
-        client._on_datagram(announce(server, message))
+    announce(server, shard, message)
     return server, message, shard, clients
 
 
@@ -620,29 +727,49 @@ def corrupt_ciphertexts(frame_payload):
 
 
 class TestNoCrossMemberPoisoning:
-    @pytest.mark.parametrize("clean_via", ["shard", "socket"])
-    def test_corrupt_copy_stays_with_its_member(self, clean_via):
-        """Under a fault seam one member's socket gets a corrupted but
-        parseable copy of a slot.  That member keeps its own decode; the
-        clean copy, on the shard or on another member's socket, is
-        decoded from its own bytes and yields the group key."""
-        server, message, shard, clients = small_packet_group()
-        packet = message.enc_packets()[1]
-        clean_payload = packet.encode(message.packet_size)
-        clean, poisoned = covered_by(packet, clients)[:2]
-        bad_payload = corrupt_ciphertexts(clean_payload)
-        poisoned._on_datagram(
-            encode_frame(
-                FrameKind.DATA, 1, round_no=1, slot=1, payload=bad_payload
+    def test_corrupt_copy_stays_with_its_shard(self):
+        """One host's shard gets a corrupted but parseable copy of a
+        slot, another host's shard the clean one.  Each shard decodes
+        its own bytes: the clean shard's covered member gets the group
+        key, the poisoned one does not, in either arrival order."""
+        for poisoned_first in (True, False):
+            self.deliver_both_copies(poisoned_first)
+
+    def deliver_both_copies(self, poisoned_first):
+        server, fleet, message = rekeyed_group(
+            32, leavers=("m00", "m05", "m17"), **SMALL_PACKETS
+        )
+        clean_shard = ReceiverShard(("127.0.0.1", 1))
+        poisoned_shard = ReceiverShard(("127.0.0.1", 1))
+        clients = [
+            make_client(
+                fleet.members[name],
+                i,
+                (clean_shard, poisoned_shard)[i % 2],
+                loss=LOSSLESS,
             )
-        )
-        good = encode_frame(
-            FrameKind.DATA, 1, round_no=1, slot=1, payload=clean_payload
-        )
-        if clean_via == "shard":
-            shard._on_datagram(good)
-        else:
-            clean._on_datagram(good)
+            for i, name in enumerate(sorted(fleet.members))
+        ]
+        announce(server, clean_shard, message)
+        announce(server, poisoned_shard, message)
+        packet = message.enc_packets()[1]
+        covered = covered_by(packet, clients)
+        clean = next(c for c in covered if c.shard is clean_shard)
+        poisoned = next(c for c in covered if c.shard is poisoned_shard)
+        clean_payload = packet.encode(message.packet_size)
+        bad_payload = corrupt_ciphertexts(clean_payload)
+        deliveries = [
+            (poisoned_shard, bad_payload),
+            (clean_shard, clean_payload),
+        ]
+        if not poisoned_first:
+            deliveries.reverse()
+        for shard, payload in deliveries:
+            shard._on_datagram(
+                encode_frame(
+                    FrameKind.DATA, 1, round_no=1, slot=1, payload=payload
+                )
+            )
         ours = clean._session.transport.specific_packet
         theirs = poisoned._session.transport.specific_packet
         assert ours == packet

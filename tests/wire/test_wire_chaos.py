@@ -127,9 +127,9 @@ class TestLeaderKillSmall:
 #: behaviour change that moves one must update all three places.
 PINNED = {
     "datagram-storm":
-        "7b991085b50dc90394b8472ce32b36a7a9ec394291866cd8336efb5c6ad832ca",
+        "5843388b82ac3004eba10b75dd185b44d8c8f5bd9ea2d7f2dba4587c05a1830e",
     "client-churn-crash":
-        "e2403731b7cb39dc5ba6efa6056a1b0bad903297314df011e677241837211077",
+        "b6406ac3a70e224e900c4db5707f7b3139450634a2046106eed9181368481db8",
     "leader-kill-live":
         "8008a13b292a4878770bc5e803b9518e0ec47c7e374db5b78421bcc33c21a6c3",
 }
@@ -139,18 +139,21 @@ class TestPinnedDigests:
     def test_datagram_storm(self):
         result = run_soak("wire", "datagram-storm", seed=7)
         assert result.ok, result.to_dict()
+        assert result.events_dropped == 0  # the digest saw every event
         assert result.digest == PINNED["datagram-storm"]
 
     def test_client_churn_crash(self):
         result = run_soak("wire", "client-churn-crash", seed=7)
         assert result.ok, result.to_dict()
         assert result.evictions == 3
+        assert result.events_dropped == 0
         assert result.digest == PINNED["client-churn-crash"]
 
     def test_leader_kill_live(self):
         result = run_soak("wire", "leader-kill-live", seed=7)
         assert result.ok, result.to_dict()
         assert result.promotions == 1
+        assert result.events_dropped == 0
         assert result.digest == PINNED["leader-kill-live"]
 
 
