@@ -24,9 +24,11 @@ runner plus default and minimum sizes each), what its digest hashes
 event kinds its timeline keeps, whether that timeline is ordered or
 sorted, and the event names it emits.  The harness owns everything
 else: the event bus (with one stream per process under ``obs_dir``),
-plan resolution and size checks (before anything runs), the scratch
-state dir, invariant events, mapping run-time errors to
-``result.failure``, and the projection and digest.
+the run's evidence — every event of the family's kinds, collected as
+it is emitted, so the bus's bounded ring never truncates it — plan
+resolution and size checks (before anything runs), the scratch state
+dir, invariant events, mapping run-time errors to ``result.failure``,
+and the projection and digest.
 
 The chaos family's single-node plans assert:
 
@@ -147,7 +149,8 @@ class SoakFamily:
     command: str
     #: plan name -> :class:`SoakPlan`
     plans: dict
-    #: event kinds kept by the timeline's projection
+    #: event kinds the run collects as its evidence (:attr:`SoakRun.
+    #: events`), all of which the timeline's projection keeps
     kinds: frozenset
     #: the :class:`SoakResult` field the digest hashes: ``"timeline"``
     #: (the projection of the run's events) or ``"records"`` (the wire
@@ -213,8 +216,8 @@ class SoakResult:
     #: runs with one daemon; the fleet family's digest input)
     records: list = field(default_factory=list)
     digest: str = ""
-    #: events the bus's ring dropped before the timeline was read (the
-    #: timeline is complete only at 0); reported, never digested
+    #: events the bus's ring dropped (the timeline is read from the
+    #: run's own evidence list, not the ring); reported, never digested
     events_dropped: int = 0
     #: the terminal diagnostic, when the run could not finish
     failure: object = None
@@ -264,6 +267,8 @@ class SoakRun:
     obs: Recorder
     result: SoakResult
     say: object
+    #: every event of the family's kinds so far, in emission order
+    events: list
 
 
 def steps(target, progress):
@@ -376,6 +381,7 @@ def run_soak(family, plan, seed=7, log=None, obs_path=None, obs_dir=None,
         if obs_path is None:
             obs_path = os.path.join(obs_dir, "server.jsonl")
     bus = EventBus(path=obs_path, line_buffered=obs_dir is not None)
+    events = bus.tap(family.kinds)
     obs = Recorder(bus=bus)
     result = SoakResult(
         plan=name, seed=seed, counters=copy.deepcopy(family.counters)
@@ -383,7 +389,8 @@ def run_soak(family, plan, seed=7, log=None, obs_path=None, obs_dir=None,
     for counter, size in family.targets.items():
         result.counters[counter] = sizes[size]
     soak = SoakRun(
-        name, entry.spec, seed, sizes, state_dir, obs_dir, obs, result, say
+        name, entry.spec, seed, sizes, state_dir, obs_dir, obs, result, say,
+        events,
     )
     try:
         entry.run(soak)
@@ -409,7 +416,7 @@ def run_soak(family, plan, seed=7, log=None, obs_path=None, obs_dir=None,
         if family.complete_event and not family.complete_after_digest:
             obs.emit(family.complete_event, **complete)
         result.timeline = canonical_timeline(
-            bus.events, family.kinds, family.ordered
+            events, family.kinds, family.ordered
         )
         result.events_dropped = bus.dropped
         result.digest = canonical_digest(getattr(result, family.digest_of))

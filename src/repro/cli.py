@@ -612,15 +612,8 @@ def _boot_standby(serve):
         elif payloads is None:
             client.close()  # disconnected; reconnect or promote
     if caught_up():
-        # The final commit's digest frame trails its WAL record; give it
-        # a moment to arrive before reporting convergence.
-        for _ in range(10):
-            if replica.digest_ok is not None:
-                break
-            payloads = client.poll(0.2)
-            if not payloads:
-                break
-            replica.apply_frames(payloads)
+        # The last commit record re-ran the final interval and checked
+        # its digest in the same step.
         digest = {True: "ok", False: "MISMATCH", None: "unverified"}
         serve.say("standby caught up: interval %d, lag %d, digest %s"
                   % (replica.server.intervals_processed, replica.lag(),

@@ -6,11 +6,11 @@ key byte:
 
 - :mod:`repro.ha.lease` — the leader lease file and the monotonically
   increasing **epoch** fencing tokens its acquisitions mint.
-- :mod:`repro.ha.digest` — canonical SHA-256 state digests, the
-  convergence proof a follower checks before it may promote.
 - :mod:`repro.ha.replication` — the WAL streaming wire format (CRC-
   carrying frames), the in-memory :class:`DirectLink`, and the
-  loopback-TCP server/client the CLI roles use.
+  loopback-TCP server/client the CLI roles use.  Each streamed
+  ``commit`` record carries the leader's state digest, the convergence
+  proof a follower checks before it may promote.
 - :mod:`repro.ha.standby` — :class:`StandbyReplica` (replays the
   stream into a shadow server) and :func:`promote` (lease + epoch +
   fleet resync = the new leader).
@@ -26,7 +26,6 @@ cannot prove digest convergence refuses to promote.  See
 ``docs/ha.md``.
 """
 
-from repro.ha.digest import server_digest
 from repro.ha.lease import Lease
 from repro.ha.replication import (
     DirectLink,
@@ -51,5 +50,4 @@ __all__ = [
     "decode_body",
     "encode_frame",
     "promote",
-    "server_digest",
 ]

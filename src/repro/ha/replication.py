@@ -14,10 +14,9 @@ Frame kinds (the ``kind`` key of the payload):
 - ``snapshot`` — bootstrap: the full :meth:`GroupKeyServer.snapshot`
   payload plus the WAL sequence it is current through;
 - ``record`` — one WAL record, streamed tail-on after its durable
-  append (the leader's :attr:`WriteAheadLog.on_append` tap);
-- ``digest`` — the leader's state digest after a committed interval
-  (:func:`repro.ha.digest.server_digest`), the follower's convergence
-  check;
+  append (the leader's :attr:`WriteAheadLog.on_append` tap); a
+  ``commit`` record carries the leader's state digest, the follower's
+  convergence check;
 - ``heartbeat`` — liveness + the leader's last sequence, so a follower
   can measure replication lag even when the group is idle.
 
@@ -48,7 +47,6 @@ FRAME_KINDS = (
     "hello",
     "snapshot",
     "record",
-    "digest",
     "heartbeat",
     "subscribe",
 )
@@ -153,10 +151,7 @@ class LeaderPublisher:
 
     Wired into the daemon by
     :meth:`~repro.service.daemon.RekeyDaemon.attach_replication`, which
-    points the WAL's ``on_append`` tap at :meth:`on_wal_record` and
-    calls :meth:`on_commit` after each committed interval.  Ordering
-    follows from the call sites: an interval's commit *record* frame
-    always precedes its *digest* frame.
+    points the WAL's ``on_append`` tap at :meth:`on_wal_record`.
     """
 
     def __init__(self, epoch, wal=None, obs=None):
@@ -166,25 +161,30 @@ class LeaderPublisher:
         self.links = []
         #: highest WAL seq streamed (−1 before the first append)
         self.last_seq = wal.next_seq - 1 if wal is not None else -1
+        #: commit records streamed
         self.commits = 0
 
     def subscribe(self, link, since_seq=0, server=None):
         """Attach a follower link and bootstrap it.
 
         With ``server`` given, bootstrap is a full state snapshot (the
-        fresh-standby path) followed by the logged records of the
+        fresh-standby path) followed by the log from the commit the
+        snapshot stands at — which :func:`~repro.service.wal.replay`
+        checks the snapshot against — through the logged records of the
         server's current interval, which the snapshot leaves out and
-        :func:`~repro.service.wal.replay` re-queues, as crash recovery
-        does; otherwise the WAL suffix from ``since_seq`` is replayed
-        (the reconnect path).
+        replay re-queues, as crash recovery does; otherwise the WAL
+        suffix from ``since_seq`` is replayed (the reconnect path).
         """
         self.links.append(link)
         link.send({"kind": "hello", "epoch": self.epoch,
                    "last_seq": self.last_seq})
         if server is not None:
+            current = server.intervals_processed
             queued = [
                 record for record in self.wal.records()
-                if record["interval"] >= server.intervals_processed
+                if record["interval"] >= current
+                or (record["op"] == "commit"
+                    and record["interval"] == current - 1)
             ] if self.wal is not None else []
             seq = queued[0]["seq"] - 1 if queued else self.last_seq
             link.send({
@@ -222,25 +222,9 @@ class LeaderPublisher:
         distributed trace as the leader's interval that produced them.
         """
         self.last_seq = int(record["seq"])
+        if record["op"] == "commit":
+            self.commits += 1
         payload = {"kind": "record", "record": record}
-        trace = current_trace()
-        if trace is not None:
-            payload["trace"] = trace
-        for link in self.links:
-            link.send(payload)
-
-    def on_commit(self, server, interval):
-        """Publish the convergence digest after a committed interval."""
-        from repro.ha.digest import server_digest
-
-        self.commits += 1
-        payload = {
-            "kind": "digest",
-            "digest": server_digest(server),
-            "interval": int(interval),
-            "epoch": self.epoch,
-            "wal_seq": self.last_seq,
-        }
         trace = current_trace()
         if trace is not None:
             payload["trace"] = trace

@@ -55,7 +55,6 @@ from repro.chaos.soak import (
     steps,
 )
 from repro.errors import StaleEpochError
-from repro.ha.digest import server_digest
 from repro.ha.lease import Lease
 from repro.ha.replication import DirectLink, LeaderPublisher
 from repro.ha.standby import StandbyReplica, promote
@@ -253,7 +252,7 @@ def _oracle_final_state(soak, kill):
     The chaos family's single-node loop, silent (``obs=NULL``): same
     seeds, same churn, crashed by the same plan at the same point, then
     recovered from its own snapshot + WAL and run to the same interval
-    count.  Returns ``(fingerprint, digest)`` of its final state.
+    count.  Returns ``(fingerprint, snapshot)`` of its final state.
     Because key derivation, marking, and churn are all deterministic in
     the seeds, failover is correct *iff* the cluster's final state
     equals this run's, byte for byte.
@@ -275,7 +274,7 @@ def _oracle_final_state(soak, kill):
         try:
             return (
                 daemon.server.group_key.fingerprint(),
-                server_digest(daemon.server),
+                daemon.server.snapshot(),
             )
         finally:
             daemon.close()
@@ -308,10 +307,10 @@ def _run_leader_kill(soak):
             )
         )
         invariants["digest-at-promotion"] = digest_at_promotion is True
-        oracle_fp, oracle_digest = _oracle_final_state(soak, kill)
+        oracle_fp, oracle_state = _oracle_final_state(soak, kill)
         invariants["key-oracle"] = (
             pair.active.server.group_key.fingerprint() == oracle_fp
-            and server_digest(pair.active.server) == oracle_digest
+            and pair.active.server.snapshot() == oracle_state
         )
 
 

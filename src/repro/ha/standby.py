@@ -8,8 +8,8 @@ leader queued it, and each ``commit`` triggers the same end-of-interval
 :meth:`rekey` the leader ran.  Because key derivation is deterministic
 in ``(seed, node id, version)`` and the marking algorithm is a pure
 function of the request set, replaying the *inputs* reproduces the
-leader's tree byte for byte — which the leader's per-commit ``digest``
-frames verify continuously, not just at promotion time.
+leader's tree byte for byte — which every streamed ``commit`` record's
+state digest verifies continuously, not just at promotion time.
 
 :func:`promote` is the failover step: acquire the lease (minting the
 next epoch — every write the old leader might still attempt is fenced
@@ -18,9 +18,9 @@ stream had not delivered yet, wrap the replayed server in a
 :class:`~repro.service.daemon.RekeyDaemon` bound to the shared state
 directory, and resume service exactly the way crash recovery does
 (:meth:`~repro.service.daemon.RekeyDaemon.take_over`).  A replica
-whose last digest check failed refuses to promote: promoting a
-diverged replica would split the key space silently, the one failure
-mode worse than staying down.
+any of whose commits failed the digest check, streamed or read off the
+disk, refuses to promote: promoting a diverged replica would split the
+key space silently, the one failure mode worse than staying down.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import os
 from repro.chaos.seams import SYSTEM_CLOCK
 from repro.core.server import GroupKeyServer
 from repro.errors import HaError, ReplicationError
-from repro.ha.digest import server_digest
 from repro.obs.recorder import NULL
 from repro.service.wal import replay, scan_records
 
@@ -51,10 +50,9 @@ class StandbyReplica:
         #: highest sequence the leader has reported durable
         self.leader_seq = -1
         self.leader_epoch = 0
-        #: outcome of the most recent digest frame (``None`` = never
-        #: checked, ``True``/``False`` = matched / diverged)
+        #: commit digest verdict (``None`` = never checked, ``True`` =
+        #: every check matched, ``False`` = one diverged)
         self.digest_ok = None
-        self.last_digest = None
         self.last_heartbeat = None
         self.records_applied = 0
 
@@ -81,9 +79,7 @@ class StandbyReplica:
             self.leader_seq = max(self.leader_seq, self.applied_seq)
             self.leader_epoch = int(payload.get("epoch", 0))
         elif kind == "record":
-            self._apply_record(payload["record"])
-        elif kind == "digest":
-            self._check_digest(payload)
+            self._apply_record(payload["record"], payload.get("trace"))
         elif kind == "heartbeat":
             self.last_heartbeat = self.clock.time()
             self.leader_epoch = int(payload.get("epoch", 0))
@@ -95,7 +91,7 @@ class StandbyReplica:
                 "standby cannot apply frame kind %r" % (kind,)
             )
 
-    def _apply_record(self, record):
+    def _apply_record(self, record, trace=None):
         if self.server is None:
             raise ReplicationError(
                 "record frame before the bootstrap snapshot"
@@ -108,33 +104,20 @@ class StandbyReplica:
                 "replication gap: expected seq %d, got %d — resubscribe "
                 "from the durable log" % (self.applied_seq + 1, seq)
             )
-        replay(self.server, [record])
+        _, _, checks = replay(self.server, [record])
         self.applied_seq = seq
         self.leader_seq = max(self.leader_seq, seq)
         self.records_applied += 1
-
-    def _check_digest(self, payload):
-        if self.server is None:
-            raise ReplicationError(
-                "digest frame before the bootstrap snapshot"
-            )
-        self.leader_seq = max(
-            self.leader_seq, int(payload.get("wal_seq", -1))
-        )
-        ours = server_digest(self.server)
-        self.last_digest = ours
-        self.digest_ok = ours == payload["digest"]
-        detail = {
-            "interval": int(payload.get("interval", -1)),
-            "matched": self.digest_ok,
-        }
-        # Join the leader interval's distributed trace when the frame
-        # carried its id.
-        if payload.get("trace") is not None:
-            detail["trace"] = payload["trace"]
-        self.obs.emit("ha_digest_check", **detail)
-        if self.digest_ok:
-            self.obs.gauge("ha_replication_lag_records", self.lag())
+        for interval, matched in checks:
+            self.digest_ok = matched and self.digest_ok is not False
+            detail = {"interval": interval, "matched": matched}
+            # Join the leader interval's distributed trace when the
+            # frame carried its id.
+            if trace is not None:
+                detail["trace"] = trace
+            self.obs.emit("ha_digest_check", **detail)
+            if self.digest_ok:
+                self.obs.gauge("ha_replication_lag_records", self.lag())
 
     # -- introspection -------------------------------------------------
 
@@ -170,21 +153,17 @@ def promote(replica, state_dir, lease, backend=None, fleet=None,
     consults the lease as its fence) refuses with ``StaleEpochError``.
 
     Refuses (:class:`~repro.errors.HaError`) when the replica has no
-    bootstrapped state, its last digest check showed divergence, or the
-    shared WAL's records past ``replica.applied_seq`` cannot be folded
-    in: an acknowledged request the stream lost is never dropped.
+    bootstrapped state, a commit it replayed — from the stream or from
+    the shared WAL's records past ``replica.applied_seq`` — failed its
+    digest check, or those records cannot be folded in: an acknowledged
+    request the stream lost is never dropped.
     """
     from repro.service.daemon import DaemonConfig, RekeyDaemon
 
     obs = obs if obs is not None else replica.obs
     if replica.server is None:
         raise HaError("cannot promote before the bootstrap snapshot")
-    if replica.digest_ok is False:
-        raise HaError(
-            "refusing to promote a diverged replica (digest mismatch at "
-            "seq %d): a split key space is worse than unavailability"
-            % replica.applied_seq
-        )
+    _refuse_if_diverged(replica)
     epoch = lease.acquire()
     # The new epoch fences the old leader's appends, so the log is final
     # from here: whatever the stream lagged behind is read off the disk.
@@ -200,6 +179,7 @@ def promote(replica, state_dir, lease, backend=None, fleet=None,
                 replica.apply({"kind": "record", "record": record})
     except ReplicationError as error:
         raise HaError("refusing to promote: %s" % error)
+    _refuse_if_diverged(replica)
     if service is None:
         service = DaemonConfig()
     service.state_dir = state_dir
@@ -217,6 +197,7 @@ def promote(replica, state_dir, lease, backend=None, fleet=None,
         epoch=epoch,
         fence=lease,
     )
+    daemon.digest_ok = replica.digest_ok
     # Requests replayed from the stream but not yet committed are
     # consumed by a churn-free replay interval, and the fleet is
     # resynced, exactly as after a crash.
@@ -232,3 +213,10 @@ def promote(replica, state_dir, lease, backend=None, fleet=None,
     obs.emit("ha_role", node=replica.node_id, role="leader", epoch=epoch)
     obs.gauge("ha_epoch", epoch)
     return daemon
+
+
+def _refuse_if_diverged(replica):
+    if replica.digest_ok is False:
+        raise HaError("refusing to promote a diverged replica (digest "
+                      "mismatch by seq %d): a split key space is worse "
+                      "than unavailability" % replica.applied_seq)

@@ -30,6 +30,12 @@ member.  v1 snapshots (no CRC) still load.  ``save_server`` can also
 ``rotate`` the previous snapshot to ``<path>.prev``, giving recovery a
 second generation to fall back to (see ``docs/robustness.md``).
 
+The same canonical payload bytes define the server's **state digest**
+(:func:`server_digest`, SHA-256): ``save_server`` returns it, the WAL's
+``commit`` record carries it, and every replay of the log checks the
+state it rebuilds against it (:func:`repro.service.wal.replay`).  Equal
+digests mean byte-identical trees, counters and seeds.
+
 Only durable protocol state is snapshotted; pending join/leave queues
 are intentionally excluded (the service layer's write-ahead log —
 :mod:`repro.service.wal` — covers those, and a bare server restart
@@ -38,6 +44,7 @@ simply re-collects requests).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -48,6 +55,7 @@ from repro.crypto.keys import SymmetricKey
 from repro.errors import KeyTreeError
 from repro.keytree.nodes import NodeKind
 from repro.keytree.tree import KeyTree
+from repro.util import canonical_digest, canonical_json
 
 _FORMAT_VERSION = 1
 _SERVER_FORMAT_VERSION = 2
@@ -119,6 +127,20 @@ def payload_crc(payload):
     return "%08x" % (zlib.crc32(data) & 0xFFFFFFFF)
 
 
+def _crc_and_digest(payload):
+    """:func:`payload_crc` and the SHA-256 of one canonical encoding,
+    which is dropped before the snapshot's own encoding is built."""
+    data = canonical_json(payload).encode("utf-8")
+    crc = "%08x" % (zlib.crc32(data) & 0xFFFFFFFF)
+    return crc, hashlib.sha256(data).hexdigest()
+
+
+def server_digest(server):
+    """The state digest of one :class:`GroupKeyServer`: SHA-256 over the
+    canonical JSON of its snapshot (pending requests excluded)."""
+    return canonical_digest(server.snapshot())
+
+
 def _atomic_write_json(path, payload, fs=None):
     """Write ``payload`` as JSON to ``path`` without torn intermediates.
 
@@ -178,22 +200,27 @@ def save_server(server, path, fs=None, rotate=False, epoch=None):
     envelope (outside the CRC-protected payload, so the payload stays
     bit-identical across failovers); :func:`snapshot_epoch` reads it
     back without a full restore.
+
+    Returns the state digest (:func:`server_digest`), hashed from the
+    bytes the CRC already covers.
     """
     fs = fs or REAL_FILESYSTEM
     path = os.fspath(path)
     payload = server.snapshot()
+    crc, digest = _crc_and_digest(payload)
     if rotate and fs.exists(path):
         fs.replace(path, path + PREVIOUS_SUFFIX)
         fs.fsync_dir(os.path.dirname(path) or ".")
     envelope = {
         "format": _SERVER_FORMAT_VERSION,
         "kind": "server",
-        "crc": payload_crc(payload),
+        "crc": crc,
         "server": payload,
     }
     if epoch is not None:
         envelope["epoch"] = int(epoch)
     _atomic_write_json(path, envelope, fs=fs)
+    return digest
 
 
 def snapshot_epoch(path):

@@ -222,6 +222,7 @@ class EventBus:
         self._keep = int(keep)
         #: events trimmed off the ring's head to stay within ``keep``
         self.dropped = 0
+        self._taps = []
         self._context = {}
         self.line_buffered = bool(line_buffered)
         self._handle = open(path, "w") if path else None
@@ -233,6 +234,13 @@ class EventBus:
                 self._context.pop(key, None)
             else:
                 self._context[key] = value
+
+    def tap(self, kinds):
+        """A list that receives every later event of ``kinds``, never
+        trimmed by the ring."""
+        events = []
+        self._taps.append((frozenset(kinds), events))
+        return events
 
     def emit(self, kind, **detail):
         """Record one event; returns the envelope dict."""
@@ -250,6 +258,9 @@ class EventBus:
             "detail": merged,
         }
         self.events.append(record)
+        for kinds, events in self._taps:
+            if kind in kinds:
+                events.append(record)
         if len(self.events) > self._keep:
             excess = len(self.events) - self._keep
             del self.events[:excess]

@@ -15,8 +15,9 @@ and every committed interval atomically replaces the server snapshot
 1. apply the request in memory, *then* append to the WAL, *then*
    acknowledge — nothing is acknowledged before it is durable;
 2. at interval end: rekey → deliver → snapshot (atomic replace) →
-   ``commit`` marker.  Replay filters on the snapshot's interval
-   number, so a crash between snapshot and marker changes nothing.
+   ``commit`` marker carrying the snapshot's state digest.  Replay
+   filters on the snapshot's interval number, so a crash between
+   snapshot and marker changes nothing.
 
 :meth:`recover` inverts that: load the snapshot and replay the WAL
 through :func:`repro.service.wal.replay` — re-run each interval the
@@ -272,6 +273,9 @@ class RekeyDaemon:
         #: requests *only* (no fresh churn), so its rekey reproduces the
         #: crashed interval byte for byte — see :meth:`recover`
         self._replay_interval = False
+        #: commit digest verdict of recovery or promotion (``None``:
+        #: no commit checked)
+        self.digest_ok = None
         self.crashed = None  # DaemonCrash captured by the background loop
         #: HA identity (see docs/ha.md): the writer's epoch fencing
         #: token and the lease that mints them.  ``None`` epoch =
@@ -385,6 +389,10 @@ class RekeyDaemon:
         handed out.  With ``resync_members``
         off, callers must likewise not submit new requests before that
         interval has run.
+
+        Replay's commit digest verdict lands in :attr:`digest_ok` and
+        the ``digests_verified``/``digest_mismatches`` counters; a
+        mismatch is reported, not refused.
         """
         import os
 
@@ -416,9 +424,13 @@ class RekeyDaemon:
         )
         daemon.metrics.bump("recoveries")
         daemon.metrics.bump("snapshot_fallbacks", snapshot_fallbacks)
-        replayed, rejected = replay(server, daemon.wal.records())
+        replayed, rejected, checks = replay(server, daemon.wal.records())
+        matched = sum(ok for _, ok in checks)
+        daemon.digest_ok = matched == len(checks) if checks else None
         daemon.metrics.bump("requests_replayed", replayed)
         daemon.metrics.bump("requests_rejected", rejected)
+        daemon.metrics.bump("digests_verified", matched)
+        daemon.metrics.bump("digest_mismatches", len(checks) - matched)
         daemon.take_over(resync_members)
         daemon.obs.emit(
             "recovery",
@@ -532,8 +544,8 @@ class RekeyDaemon:
     def attach_replication(self, publisher):
         """Wire a :class:`repro.ha.replication.LeaderPublisher` into the
         write path: every durable WAL append is streamed to followers,
-        and each committed interval is followed by a state-digest frame
-        so followers can verify convergence before they would promote.
+        commit records with their state digests included, so followers
+        verify convergence before they would promote.
         """
         if self.wal is None:
             raise ServiceError("replication needs a durable daemon")
@@ -717,14 +729,12 @@ class RekeyDaemon:
             )
         if self.snapshot_path is not None:
             with obs.span("daemon.snapshot"):
-                snapshot_ok = self._save_snapshot()
-            if snapshot_ok:
+                digest = self._save_snapshot()
+            if digest:
                 if obs.enabled:
                     obs.emit("snapshot", path=self.snapshot_path)
                 self._maybe_crash(interval, "post-snapshot")
-                self.wal.append_commit(interval)
-                if self.replication is not None:
-                    self.replication.on_commit(self.server, interval)
+                self.wal.append_commit(interval, digest)
                 every = self.service.wal_compact_every
                 if every and (interval + 1) % every == 0:
                     # Keep the last committed interval's records too:
@@ -865,7 +875,8 @@ class RekeyDaemon:
 
     def _save_snapshot(self):
         """Write the server snapshot (rotating the previous generation),
-        retrying transient I/O errors; returns whether it succeeded.
+        retrying transient I/O errors; returns its state digest, or
+        ``None`` when it failed.
 
         On persistent failure the caller must treat the interval as
         uncommitted — the WAL still covers it, so nothing is lost, only
@@ -874,7 +885,7 @@ class RekeyDaemon:
         from repro.keytree.persistence import save_server
 
         def attempt():
-            save_server(
+            return save_server(
                 self.server,
                 self.snapshot_path,
                 fs=self.fs,
@@ -883,7 +894,7 @@ class RekeyDaemon:
             )
 
         try:
-            self.retry.run(
+            return self.retry.run(
                 attempt,
                 clock=self.clock,
                 on_retry=lambda n, err: self.obs.emit(
@@ -899,8 +910,7 @@ class RekeyDaemon:
                 self.snapshot_path,
                 exc,
             )
-            return False
-        return True
+            return None
 
     # -- scheduling --------------------------------------------------------
 
@@ -985,6 +995,7 @@ class RekeyDaemon:
         report = self.metrics.health(n_members=self.server.n_users)
         report["engine"] = self.server.config.engine
         report["circuit"] = self.circuit.snapshot()
+        report["digest_ok"] = self.digest_ok
         report["slo"] = (
             None if self.slo is None else self.slo.snapshot()
         )

@@ -173,6 +173,9 @@ class ServiceMetrics:
             # robustness surface (see docs/robustness.md)
             "snapshot_failures": 0,
             "snapshot_fallbacks": 0,
+            # commits replay checked against their state digests
+            "digests_verified": 0,
+            "digest_mismatches": 0,
             "circuit_opens": 0,
             # intervals whose configured degradation policy the
             # transport could not honour (the wire plane ignores "carry")

@@ -11,7 +11,7 @@ snapshot has not folded in yet.
 Record format v2 (one JSON object per line, CRC32-protected)::
 
     {"crc": "f3b1c2d4", "interval": 4, "op": "join", "seq": 17, "user": "u-9"}
-    {"crc": "0a9e88c1", "interval": 4, "op": "commit", "seq": 19}
+    {"crc": "0a9e88c1", "digest": "5be0…", "interval": 4, "op": "commit", "seq": 19}
 
 ``crc`` is the CRC32 (hex) of the record's canonical JSON *without* the
 ``crc`` key, so any at-rest damage to a record — a flipped bit, a
@@ -21,12 +21,15 @@ log upgrades itself in place.
 
 ``interval`` is the server's ``intervals_processed`` at acceptance time,
 i.e. the interval whose end-of-interval rekey will consume the request.
-``commit`` marks that interval's rekey as durably snapshotted.
+``commit`` marks that interval's rekey as durably snapshotted, and its
+``digest`` is the state digest of what was snapshotted
+(:func:`repro.keytree.persistence.server_digest`).
 :func:`replay` is the one rule that says what the records mean: it
 skips what the restored snapshot already holds (so a crash between
-snapshot write and commit append is harmless), re-queues requests, and
+snapshot write and commit append is harmless), re-queues requests,
 re-runs each interval the writer rekeyed, so a snapshot one generation
-back (``server.json.prev``) replays interval by interval.
+back (``server.json.prev``) replays interval by interval, and checks
+every commit whose state it holds against that commit's digest.
 
 A torn tail — a final line cut short by the crash — is expected and
 dropped; torn or out-of-sequence records anywhere *else* mean real
@@ -60,6 +63,7 @@ import zlib
 
 from repro.chaos.seams import REAL_FILESYSTEM, SYSTEM_CLOCK
 from repro.errors import ReproError, StaleEpochError, WalError
+from repro.keytree.persistence import server_digest
 from repro.obs.recorder import NULL
 from repro.util.retry import RetryPolicy
 
@@ -204,7 +208,8 @@ def queue_request(server, op, user):
 
 
 def replay(server, records):
-    """Fold logged records into ``server``; returns ``(replayed, rejected)``.
+    """Fold logged records into ``server``; returns ``(replayed,
+    rejected, checks)``.
 
     The one reading of the log: crash recovery, the standby's stream and
     promotion all go through it.  Records are walked in log order:
@@ -225,18 +230,28 @@ def replay(server, records):
     state, and a merged batch would mint the bytes the writer delivered
     for a different member set.  ``replayed``/``rejected`` count the
     request records re-queued and refused.
+
+    ``checks`` holds ``(interval, matched)`` for each commit whose state
+    replay holds — right after re-running its rekey, or, for a skipped
+    commit of interval ``intervals_processed - 1``, the state as loaded
+    — comparing :func:`server_digest` with the commit's ``digest``.  A
+    verdict is reported, never acted on: that is the caller's policy.
     """
     replayed = rejected = 0
+    checks = []
     for record in records:
         op, interval = record["op"], int(record["interval"])
         if op not in _ALL_OPS:
             raise WalError("unknown WAL op %r" % (op,))
         if interval < server.intervals_processed:
+            if op == "commit" and interval == server.intervals_processed - 1:
+                _check(server, record, checks)
             continue
         while server.intervals_processed < interval:
             server.rekey()
         if op == "commit":
             server.rekey()
+            _check(server, record, checks)
             continue
         try:
             queue_request(server, op, record["user"])
@@ -244,8 +259,14 @@ def replay(server, records):
             rejected += 1
         else:
             replayed += 1
-    return replayed, rejected
+    return replayed, rejected, checks
 
+
+def _check(server, record, checks):
+    if "digest" in record:  # commits logged before digests check nothing
+        checks.append(
+            (record["interval"], server_digest(server) == record["digest"])
+        )
 
 class WriteAheadLog:
     """Append-only, fsynced, CRC-protected JSONL log with torn-tail-
@@ -352,7 +373,7 @@ class WriteAheadLog:
     def next_seq(self):
         return self._next_seq
 
-    def append(self, op, interval, user=None):
+    def append(self, op, interval, user=None, digest=None):
         """Durably append one record; returns its sequence number.
 
         The call only returns once the bytes are fsynced — the caller
@@ -368,6 +389,8 @@ class WriteAheadLog:
         record = {"seq": self._next_seq, "op": op, "interval": int(interval)}
         if user is not None:
             record["user"] = user
+        if digest is not None:
+            record["digest"] = digest
         if self.epoch is not None:
             record["epoch"] = self.epoch
         line = encode_record(record) + "\n"
@@ -432,9 +455,10 @@ class WriteAheadLog:
             raise WalError("not a membership op: %r" % (op,))
         return self.append(op, interval, user=user)
 
-    def append_commit(self, interval):
-        """Mark ``interval``'s rekey as durably snapshotted."""
-        return self.append("commit", interval)
+    def append_commit(self, interval, digest=None):
+        """Mark ``interval``'s rekey as durably snapshotted, with the
+        state digest of that snapshot."""
+        return self.append("commit", interval, digest=digest)
 
     def records(self):
         """All intact records, oldest first (torn tail dropped)."""

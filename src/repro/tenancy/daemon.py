@@ -15,9 +15,8 @@ pass of the run queue:
    tenants in deadline order, whales last, the overflow deferred;
 4. scheduled tenants run one interval each (an over-budget tenant runs
    degraded: the existing deadline-degradation path, forced to the
-   cheap carry policy), the tenant's post-interval state digest is
-   recorded beside its snapshot, and strikes/failures feed its
-   quarantine breaker.
+   cheap carry policy), committing it to their own WAL with its state
+   digest, and strikes/failures feed their quarantine breakers.
 
 A tenant's *failure* (WAL write refused, interval error) trips its
 breaker and benches it; its neighbors' tick continues.  A
@@ -34,12 +33,10 @@ single acquisition.
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.chaos.seams import REAL_FILESYSTEM, SYSTEM_CLOCK
 from repro.errors import ReproError, TenancyError, WalError
-from repro.ha.digest import server_digest
 from repro.obs.recorder import NULL
 from repro.service.daemon import DaemonConfig, RekeyDaemon
 from repro.tenancy.quotas import AdmissionController, TenantBreaker
@@ -49,33 +46,10 @@ from repro.util.rng import RandomSource
 
 #: per-tenant state lives under ``<root>/tenants/<name>/``
 TENANTS_DIRNAME = "tenants"
-#: the recorded post-interval state digest, beside the snapshot
-DIGEST_FILENAME = "digest.json"
 
 
 def tenant_state_dir(state_root, name):
     return os.path.join(os.fspath(state_root), TENANTS_DIRNAME, name)
-
-
-def _write_digest(path, payload, fs):
-    temp = path + ".tmp"
-    handle = fs.open(temp, "w")
-    try:
-        fs.write(handle, json.dumps(payload, sort_keys=True))
-        fs.fsync(handle)
-    finally:
-        handle.close()
-    fs.replace(temp, path)
-
-
-def read_digest(state_root, name, fs=None):
-    """The tenant's recorded ``{"interval", "digest"}``, or ``None``."""
-    fs = fs if fs is not None else REAL_FILESYSTEM
-    path = os.path.join(tenant_state_dir(state_root, name), DIGEST_FILENAME)
-    try:
-        return json.loads(fs.read_bytes(path).decode("utf-8"))
-    except (FileNotFoundError, ValueError):
-        return None
 
 
 class MultiGroupDaemon:
@@ -407,7 +381,6 @@ class MultiGroupDaemon:
             if bus is not None:
                 bus.set_context(tenant=None, interval=None, trace=None)
         self.intervals_total += 1
-        self._record_digest(name, tenant)
         self._emit_tenant(
             "tenant_interval", name,
             interval=record.interval,
@@ -425,24 +398,6 @@ class MultiGroupDaemon:
                 0 if tenant.epoch is None else tenant.epoch,
             )
         return True, False
-
-    def _record_digest(self, name, tenant):
-        """Record the tenant's post-interval state digest beside its
-        snapshot, for promotion-time verification; best effort (a
-        failed write only forfeits that check)."""
-        if tenant.snapshot_path is None:
-            return
-        path = os.path.join(
-            tenant_state_dir(self.state_root, name), DIGEST_FILENAME
-        )
-        payload = {
-            "interval": tenant.server.intervals_processed,
-            "digest": server_digest(tenant.server),
-        }
-        try:
-            _write_digest(path, payload, tenant.fs)
-        except OSError:
-            self.obs.count("tenancy_digest_write_failures", tenant=name)
 
     def tick(self):
         """One scheduler tick over the whole fleet; returns its plan."""

@@ -15,11 +15,12 @@ leader of all of them in one linearization step:
    (:meth:`~repro.tenancy.daemon.MultiGroupDaemon.recover_all`), so a
    tenant mid-crash replays its logged requests exactly as single-group
    recovery does: no interval is lost in any tenant.
-3. **Verify the digests** — the old leader recorded each tenant's
-   post-interval state digest beside its snapshot; a recovered tenant
-   whose interval matches the record must reproduce that digest byte
-   for byte.  A mismatch is surfaced (and fails the soak invariant)
-   rather than silently splitting a tenant's key space.
+3. **Verify the digests** — each tenant's recovery checks the state
+   it rebuilt against the digest of the old leader's commit records
+   (:func:`repro.service.wal.replay`): a tenant recovered at a commit
+   must reproduce that commit's digest byte for byte.  A mismatch is
+   surfaced (and fails the soak invariant) rather than silently
+   splitting a tenant's key space.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from dataclasses import dataclass, field
 
 from repro.chaos.seams import REAL_FILESYSTEM, SYSTEM_CLOCK
 from repro.errors import TenancyError
-from repro.ha.digest import server_digest
 from repro.ha.lease import DEFAULT_TTL, Lease
 from repro.obs.recorder import NULL
-from repro.tenancy.daemon import MultiGroupDaemon, read_digest
+from repro.tenancy.daemon import MultiGroupDaemon
 
 #: the fleet's single fencing domain, beside the registry
 LEASE_FILENAME = "lease.json"
@@ -60,9 +60,9 @@ class PromotionReport:
     tenants: int = 0
     digests_verified: int = 0
     digest_mismatches: list = field(default_factory=list)
-    #: tenants recovered at a different interval than their recorded
-    #: digest (a mid-crash tenant replaying its WAL suffix) — their
-    #: digest check is deferred to their next committed interval
+    #: tenants whose recovery checked no commit (crashed between
+    #: snapshot and commit) — their check is deferred to their next
+    #: committed interval
     digests_skipped: int = 0
     requests_replayed: int = 0
 
@@ -138,27 +138,19 @@ def promote_all(
         report.requests_replayed += tenant.metrics.counters[
             "requests_replayed"
         ]
-        recorded = read_digest(state_root, name, fs=fs)
-        interval = tenant.server.intervals_processed
-        matched = None
-        if (
-            recorded is not None
-            and int(recorded.get("interval", -1)) == interval
-        ):
-            matched = server_digest(tenant.server) == recorded.get("digest")
-            if matched:
-                report.digests_verified += 1
-            else:
-                report.digest_mismatches.append(name)
-        else:
+        if tenant.digest_ok is None:
             report.digests_skipped += 1
+        elif tenant.digest_ok:
+            report.digests_verified += 1
+        else:
+            report.digest_mismatches.append(name)
         if obs.enabled:
             obs.emit(
                 "tenant_rehomed",
                 tenant=name,
-                interval=interval,
+                interval=tenant.server.intervals_processed,
                 epoch=epoch,
-                digest_ok=matched,
+                digest_ok=tenant.digest_ok,
                 replay=tenant._replay_interval,
             )
     if obs.enabled:

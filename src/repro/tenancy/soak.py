@@ -306,7 +306,7 @@ def _run_wal_corruption(soak):
         _tally_fleet(tally, first, daemon)
         quarantine_events = [
             event
-            for event in obs.bus.events
+            for event in soak.events
             if event["kind"] == "wal_quarantine"
         ]
         invariants = soak.result.invariants

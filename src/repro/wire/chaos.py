@@ -235,13 +235,14 @@ def run_single(soak, label="wire-chaos"):
                     )
             if plan.faults.corrupt_rate > 0.0:
                 # Corruption is detectable by construction — it must
-                # surface as counted decode errors, never as silence.
-                client_decode = sum(
-                    s["decode_errors"] for s in stats.values()
+                # surface as counted decode errors, never as silence:
+                # at the server, a member's socket or a receiver shard.
+                decode_errors = (
+                    backend.server.decode_errors
+                    + sum(s["decode_errors"] for s in stats.values())
+                    + backend.shard_decode_errors()
                 )
-                invariants["decode-error-path"] = (
-                    backend.server.decode_errors + client_decode > 0
-                )
+                invariants["decode-error-path"] = decode_errors > 0
         if schedule:
             crashed = set(schedule)
             invariants["crashed-evicted"] = (

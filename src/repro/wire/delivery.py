@@ -512,6 +512,13 @@ class WireDelivery(DeliveryBackend):
             return self._pool.data_gaps
         return self._shard.data_gaps
 
+    def shard_decode_errors(self):
+        """Undecodable datagrams at the receiver shards (worker mode: as
+        of the last :meth:`client_stats`)."""
+        if self._pool is not None:
+            return self._pool.shard_decode_errors
+        return 0 if self._shard is None else self._shard.decode_errors
+
     def _raise_if_workers_dead(self):
         """Raise :class:`WorkerCrashError` if any worker process died.
 

@@ -81,9 +81,7 @@ def _run_plan(soak):
     try:
         intervals = run_single(soak, "fleet")
     finally:
-        soak.result.counters["cohorts"] = cohort_summary(
-            soak.obs.bus.events
-        )
+        soak.result.counters["cohorts"] = cohort_summary(soak.events)
     # An interval with nothing to rekey sends nothing, so only the
     # intervals whose message was non-empty leave a backend record.
     sent = sum(1 for interval in intervals if interval.decision != "empty")
@@ -130,7 +128,8 @@ SOAK_FAMILY = SoakFamily(
             ),
         )
     },
-    kinds=frozenset(),
+    # the cohort summary's evidence; the digest hashes the records
+    kinds=frozenset({"wire_member_recovered"}),
     digest_of="records",
     invariant_event="wire_fleet_invariant",
     counters={

@@ -17,9 +17,10 @@ over a :mod:`multiprocessing` pipe with these commands:
 - ``("check", None)`` — reply ``("errors", ([...], data_gaps))`` with
   everything the clients' and the shard's socket paths recorded, so the
   parent can fail loudly, and the shard's gap count;
-- ``("stats", None)`` — reply ``("stats", [(name, dict), ...])`` with
-  each client's resync-FSM counters (see ``WireClient.stats``), so the
-  failover harness can audit epochs across process boundaries;
+- ``("stats", None)`` — reply ``("stats", ([(name, dict), ...],
+  decode_errors))`` with each client's resync-FSM counters (see
+  ``WireClient.stats``), so the failover harness can audit epochs
+  across process boundaries, and the shard's decode-error count;
 - ``("stop", None)`` — close everything and exit.
 
 Workers are started with the ``spawn`` context: the parent runs an
@@ -148,15 +149,11 @@ async def _worker_loop(conn, server_address, loss, seed, spacing_seconds,
                 elif op == "check":
                     conn.send(("errors", (collect_errors(), shard.data_gaps)))
                 elif op == "stats":
-                    conn.send(
-                        (
-                            "stats",
-                            [
-                                (name, client.stats())
-                                for name, client in sorted(clients.items())
-                            ],
-                        )
-                    )
+                    stats = [
+                        (name, client.stats())
+                        for name, client in sorted(clients.items())
+                    ]
+                    conn.send(("stats", (stats, shard.decode_errors)))
                 elif op == "stop":
                     stop.set()
                     return
@@ -228,6 +225,9 @@ class WorkerPool:
         #: DATA slots the workers' shards saw skipped, as of the last
         #: :meth:`check`
         self.data_gaps = 0
+        #: datagrams the workers' shards could not decode, as of the
+        #: last :meth:`stats`
+        self.shard_decode_errors = 0
         #: per worker slot, its receiver shard's ``(host, port)``
         self.shard_addresses = []
         try:
@@ -336,10 +336,14 @@ class WorkerPool:
         return errors
 
     def stats(self, timeout=10.0):
-        """``{name: stats_dict}`` for every client across all workers."""
+        """``{name: stats_dict}`` for every client across all workers
+        (and refresh :attr:`shard_decode_errors`)."""
         stats = {}
-        for payload in self._request("stats", "stats", timeout):
-            stats.update(dict(payload))
+        decode_errors = 0
+        for pairs, shard_errors in self._request("stats", "stats", timeout):
+            stats.update(dict(pairs))
+            decode_errors += shard_errors
+        self.shard_decode_errors = decode_errors
         return stats
 
     def close(self, timeout=10.0):

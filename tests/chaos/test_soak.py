@@ -23,7 +23,7 @@ from repro.wire.chaos import WIRE_TIMELINE_KINDS
 #: the ``recovery`` after the ``.prev`` fallback now resumes at interval
 #: 9 with no replay interval, instead of merging two batches at 8.
 STANDARD_SEED7_DIGEST = (
-    "656797bef5c55b89debde43a5f1899eebf7f1cda2c5d48b2c5a6c912a9a7ea14"
+    "d36d26c8bbe16e7fcca91288ff9fcd34dcda08975fca20a1da95db8fe52bc597"
 )
 
 #: sha256 of the canonical fault timelines of the other plans at seed 7
@@ -33,7 +33,7 @@ PINNED = {
         "fbaa38210ed4e66ad3e716b2ce1d79ee84c46b70767ab9e90f81ef14fe4c46be"
     ),
     "storage-corruptor": (
-        "3580bb84f8c2fbeb0cec4ac993256baa6a3fa8b3982dfa86a0a4cd30fb01964b"
+        "2b3ac40766ae1ff7a57ffd2aef3732111094380816d04746535e4eb0e189ac82"
     ),
     "feedback-abuse": (
         "e3146179f980db3a3c156a44b07dbc25cb9f71ead51dc290729f5fac40d8e2ec"

@@ -108,3 +108,24 @@ def test_plan_minimums_refused_before_the_run(plan, sizes, tmp_path):
 def test_cross_family_plans_refused():
     with pytest.raises(ChaosError, match="needs a cluster"):
         run_soak("chaos", "leader-kill")
+
+
+def test_an_overflowing_ring_leaves_the_evidence_whole(monkeypatch):
+    """The timeline is collected as events are emitted, not read back
+    from the bus's bounded ring: a run whose ring drops most of its
+    events digests exactly like an uncapped one."""
+    import functools
+
+    import repro.chaos.soak as soak_module
+
+    uncapped = run_soak("chaos", "standard", seed=7)
+    assert uncapped.events_dropped == 0
+    monkeypatch.setattr(
+        soak_module,
+        "EventBus",
+        functools.partial(soak_module.EventBus, keep=20),
+    )
+    capped = run_soak("chaos", "standard", seed=7)
+    assert capped.events_dropped > len(capped.timeline)
+    assert capped.timeline == uncapped.timeline
+    assert capped.digest == uncapped.digest

@@ -20,7 +20,7 @@ PINNED = {
         "7e59d05e2dbc64ad2b7a95d130cd6900a7969f63ec1958beca6069ef9a0a682e"
     ),
     "replication-partition": (
-        "77ec534a3659e8ecd2f32d92affe0074581e7ab3626e3407821c9c509feeb2f5"
+        "e60d0c85eda954a010c6d879ca220a6095df6ffe1561b27f94b8583025420409"
     ),
     "split-brain": (
         "0a1c1d6c0819127f8dc0cd86f93e174f5c28ac29c0502f88f51881bfec8ac7b9"

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import GroupConfig
 from repro.errors import HaError, ReplicationError, StaleEpochError
-from repro.ha.digest import server_digest
+from repro.keytree.persistence import server_digest
 from repro.ha.lease import Lease
 from repro.ha.replication import DirectLink, LeaderPublisher
 from repro.ha.standby import StandbyReplica, promote
+from repro.service.wal import encode_record, read_records
 from repro.service import (
     DaemonConfig,
     RekeyDaemon,
@@ -43,6 +44,14 @@ def follow(daemon, publisher, config):
     publisher.subscribe(link, server=daemon.server)
     replica.apply_frames(link.poll())
     return link, replica
+
+
+def tamper_commits(payloads):
+    """The frames with every commit record's digest replaced."""
+    for payload in payloads:
+        if payload["kind"] == "record" and payload["record"]["op"] == "commit":
+            payload["record"]["digest"] = "0" * 64
+    return payloads
 
 
 class TestReplay:
@@ -112,7 +121,7 @@ class TestReplay:
         with pytest.raises(ReplicationError, match="cannot apply"):
             replica.apply({"kind": "mystery"})
 
-    def test_divergence_is_detected_by_the_digest_frame(self, leader):
+    def test_divergence_is_detected_by_the_commit_digest(self, leader):
         daemon, publisher, config = leader
         link, replica = follow(daemon, publisher, config)
         # Sabotage the shadow: one extra join the leader never saw.
@@ -120,6 +129,27 @@ class TestReplay:
         daemon.run_interval()
         replica.apply_frames(link.poll())
         assert replica.digest_ok is False
+
+    def test_bootstrap_is_checked_against_its_commit(self, leader):
+        """The bootstrap streams the commit the snapshot stands at, so
+        the replica's state is verified before any interval runs."""
+        daemon, publisher, config = leader
+        for _ in range(2):
+            daemon.run_interval()
+        _, replica = follow(daemon, publisher, config)
+        assert replica.digest_ok is True
+        assert replica.server.intervals_processed == 2
+
+    def test_a_mismatch_stays_until_promotion(self, leader):
+        daemon, publisher, config = leader
+        link, replica = follow(daemon, publisher, config)
+        daemon.run_interval()
+        replica.apply_frames(tamper_commits(link.poll()))
+        assert replica.digest_ok is False
+        daemon.run_interval()
+        replica.apply_frames(link.poll())
+        assert replica.digest_ok is False  # a later match clears nothing
+        assert publisher.snapshot()["commits"] == 2
 
 
 class TestPromote:
@@ -137,6 +167,41 @@ class TestPromote:
         lease = Lease(tmp_path / "state" / "lease.json", "standby")
         with pytest.raises(HaError, match="diverged"):
             promote(replica, str(tmp_path / "state"), lease)
+
+    def test_promote_refuses_a_tampered_streamed_commit(
+        self, leader, tmp_path
+    ):
+        daemon, publisher, config = leader
+        link, replica = follow(daemon, publisher, config)
+        daemon.run_interval()
+        replica.apply_frames(tamper_commits(link.poll()))
+        assert replica.digest_ok is False
+        daemon.close()
+        lease = Lease(tmp_path / "state" / "lease.json", "standby")
+        with pytest.raises(HaError, match="diverged"):
+            promote(replica, str(tmp_path / "state"), lease)
+
+    def test_promote_refuses_a_tampered_commit_on_disk(
+        self, leader, tmp_path
+    ):
+        daemon, publisher, config = leader
+        link, replica = follow(daemon, publisher, config)
+        daemon.run_interval()
+        replica.apply_frames(link.poll())
+        daemon.run_interval()  # never streamed: promotion reads the disk
+        daemon.close()
+        wal_path = tmp_path / "state" / "wal.jsonl"
+        records = read_records(str(wal_path))
+        assert records[-1]["op"] == "commit"
+        records[-1]["digest"] = "0" * 64
+        wal_path.write_text(
+            "".join(encode_record(r) + "\n" for r in records)
+        )
+        assert replica.digest_ok is True
+        lease = Lease(tmp_path / "state" / "lease.json", "standby")
+        with pytest.raises(HaError, match="diverged"):
+            promote(replica, str(tmp_path / "state"), lease)
+        assert replica.digest_ok is False
 
     def test_promotion_fences_the_deposed_leader(self, leader, tmp_path):
         from repro.chaos.seams import FaultyClock

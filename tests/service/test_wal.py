@@ -112,11 +112,11 @@ class TestPendingAndCompaction:
             ],
         )
         server = server_at(1)
-        assert replay(server, wal.records()) == (2, 0)
+        assert replay(server, wal.records())[:2] == (2, 0)
         assert server.pending_requests == (["b"], ["a"])
         assert server.intervals_processed == 1
         server = server_at(2)
-        assert replay(server, wal.records()) == (0, 0)
+        assert replay(server, wal.records())[:2] == (0, 0)
         assert server.pending_requests == ([], [])
 
     def test_commit_reruns_its_interval(self, tmp_path):
@@ -132,7 +132,7 @@ class TestPendingAndCompaction:
             ],
         )
         server = server_at(0, users=("x",))
-        assert replay(server, wal.records()) == (3, 0)
+        assert replay(server, wal.records())[:2] == (3, 0)
         assert server.intervals_processed == 1
         assert server.users == {"a", "x"}
         assert server.pending_requests == (["b"], ["a"])
@@ -146,7 +146,7 @@ class TestPendingAndCompaction:
         interval before it logged the next one's requests."""
         wal = make_log(tmp_path, [("join", "a", 0), ("join", "b", 1)])
         server = server_at(0, users=("x",))
-        assert replay(server, wal.records()) == (2, 0)
+        assert replay(server, wal.records())[:2] == (2, 0)
         assert server.intervals_processed == 1
         assert server.users == {"a", "x"}
         assert server.pending_requests == (["b"], [])
@@ -154,7 +154,7 @@ class TestPendingAndCompaction:
     def test_refused_request_is_counted_not_fatal(self, tmp_path):
         wal = make_log(tmp_path, [("leave", "nobody", 0), ("join", "b", 0)])
         server = server_at(0)
-        assert replay(server, wal.records()) == (1, 1)
+        assert replay(server, wal.records())[:2] == (1, 1)
         assert server.pending_requests == (["b"], [])
 
     def test_unknown_op_refused(self):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import GroupConfig
 from repro.core.server import GroupKeyServer
 from repro.errors import ReproError
-from repro.ha.digest import server_digest
+from repro.keytree.persistence import server_digest
 
 BASE = ["m%02d" % i for i in range(8)]
 NAMES = BASE + ["n%02d" % i for i in range(8)]

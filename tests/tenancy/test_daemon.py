@@ -6,7 +6,9 @@ from repro.chaos.faults import FaultPlan, IoFault
 from repro.chaos.seams import FaultyFilesystem
 from repro.errors import TenancyError
 from repro.service.churn import FlashCrowdChurn, PoissonChurn
-from repro.tenancy.daemon import MultiGroupDaemon, read_digest
+from repro.keytree.persistence import server_digest
+from repro.service.wal import read_records
+from repro.tenancy.daemon import MultiGroupDaemon
 from repro.tenancy.registry import TenantRegistry, make_fleet
 
 
@@ -37,11 +39,12 @@ def test_fleet_ticks_and_health(tmp_path):
         assert health["intervals_total"] == daemon.intervals_total > 6
         assert daemon.check_agreement() == []
         assert daemon.admission.verify() == []
-        # every tenant that ran recorded a post-interval digest
+        # every tenant's last commit record carries its state digest
         for spec in fleet:
-            recorded = read_digest(tmp_path, spec.name)
-            assert recorded is not None
-            assert set(recorded) == {"interval", "digest"}
+            tenant = daemon.tenant(spec.name)
+            last = read_records(tenant.wal.path)[-1]
+            assert last["op"] == "commit"
+            assert last["digest"] == server_digest(tenant.server)
     finally:
         daemon.close()
 

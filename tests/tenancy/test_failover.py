@@ -7,13 +7,11 @@ import pytest
 from repro.chaos.seams import FaultyClock
 from repro.chaos.soak import audit_wal
 from repro.errors import HaError, StaleEpochError, TenancyError
-from repro.ha.digest import server_digest
+from repro.keytree.persistence import server_digest
 from repro.service.churn import PoissonChurn
-from repro.tenancy.daemon import (
-    MultiGroupDaemon,
-    read_digest,
-    tenant_state_dir,
-)
+from repro.service.daemon import CrashPlan, DaemonConfig, DaemonCrash
+from repro.service.wal import encode_record, read_records
+from repro.tenancy.daemon import MultiGroupDaemon, tenant_state_dir
 from repro.tenancy.failover import fleet_lease, promote_all
 from repro.tenancy.registry import make_fleet
 
@@ -24,13 +22,22 @@ def _churn(fleet, alpha=0.25):
     return {spec.name: PoissonChurn(alpha=alpha) for spec in fleet}
 
 
-def _boot(tmp_path, clock, count=6, seed=17):
+def _boot(tmp_path, clock, count=6, seed=17, service_factory=None):
     fleet = make_fleet(count, seed=seed, interval_ticks=1)
     lease = fleet_lease(tmp_path, "leader-0", ttl=TTL, clock=clock)
     daemon = MultiGroupDaemon.start_new(
-        fleet, tmp_path, churn=_churn(fleet), clock=clock, lease=lease
+        fleet,
+        tmp_path,
+        churn=_churn(fleet),
+        clock=clock,
+        lease=lease,
+        service_factory=service_factory,
     )
     return daemon
+
+
+def _wal_path(root, name):
+    return os.path.join(tenant_state_dir(root, name), "wal.jsonl")
 
 
 def test_promote_all_rehomes_every_tenant(tmp_path):
@@ -110,32 +117,62 @@ def test_promotion_needs_a_registry(tmp_path):
 
 
 def test_mid_crash_tenant_is_skipped_then_caught_up(tmp_path):
+    """A tenant crashed between its snapshot and its commit record has
+    no commit at the state it recovers: its check is deferred, not
+    failed, and its next interval commits and verifies again."""
+    clock = FaultyClock()
+    fleet = make_fleet(6, seed=17, interval_ticks=1)
+    lagging = fleet.names[2]
+
+    def service_factory(spec):
+        if spec.name == lagging:
+            return DaemonConfig(
+                crash_plan=CrashPlan(interval=2, point="post-snapshot")
+            )
+        return DaemonConfig()
+
+    leader = _boot(tmp_path, clock, service_factory=service_factory)
+    with pytest.raises(DaemonCrash):
+        leader.run_ticks(3)
+    leader.close()
+    clock.sleep(TTL + 1)
+    standby, report = promote_all(
+        tmp_path, "standby-1", ttl=TTL, churn=_churn(fleet), clock=clock
+    )
+    try:
+        assert report.ok
+        assert report.digests_skipped == 1
+        assert report.digests_verified == 5
+        assert standby.daemons[lagging].digest_ok is None
+        standby.run_ticks(1)
+        last = read_records(_wal_path(tmp_path, lagging))[-1]
+        assert last["op"] == "commit"
+        assert last["digest"] == server_digest(
+            standby.daemons[lagging].server
+        )
+    finally:
+        standby.close()
+
+
+def test_tampered_commit_digest_is_a_mismatch(tmp_path):
     clock = FaultyClock()
     leader = _boot(tmp_path, clock)
     leader.run_ticks(3)
-    # fake a mid-crash tenant: its recorded digest lags its WAL (as if
-    # the crash landed after the commit but before the digest write)
-    lagging = leader.registry.names[2]
-    recorded = read_digest(tmp_path, lagging)
-    assert recorded is not None
     leader.close()
-    stale = dict(recorded, interval=recorded["interval"] - 1)
-    import json
-    import os
-
-    from repro.tenancy.daemon import DIGEST_FILENAME, tenant_state_dir
-
-    path = os.path.join(tenant_state_dir(tmp_path, lagging), DIGEST_FILENAME)
+    tampered = leader.registry.names[1]
+    path = _wal_path(tmp_path, tampered)
+    records = read_records(path)
+    assert records[-1]["op"] == "commit"
+    records[-1]["digest"] = "0" * 64
     with open(path, "w") as handle:
-        handle.write(json.dumps(stale))
+        handle.writelines(encode_record(r) + "\n" for r in records)
     clock.sleep(TTL + 1)
     standby, report = promote_all(
         tmp_path, "standby-1", ttl=TTL, clock=clock
     )
     try:
-        # an interval mismatch defers the check instead of failing it
-        assert report.ok
-        assert report.digests_skipped == 1
+        assert not report.ok
+        assert report.digest_mismatches == [tampered]
         assert report.digests_verified == 5
     finally:
         standby.close()
@@ -151,6 +188,5 @@ def test_committed_intervals_witnesses_every_interval(tmp_path):
     }
     leader.close()
     for name, intervals in processed.items():
-        wal_path = os.path.join(tenant_state_dir(tmp_path, name), "wal.jsonl")
-        _, nothing_lost, _ = audit_wal(wal_path, intervals)
+        _, nothing_lost, _ = audit_wal(_wal_path(tmp_path, name), intervals)
         assert intervals > 0 and nothing_lost

@@ -26,10 +26,10 @@ PINNED_DIGESTS = {
         "f809d9df2bc3ef1db01a08e346a127c0ab14bfe13d67ecd36a1a8fdd533bd738"
     ),
     "tenant-wal-corruption": (
-        "abfb01fa869e5b02a5692bf5dfe613f3ea1d433e17d054e30ec56b21071695eb"
+        "0ce671606983316a704b353ef74ce3d3daa5741677c79f01ab91fa89128cb993"
     ),
     "mass-rehome": (
-        "8e69c8b9e0d08e58dad6c86bbd3cd2343e336199279c57a666f23614cfd7b53f"
+        "b26c43efc97319c88f06671e52392c9e1e1aaa2ec8b06908e0e0cd632b2ef407"
     ),
 }
 

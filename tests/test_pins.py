@@ -74,7 +74,7 @@ def test_the_workflow_pins_every_soak_command():
     assert commands == {
         "chaos-soak", "ha-soak", "wire-chaos-soak", "tenancy-soak", "fleet",
     }
-    assert len(CI_PINS) >= 15
+    assert len(CI_PINS) >= 17
 
 
 @pytest.mark.parametrize("call", sorted(CI_PINS))

@@ -53,6 +53,41 @@ class TestDatagramStormSmall:
         ).digest
 
 
+class TestShardDecodeErrors:
+    """Corruption that reaches only the receiver shards — the group
+    frames' destination — must still surface as counted decode errors,
+    in-process and from worker processes alike."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_shard_decode_errors_reach_the_invariant(
+        self, workers, monkeypatch
+    ):
+        from repro.chaos.wire_faults import DatagramFaultInjector
+
+        hits = DatagramFaultInjector._hits
+
+        def shard_sends_only(self, fault, rate, *coords):
+            return (
+                coords[0] == "send"
+                and coords[1].startswith("shard-")
+                and hits(self, fault, rate, *coords)
+            )
+
+        monkeypatch.setattr(DatagramFaultInjector, "_hits", shard_sends_only)
+        plan = WireChaosPlan(
+            name="shard-corruption",
+            clients=6,
+            intervals=2,
+            workers=workers,
+            nack_window_seconds=0.15,
+            faults=WireFaultParams(corrupt_rate=0.5),
+        )
+        result = run_soak("wire", plan, seed=7)
+        assert result.failure is None, result.failure
+        assert result.faults_applied["corrupt"] > 0
+        assert result.invariants["decode-error-path"], result.to_dict()
+
+
 class TestClientCrashSmall:
     PLAN = WireChaosPlan(
         name="crash-small",
